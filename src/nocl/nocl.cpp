@@ -125,8 +125,10 @@ Device::Device(const simt::SmConfig &sm_cfg, kc::CompileOptions::Mode mode)
         cfg.smId = k;
         sms_.push_back(std::make_unique<simt::Sm>(cfg));
     }
-    // SM 0's memory is the device's authoritative DRAM; the other SMs'
-    // own memories sit unused behind their epoch shards.
+    // SM 0's memory is the device's authoritative DRAM. The other SMs
+    // reach DRAM only through their epoch shards over it, so their own
+    // memories are never written and, being demand-zero mappings, hold
+    // no resident host pages.
     memsys_ = std::make_unique<simt::MemorySystem>(sms_[0]->dram());
 
     kc::CompileOptions opts = compileOptions(LaunchConfig{});
@@ -780,8 +782,8 @@ Device::launchWithPolicy(
     // so a retry after a partial attempt would otherwise start from
     // whatever the failed attempt wrote there -- state silently
     // different from the first attempt's, and from what a replay of the
-    // same fault site observes. MainMemory is a plain value type, so
-    // that part is a straight copy.
+    // same fault site observes. MainMemory is a value type with a deep
+    // copy, so that part is a straight copy.
     const simt::MainMemory snapshot = dram();
     support::ByteWriter spad_snapshot;
     for (auto &sm : sms_)

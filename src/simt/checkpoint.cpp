@@ -15,6 +15,7 @@
 #include "simt/checkpoint.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "simt/faultinject.hpp"
 #include "simt/mem.hpp"
@@ -341,21 +342,20 @@ void
 MainMemory::saveState(ByteWriter &w) const
 {
     static const uint8_t zero_page[kMemPageBytes] = {};
-    const uint32_t num_pages =
-        static_cast<uint32_t>(data_.size()) / kMemPageBytes;
+    constexpr uint32_t num_pages = kDramSize / kMemPageBytes;
+    constexpr uint32_t tag_words_per_page = kMemPageWords / 64;
 
     // First pass: count non-trivial pages (all-zero, tag-free pages are
-    // implied by the loader's reset).
+    // implied by the loader's reset). A page's tags are 16 bitmap words.
     std::vector<uint32_t> live;
     for (uint32_t p = 0; p < num_pages; ++p) {
-        const uint8_t *base = data_.data() + p * kMemPageBytes;
-        bool interesting =
-            std::memcmp(base, zero_page, kMemPageBytes) != 0;
-        if (!interesting) {
-            const size_t w0 = static_cast<size_t>(p) * kMemPageWords;
-            for (uint32_t i = 0; i < kMemPageWords && !interesting; ++i)
-                interesting = tags_[w0 + i];
-        }
+        const uint64_t *tags = tags_ + p * tag_words_per_page;
+        bool interesting = false;
+        for (uint32_t g = 0; g < tag_words_per_page && !interesting; ++g)
+            interesting = tags[g] != 0;
+        if (!interesting)
+            interesting = std::memcmp(data_ + p * kMemPageBytes, zero_page,
+                                      kMemPageBytes) != 0;
         if (interesting)
             live.push_back(p);
     }
@@ -364,29 +364,23 @@ MainMemory::saveState(ByteWriter &w) const
     w.u32(static_cast<uint32_t>(live.size()));
     for (uint32_t p : live) {
         w.u32(p);
-        w.bytes(data_.data() + p * kMemPageBytes, kMemPageBytes);
-        const size_t w0 = static_cast<size_t>(p) * kMemPageWords;
-        for (uint32_t g = 0; g < kMemPageWords / 64; ++g) {
-            uint64_t bits = 0;
-            for (uint32_t i = 0; i < 64; ++i) {
-                if (tags_[w0 + g * 64 + i])
-                    bits |= uint64_t{1} << i;
-            }
-            w.u64(bits);
-        }
+        w.bytes(data_ + p * kMemPageBytes, kMemPageBytes);
+        for (uint32_t g = 0; g < tag_words_per_page; ++g)
+            w.u64(tags_[p * tag_words_per_page + g]);
     }
 }
 
 bool
 MainMemory::loadState(ByteReader &r)
 {
+    constexpr uint32_t tag_words_per_page = kMemPageWords / 64;
     const uint32_t num_pages = r.u32();
-    if (num_pages != data_.size() / kMemPageBytes) {
+    if (num_pages != kDramSize / kMemPageBytes) {
         r.failWith("main-memory geometry mismatch");
         return false;
     }
-    std::fill(data_.begin(), data_.end(), 0);
-    std::fill(tags_.begin(), tags_.end(), false);
+    // Only the image's live pages below become resident again.
+    zeroAll();
     const uint32_t live = r.u32();
     for (uint32_t k = 0; k < live; ++k) {
         const uint32_t p = r.u32();
@@ -394,18 +388,13 @@ MainMemory::loadState(ByteReader &r)
             r.failWith("main-memory page index out of range");
             return false;
         }
-        if (!r.bytes(data_.data() + static_cast<size_t>(p) * kMemPageBytes,
+        if (!r.bytes(data_ + static_cast<size_t>(p) * kMemPageBytes,
                      kMemPageBytes))
             return false;
-        const size_t w0 = static_cast<size_t>(p) * kMemPageWords;
-        for (uint32_t g = 0; g < kMemPageWords / 64; ++g) {
+        for (uint32_t g = 0; g < tag_words_per_page; ++g) {
             const uint64_t bits = r.u64();
-            if (bits == 0)
-                continue;
-            for (uint32_t i = 0; i < 64; ++i) {
-                if ((bits >> i) & 1)
-                    tags_[w0 + g * 64 + i] = true;
-            }
+            if (bits != 0)
+                tags_[p * tag_words_per_page + g] = bits;
         }
     }
     return !r.failed();

@@ -1,16 +1,114 @@
 #include "simt/mem.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstring>
+#include <utility>
+
+#include <sys/mman.h>
 
 #include "support/logging.hpp"
 
 namespace simt
 {
 
-MainMemory::MainMemory()
-    : data_(kDramSize, 0), tags_(kDramSize / 4, false)
+namespace
 {
+
+constexpr size_t kTagBytes = kDramSize / 4 / 8;
+constexpr size_t kCopyPageBytes = 4096;
+
+/**
+ * A private anonymous mapping of @p bytes. The host kernel zero-fills
+ * each page on first touch; reads of an untouched page map the shared
+ * zero page, so only written pages become resident. Transparent huge
+ * pages are declined so that residency grows in 4 KiB steps whatever
+ * the host's THP policy (a 2 MiB first touch would zero-fill and pin a
+ * whole huge page for one written word).
+ */
+void *
+mapZeroed(size_t bytes)
+{
+    void *p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    panic_if(p == MAP_FAILED, "cannot map %zu bytes of simulated DRAM",
+             bytes);
+    madvise(p, bytes, MADV_NOHUGEPAGE); // advisory; failure is harmless
+    return p;
+}
+
+/**
+ * Copy @p bytes from @p src into the all-zero @p dst, skipping all-zero
+ * source pages so that they stay unbacked in the destination.
+ */
+void
+copyLivePages(void *dst, const void *src, size_t bytes)
+{
+    static const uint8_t zero_page[kCopyPageBytes] = {};
+    auto *d = static_cast<uint8_t *>(dst);
+    const auto *s = static_cast<const uint8_t *>(src);
+    for (size_t off = 0; off < bytes; off += kCopyPageBytes) {
+        if (std::memcmp(s + off, zero_page, kCopyPageBytes) != 0)
+            std::memcpy(d + off, s + off, kCopyPageBytes);
+    }
+}
+
+} // namespace
+
+MainMemory::MainMemory()
+    : data_(static_cast<uint8_t *>(mapZeroed(kDramSize))),
+      tags_(static_cast<uint64_t *>(mapZeroed(kTagBytes)))
+{
+}
+
+MainMemory::MainMemory(const MainMemory &other) : MainMemory()
+{
+    copyLivePages(data_, other.data_, kDramSize);
+    copyLivePages(tags_, other.tags_, kTagBytes);
+}
+
+// Moves swap mappings, so a moved-from memory is still a valid (empty)
+// memory rather than a dangling one.
+MainMemory::MainMemory(MainMemory &&other) noexcept : MainMemory()
+{
+    std::swap(data_, other.data_);
+    std::swap(tags_, other.tags_);
+}
+
+MainMemory &
+MainMemory::operator=(const MainMemory &other)
+{
+    if (this != &other) {
+        zeroAll();
+        copyLivePages(data_, other.data_, kDramSize);
+        copyLivePages(tags_, other.tags_, kTagBytes);
+    }
+    return *this;
+}
+
+MainMemory &
+MainMemory::operator=(MainMemory &&other) noexcept
+{
+    std::swap(data_, other.data_);
+    std::swap(tags_, other.tags_);
+    return *this;
+}
+
+MainMemory::~MainMemory()
+{
+    munmap(data_, kDramSize);
+    munmap(tags_, kTagBytes);
+}
+
+void
+MainMemory::zeroAll()
+{
+    // Returning the pages to the host kernel is the reset: a private
+    // anonymous page reads as zero again after MADV_DONTNEED.
+    panic_if(madvise(data_, kDramSize, MADV_DONTNEED) != 0 ||
+                 madvise(tags_, kTagBytes, MADV_DONTNEED) != 0,
+             "cannot release simulated DRAM pages");
 }
 
 size_t
@@ -70,13 +168,22 @@ MainMemory::store32(uint32_t addr, uint32_t value)
 bool
 MainMemory::wordTag(uint32_t addr) const
 {
-    return tags_[index(addr) / 4];
+    const size_t w = index(addr) / 4;
+    return (tags_[w / 64] >> (w % 64)) & 1;
 }
 
 void
 MainMemory::setWordTag(uint32_t addr, bool tag)
 {
-    tags_[index(addr) / 4] = tag;
+    const size_t w = index(addr) / 4;
+    const uint64_t bit = uint64_t{1} << (w % 64);
+    uint64_t &entry = tags_[w / 64];
+    // Clearing an already-clear tag must not write: a write would back
+    // the tag page of capability-free data with a resident page.
+    if (tag)
+        entry |= bit;
+    else if (entry & bit)
+        entry &= ~bit;
 }
 
 cap::CapMem
@@ -128,8 +235,15 @@ MainMemory::clearTagsInRange(uint32_t addr, uint32_t bytes)
 {
     const size_t first = index(addr) / 4;
     const size_t last = index(addr + bytes - 1) / 4;
-    std::fill(tags_.begin() + static_cast<ptrdiff_t>(first),
-              tags_.begin() + static_cast<ptrdiff_t>(last + 1), false);
+    for (size_t e = first / 64; e <= last / 64; ++e) {
+        uint64_t mask = ~uint64_t{0};
+        if (e == first / 64)
+            mask &= ~uint64_t{0} << (first % 64);
+        if (e == last / 64)
+            mask &= ~uint64_t{0} >> (63 - last % 64);
+        if (tags_[e] & mask) // as in setWordTag: no write when clear
+            tags_[e] &= ~mask;
+    }
 }
 
 void
@@ -137,9 +251,19 @@ MainMemory::copyOut(uint32_t addr, uint8_t *out, uint32_t bytes) const
 {
     panic_if(bytes == 0, "zero-length copy");
     const size_t i = index(addr);
-    panic_if(i + bytes > data_.size(), "copy past the end of DRAM");
-    std::copy(data_.begin() + static_cast<ptrdiff_t>(i),
-              data_.begin() + static_cast<ptrdiff_t>(i + bytes), out);
+    panic_if(i + bytes > kDramSize, "copy past the end of DRAM");
+    std::memcpy(out, data_ + i, bytes);
+}
+
+void
+MainMemory::copyTagsOut(uint32_t addr, uint64_t *out, uint32_t bytes) const
+{
+    panic_if(bytes == 0 || addr % 256 != 0 || bytes % 256 != 0,
+             "tag copy of %u bytes at 0x%08x is not 64-word aligned", bytes,
+             addr);
+    const size_t i = index(addr);
+    panic_if(i + bytes > kDramSize, "copy past the end of DRAM");
+    std::memcpy(out, tags_ + i / 256, bytes / 256 * sizeof(uint64_t));
 }
 
 uint64_t
@@ -149,16 +273,18 @@ MainMemory::contentHash() const
     // indices of the set word tags.
     constexpr uint64_t kPrime = 1099511628211ull;
     uint64_t h = 1469598103934665603ull;
-    const size_t words = data_.size() / 8;
+    const size_t words = kDramSize / 8;
     for (size_t i = 0; i < words; ++i) {
         uint64_t chunk = 0;
         for (unsigned b = 0; b < 8; ++b)
             chunk |= static_cast<uint64_t>(data_[i * 8 + b]) << (8 * b);
         h = (h ^ chunk) * kPrime;
     }
-    for (size_t i = 0; i < tags_.size(); ++i) {
-        if (tags_[i])
-            h = (h ^ (i + 1)) * kPrime;
+    for (size_t e = 0; e < kTagWords; ++e) {
+        for (uint64_t bits = tags_[e]; bits != 0; bits &= bits - 1) {
+            const size_t w = e * 64 + std::countr_zero(bits);
+            h = (h ^ (w + 1)) * kPrime;
+        }
     }
     return h;
 }

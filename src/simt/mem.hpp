@@ -33,11 +33,22 @@ namespace simt
  * Functional main-memory storage: kDramSize bytes of data plus one tag bit
  * per aligned 32-bit word. Addresses are absolute (kDramBase-relative
  * translation happens internally).
+ *
+ * Both arrays live in private anonymous mappings that the host kernel
+ * zero-fills on first touch, so a fresh memory reads as all-zero and
+ * untagged while costing no resident pages until it is written
+ * (DESIGN.md section 7). Copies are deep; every object owns its own
+ * mappings for its whole lifetime.
  */
 class MainMemory
 {
   public:
     MainMemory();
+    MainMemory(const MainMemory &other);
+    MainMemory(MainMemory &&other) noexcept;
+    MainMemory &operator=(const MainMemory &other);
+    MainMemory &operator=(MainMemory &&other) noexcept;
+    ~MainMemory();
 
     static bool
     contains(uint32_t addr)
@@ -103,16 +114,28 @@ class MainMemory
      *  (seeds MemShard overlay pages; see simt/memsys.hpp). */
     void copyOut(uint32_t addr, uint8_t *out, uint32_t bytes) const;
 
+    /** The word tags of the same kind of span, packed like the backing
+     *  bitmap: word w of the span is bit w % 64 of @p out[w / 64]. Both
+     *  @p addr and @p bytes must be multiples of 256 (64 words). */
+    void copyTagsOut(uint32_t addr, uint64_t *out, uint32_t bytes) const;
+
     /** Checkpoint serialization: sparse by 4 KiB page (all-zero,
      *  tag-free pages are skipped). Defined in simt/checkpoint.cpp. */
     void saveState(support::ByteWriter &w) const;
     bool loadState(support::ByteReader &r);
 
   private:
+    /** Tag bitmap length: one bit per 32-bit word, 64 words per entry. */
+    static constexpr size_t kTagWords = kDramSize / 4 / 64;
+
     size_t index(uint32_t addr) const;
 
-    std::vector<uint8_t> data_;
-    std::vector<bool> tags_; // one per 32-bit word
+    /** Reset every byte and tag to zero, releasing all resident pages. */
+    void zeroAll();
+
+    uint8_t *data_;  // kDramSize bytes, demand-zero
+    uint64_t *tags_; // kTagWords entries, demand-zero; word w is bit w % 64
+                     // of entry w / 64
 };
 
 /**

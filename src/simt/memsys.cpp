@@ -79,10 +79,7 @@ MemShard::page(uint32_t addr)
         auto p = std::make_unique<Page>();
         const uint32_t page_base = kDramBase + pi * kPageBytes;
         base_.copyOut(page_base, p->data.data(), kPageBytes);
-        for (uint32_t w = 0; w < kPageWords; ++w) {
-            if (base_.wordTag(page_base + w * 4))
-                p->tag[w >> 6] |= uint64_t{1} << (w & 63);
-        }
+        base_.copyTagsOut(page_base, p->tag.data(), kPageBytes);
         pages_.push_back(std::move(p));
     }
     return *pages_[slot];

@@ -18,7 +18,10 @@
  * fault campaign's delta-execution foundation), campaign journal
  * recovery including the partial-trailing-line crash signature, and the
  * launchWithPolicy regression that retries must restore scratchpad
- * contents alongside DRAM between attempts.
+ * contents alongside DRAM between attempts. So is the main-memory
+ * backing store: zero-filled on creation, deep copies, a loadState that
+ * leaves nothing stale, and content hashes and images fixed to recorded
+ * values.
  */
 
 #include <gtest/gtest.h>
@@ -34,8 +37,10 @@
 #include "kernels/suite.hpp"
 #include "nocl/nocl.hpp"
 #include "simt/checkpoint.hpp"
+#include "simt/mem.hpp"
 #include "simt/sm.hpp"
 #include "support/journal.hpp"
+#include "support/serialize.hpp"
 
 namespace
 {
@@ -400,6 +405,113 @@ TEST(LaunchPolicyRetry, AttemptsRestoreScratchpadAndDramExactly)
     ASSERT_EQ(got.size(), 64u);
     for (size_t i = 0; i < got.size(); ++i)
         EXPECT_EQ(got[i], 1u) << "lane " << i;
+}
+
+// ------------------------------------------ main-memory backing store
+
+constexpr uint32_t kFirstWord = simt::kDramBase;
+constexpr uint32_t kLastWord = simt::kDramBase + simt::kDramSize - 4;
+
+/**
+ * A fixed memory touching both ends of DRAM: plain data, a tagged
+ * capability, a tag-only page with all-zero data, and a tag range
+ * partly cleared across bitmap-word boundaries.
+ */
+simt::MainMemory
+handBuiltMemory()
+{
+    simt::MainMemory m;
+    m.store32(kFirstWord, 0xdeadbeef);
+    m.store8(simt::kDramBase + 4097, 0x5a);
+    m.store16(kLastWord + 2, 0xbeef);
+    cap::CapMem c;
+    c.bits = 0x0123456789abcdefull;
+    c.tag = true;
+    m.storeCap(simt::kDramBase + 0x10000, c);
+    m.setWordTag(simt::kDramBase + 3 * 4096 + 8, true);
+    m.setWordTag(kLastWord, true);
+    const uint32_t run = simt::kDramBase + 0x20000 + 4 * 60;
+    for (uint32_t a = run; a < run + 4 * 200; a += 4)
+        m.setWordTag(a, true);
+    m.clearTagsInRange(run + 4 * 3, 4 * 130);
+    m.clearTagForStore(run + 4 * 199 + 1, 2);
+    return m;
+}
+
+TEST(MainMemoryBacking, FreshMemoryReadsZeroAndUntagged)
+{
+    const simt::MainMemory m;
+    for (const uint32_t a : {kFirstWord, kLastWord}) {
+        EXPECT_EQ(m.load32(a), 0u) << std::hex << a;
+        EXPECT_FALSE(m.wordTag(a)) << std::hex << a;
+    }
+    EXPECT_FALSE(m.loadCap(kLastWord - 4).tag);
+}
+
+TEST(MainMemoryBacking, CopiesAreDeepAndIndependent)
+{
+    const simt::MainMemory orig = handBuiltMemory();
+    const uint64_t orig_hash = orig.contentHash();
+
+    simt::MainMemory copy(orig);
+    EXPECT_EQ(copy.contentHash(), orig_hash);
+    copy.store32(kFirstWord, 1);
+    copy.setWordTag(kLastWord, false);
+    EXPECT_EQ(orig.load32(kFirstWord), 0xdeadbeefu);
+    EXPECT_TRUE(orig.wordTag(kLastWord));
+    EXPECT_EQ(orig.contentHash(), orig_hash);
+
+    // Assignment over a dirty memory: nothing of the old content stays.
+    simt::MainMemory assigned;
+    assigned.store32(simt::kDramBase + 0x400000, 7);
+    assigned.setWordTag(simt::kDramBase + 0x400000, true);
+    assigned = orig;
+    EXPECT_EQ(assigned.contentHash(), orig_hash);
+    EXPECT_EQ(assigned.load32(simt::kDramBase + 0x400000), 0u);
+    EXPECT_FALSE(assigned.wordTag(simt::kDramBase + 0x400000));
+    assigned.store8(kLastWord, 9);
+    EXPECT_EQ(orig.contentHash(), orig_hash);
+    EXPECT_NE(assigned.contentHash(), orig_hash);
+
+    const simt::MainMemory &alias = assigned;
+    const uint64_t before_self = assigned.contentHash();
+    assigned = alias;
+    EXPECT_EQ(assigned.contentHash(), before_self);
+}
+
+TEST(MainMemoryBacking, LoadStateOverDirtyMemoryLeavesNoStaleState)
+{
+    const simt::MainMemory orig = handBuiltMemory();
+    support::ByteWriter w;
+    orig.saveState(w);
+
+    // Dirty pages the image does not carry, and one that it does.
+    simt::MainMemory target;
+    const uint32_t stale = simt::kDramBase + 0x800000;
+    target.store32(stale, 0xffffffff);
+    target.setWordTag(stale + 4, true);
+    target.store32(kFirstWord + 8, 0x12345678);
+    target.setWordTag(kFirstWord + 12, true);
+
+    support::ByteReader r(w.data().data(), w.size());
+    ASSERT_TRUE(target.loadState(r));
+    EXPECT_EQ(target.contentHash(), orig.contentHash());
+    EXPECT_EQ(target.load32(stale), 0u);
+    EXPECT_FALSE(target.wordTag(stale + 4));
+    EXPECT_EQ(target.load32(kFirstWord + 8), 0u);
+    EXPECT_FALSE(target.wordTag(kFirstWord + 12));
+}
+
+TEST(MainMemoryBacking, HashAndImageMatchRecordedValues)
+{
+    // Recorded from the std::vector backing store this one replaced: the
+    // content hash and the checkpoint image must not change with it.
+    const simt::MainMemory m = handBuiltMemory();
+    support::ByteWriter w;
+    m.saveState(w);
+    EXPECT_EQ(m.contentHash(), 0x872a1a9203a8f5c2ull);
+    EXPECT_EQ(w.size(), 8u + 6u * (4u + 4096u + 16u * 8u)); // 6 live pages
+    EXPECT_EQ(support::crc32(w.data().data(), w.size()), 0x680f0324u);
 }
 
 } // namespace

@@ -2,6 +2,8 @@
  * @file
  * Multi-SM grid sharding tests.
  *
+ *  - DRAM residency: building a 4-SM device must leave the SMs'
+ *    demand-zero memories unbacked by host pages.
  *  - MemShard / MemorySystem unit tests: overlay isolation, commit,
  *    conflict detection, and atomic mediation.
  *  - Architectural parity: every benchmark of the suite must produce
@@ -20,9 +22,12 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <string>
 #include <tuple>
 #include <vector>
+
+#include <unistd.h>
 
 #include "kc/asm.hpp"
 #include "kernels/suite.hpp"
@@ -55,6 +60,34 @@ using isa::Op;
 using kernels::Prepared;
 using kernels::Size;
 using Mode = kc::CompileOptions::Mode;
+
+// ================================================= DRAM residency
+
+/** Resident set size from /proc/self/statm, or -1 where it is absent. */
+long
+residentBytes()
+{
+    std::ifstream in("/proc/self/statm");
+    long size = 0;
+    long resident = 0;
+    if (!(in >> size >> resident))
+        return -1;
+    return resident * sysconf(_SC_PAGESIZE);
+}
+
+TEST(Residency, FourSmDeviceConstructionStaysSmall)
+{
+    // Every SM owns a 64 MiB MainMemory, but demand-zero backing makes
+    // an unwritten one cost no resident pages. An eagerly zeroed store
+    // would grow the resident set by ~264 MiB here.
+    const long before = residentBytes();
+    if (before < 0)
+        GTEST_SKIP() << "/proc/self/statm is not available";
+    simt::SmConfig cfg = simt::SmConfig::cheriOptimised();
+    cfg.numSms = 4;
+    nocl::Device dev(cfg, Mode::Purecap);
+    EXPECT_LT(residentBytes() - before, 16l << 20);
+}
 
 // ============================================ MemShard / merge units
 
