@@ -63,6 +63,28 @@ class CodeGen
                  "blockDim must be a power of two <= thread count");
         fatal_if(!support::isPowerOfTwo(opt_.stackBytes),
                  "stackBytes must be a power of two");
+        fatal_if(opt_.numSms == 0, "a kernel needs at least one SM");
+        fatal_if(opt_.numSms > 1 &&
+                     (opt_.numThreads % (opt_.numSms * opt_.blockDim) != 0 ||
+                      !support::isPowerOfTwo(opt_.numThreads /
+                                             opt_.numSms / opt_.blockDim)),
+                 "each SM needs a power-of-two number of block slots");
+
+        // Block placement (DESIGN.md section 8): split the grid into
+        // numSms * rounds contiguous chunks of at most slotsPerSm_ blocks.
+        // SM k's local slot j < chunk_ starts at block k * chunk_ + j
+        // and strides by numSms * chunk_; slots j >= chunk_ start past
+        // the grid. When chunk_ == slotsPerSm_ this is the identity
+        // (block slot = global hart slot), which is also what a single
+        // SM always uses.
+        slotsPerSm_ = opt_.numThreads / opt_.numSms / opt_.blockDim;
+        chunk_ = slotsPerSm_;
+        if (opt_.numSms > 1 && opt_.gridDim > 0) {
+            const unsigned slots = opt_.numSms * slotsPerSm_;
+            const unsigned rounds = (opt_.gridDim + slots - 1) / slots;
+            const unsigned chunks = opt_.numSms * rounds;
+            chunk_ = (opt_.gridDim + chunks - 1) / chunks;
+        }
     }
 
     CompiledKernel run();
@@ -346,6 +368,8 @@ class CodeGen
     std::vector<int> varReg_; ///< -1 while the variable is out of scope
     uint8_t blockIdxReg_ = 0;
     uint8_t gridDimReg_ = 0;
+    unsigned slotsPerSm_ = 0; ///< block slots per SM (a power of two)
+    unsigned chunk_ = 0;      ///< active block slots per SM (<= slotsPerSm_)
 
     Label trapLabel_;
     bool trapUsed_ = false;
@@ -1036,14 +1060,55 @@ CodeGen::prologue()
         }
     }
 
+    // rd = rs & (slotsPerSm_ - 1): a global block slot reduced to the
+    // slot within its SM.
+    const auto localSlot = [&](uint8_t rd, uint8_t rs) {
+        if (fitsImm12(slotsPerSm_ - 1)) {
+            a_.emitI(Op::ANDI, rd, rs,
+                     static_cast<int32_t>(slotsPerSm_ - 1));
+        } else {
+            const uint8_t mask = rd == rs ? REG_SCRATCH : rd;
+            loadConst(mask, slotsPerSm_ - 1);
+            a_.emitR(Op::AND, rd, rs, mask);
+        }
+    };
+    const bool identity = chunk_ == slotsPerSm_;
+
     // Dispatch state: blockIdx variable and the grid size. The initial
-    // blockIdx value is this thread's block slot, which also selects its
-    // partition of the scratchpad below.
+    // blockIdx starts as this thread's global block slot.
     blockIdxReg_ = allocDedicated();
     a_.emitI(Op::SRLI, blockIdxReg_, REG_HARTID,
              static_cast<int32_t>(log2_bd));
     gridDimReg_ = allocDedicated();
     loadConst(gridDimReg_, opt_.gridDim);
+
+    // Chunked placement, without branches (a SIMT branch would need a
+    // push/pop): blockIdx = k * chunk + j, plus gridDim when j >= chunk
+    // so that the slot exits at once.
+    if (!identity) {
+        localSlot(REG_SCRATCH2, blockIdxReg_); // j
+        a_.emitI(Op::SRLI, blockIdxReg_, blockIdxReg_,
+                 static_cast<int32_t>(support::ceilLog2(slotsPerSm_)));
+        if (support::isPowerOfTwo(chunk_)) {
+            a_.emitI(Op::SLLI, blockIdxReg_, blockIdxReg_,
+                     static_cast<int32_t>(support::ceilLog2(chunk_)));
+        } else {
+            loadConst(REG_SCRATCH, chunk_);
+            a_.emitR(Op::MUL, blockIdxReg_, blockIdxReg_, REG_SCRATCH);
+        }
+        a_.emitR(Op::ADD, blockIdxReg_, blockIdxReg_, REG_SCRATCH2);
+        if (fitsImm12(chunk_)) {
+            a_.emitI(Op::SLTIU, REG_SCRATCH, REG_SCRATCH2,
+                     static_cast<int32_t>(chunk_));
+        } else {
+            loadConst(REG_SCRATCH, chunk_);
+            a_.emitR(Op::SLTU, REG_SCRATCH, REG_SCRATCH2, REG_SCRATCH);
+        }
+        // (j < chunk) - 1 is 0 or all ones: mask gridDim with it.
+        a_.emitI(Op::ADDI, REG_SCRATCH, REG_SCRATCH, -1);
+        a_.emitR(Op::AND, REG_SCRATCH, REG_SCRATCH, gridDimReg_);
+        a_.emitR(Op::ADD, blockIdxReg_, blockIdxReg_, REG_SCRATCH);
+    }
 
     // Shared array base pointers: each resident block slot gets its own
     // partition of the scratchpad so concurrent blocks do not alias.
@@ -1054,20 +1119,17 @@ CodeGen::prologue()
         const unsigned bytes =
             ir_.shared[s].count * scalarBytes(ir_.shared[s].elem);
 
-        // Slot offset: blockSlot * sharedBytes. With several SMs the
-        // block slot is global but each SM has a private scratchpad, so
-        // reduce it to the slot *within this SM* first (per-SM slots are
-        // a power of two, so a mask suffices).
+        // Slot offset: localSlot * sharedBytes. With several SMs each
+        // SM has a private scratchpad, so the partition is the slot
+        // *within this SM*. Under the identity placement blockIdx still
+        // holds the global slot; otherwise recompute it from the hart.
         if (opt_.numSms > 1) {
-            const uint32_t per_sm_slots =
-                opt_.numThreads / opt_.numSms / opt_.blockDim;
-            if (fitsImm12(per_sm_slots - 1)) {
-                a_.emitI(Op::ANDI, REG_SCRATCH2, blockIdxReg_,
-                         static_cast<int32_t>(per_sm_slots - 1));
+            if (identity) {
+                localSlot(REG_SCRATCH2, blockIdxReg_);
             } else {
-                loadConst(REG_SCRATCH2, per_sm_slots - 1);
-                a_.emitR(Op::AND, REG_SCRATCH2, blockIdxReg_,
-                         REG_SCRATCH2);
+                a_.emitI(Op::SRLI, REG_SCRATCH2, REG_HARTID,
+                         static_cast<int32_t>(log2_bd));
+                localSlot(REG_SCRATCH2, REG_SCRATCH2);
             }
             if (support::isPowerOfTwo(ir_.sharedBytes)) {
                 a_.emitI(Op::SLLI, REG_SCRATCH2, REG_SCRATCH2,
@@ -1134,7 +1196,7 @@ CodeGen::prologue()
 void
 CodeGen::dispatchLoopAndBody()
 {
-    const unsigned num_slots = opt_.numThreads / opt_.blockDim;
+    const unsigned stride = opt_.numSms * chunk_;
     const Label l_head = a_.newLabel();
     const Label l_end = a_.newLabel();
 
@@ -1150,7 +1212,7 @@ CodeGen::dispatchLoopAndBody()
         a_.emit(Op::SIMT_BARRIER, 0, 0, 0);
 
     a_.emitI(Op::ADDI, blockIdxReg_, blockIdxReg_,
-             static_cast<int32_t>(num_slots));
+             static_cast<int32_t>(stride));
     a_.emitJump(REG_ZERO, l_head);
     a_.place(l_end);
     a_.emit(Op::SIMT_POP, 0, 0, 0);

@@ -54,9 +54,14 @@ struct CompileOptions
     unsigned numThreads = 2048;
 
     /**
-     * SMs sharing the grid (numThreads covers all of them). With more
-     * than one SM the prologue reduces the global block slot to a
-     * per-SM scratchpad slot; 1 emits exactly the single-SM code.
+     * SMs sharing the grid (numThreads covers all of them, P block
+     * slots per SM). Each SM takes a contiguous chunk of
+     * c = ceil(gridDim / (numSms * rounds)) <= P blocks per round,
+     * rounds = ceil(gridDim / (numSms * P)): its local slot j < c starts
+     * at block k * c + j and strides by numSms * c, and slots j >= c
+     * exit at once. The scratchpad partition is the local slot. When
+     * c == P (always for 1 SM) this is the identity mapping and the
+     * code is exactly the single-SM shape (DESIGN.md section 8).
      */
     unsigned numSms = 1;
 

@@ -302,11 +302,12 @@ class KernelCache
 
 /**
  * A simulated device: SmConfig::numSms streaming multiprocessors sharing
- * one DRAM (plus host-side memory management). Thread blocks of a launch
- * are sharded round-robin across the SMs by the persistent-threads
- * dispatch loop; with more than one SM each runs on its own host worker
- * thread against a private simt::MemShard, and the shards are merged
- * deterministically when all SMs finish (see simt/memsys.hpp).
+ * one DRAM (plus host-side memory management). The persistent-threads
+ * dispatch loop gives each SM an equal share of a launch's thread
+ * blocks in contiguous chunks (DESIGN.md section 8); with more than one
+ * SM each runs on its own host worker thread against a private
+ * simt::MemShard, and the shards are merged deterministically when all
+ * SMs finish (see simt/memsys.hpp).
  */
 class Device
 {

@@ -275,9 +275,11 @@ struct SmConfig
 
     /**
      * Number of SMs sharing the device's DRAM. The grid's thread blocks
-     * are sharded round-robin across the SMs and each SM runs on its own
-     * host worker thread (see nocl::Device and simt::MemorySystem). The
-     * default of 1 is bit-identical to the single-SM model.
+     * are split into contiguous chunks, an equal share per SM per round
+     * (the placement rule is in kc::CompileOptions::numSms and DESIGN.md
+     * section 8), and each SM runs on its own host worker thread (see
+     * nocl::Device and simt::MemorySystem). The default of 1 is
+     * bit-identical to the single-SM model.
      */
     unsigned numSms = 1;
 

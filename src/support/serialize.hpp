@@ -78,7 +78,11 @@ class ByteWriter
     void
     bytes(const uint8_t *p, size_t n)
     {
-        buf_.insert(buf_.end(), p, p + n);
+        if (n == 0)
+            return;
+        const size_t at = buf_.size();
+        buf_.resize(at + n);
+        std::memcpy(buf_.data() + at, p, n);
     }
 
     const std::vector<uint8_t> &data() const { return buf_; }

@@ -257,8 +257,9 @@ TEST_P(PackedMemBoundary, TrapParityAcrossEngines)
     const MemOutcome simd = runMemCase(mc, ExecEngine::Simd);
 
     EXPECT_EQ(verbatim.trapped, mc.expect != simt::TrapKind::None);
-    if (verbatim.trapped)
+    if (verbatim.trapped) {
         EXPECT_EQ(verbatim.trap.kind, mc.expect);
+    }
 
     for (const MemOutcome *got : {&fastpath, &simd}) {
         EXPECT_EQ(got->ok, verbatim.ok);

@@ -4,7 +4,8 @@
  * integer expression trees are built simultaneously as DSL expressions
  * and as host-side evaluator closures, then compiled and executed on
  * the simulated GPU in all three modes and compared element-wise
- * against the host result. Catches codegen bugs in operand ordering,
+ * against the host result, on one SM and sharded over 2 and 4 SMs with
+ * a seeded grid size. Catches codegen bugs in operand ordering,
  * immediate folding, signedness, temporary reuse and divergence
  * handling that targeted unit tests miss.
  */
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "kc/kernel.hpp"
@@ -252,11 +254,15 @@ TEST_P(FuzzModes, RandomExpressionsMatchHost)
     xs[2] = 0x7fffffffu;
     ys[2] = 1;
 
-    for (uint64_t seed = 1; seed <= 40; ++seed) {
+    // One launch of the seed's kernel over @p grid blocks of 32 threads
+    // on @p sms SMs of 4 block slots each; returns out[].
+    const auto run = [&](uint64_t seed, HostFn &host, unsigned sms,
+                         unsigned grid) {
         simt::SmConfig cfg = mode == Mode::Purecap
                                  ? simt::SmConfig::cheriOptimised()
                                  : simt::SmConfig::baseline();
         cfg.numWarps = 4;
+        cfg.numSms = sms;
         Device dev(cfg, mode);
         Buffer bx = dev.alloc(n * 4);
         Buffer by = dev.alloc(n * 4);
@@ -264,24 +270,41 @@ TEST_P(FuzzModes, RandomExpressionsMatchHost)
         dev.write32(bx, xs);
         dev.write32(by, ys);
 
-        HostFn host;
         FuzzKernel k(seed, &host);
         nocl::LaunchConfig lc;
         lc.blockDim = 32;
-        lc.gridDim = n / 32;
+        lc.gridDim = grid;
         const nocl::RunResult r = dev.launch(
             k, lc,
             {Arg::integer(static_cast<int32_t>(n)), Arg::buffer(bx),
              Arg::buffer(by), Arg::buffer(bo)});
-        ASSERT_TRUE(r.completed) << "seed " << seed;
-        ASSERT_FALSE(r.trapped) << "seed " << seed << ": " << r.trapKind;
-        ASSERT_TRUE(host != nullptr);
+        EXPECT_TRUE(r.completed);
+        EXPECT_FALSE(r.trapped) << r.trapKind;
+        EXPECT_FALSE(r.mergeFallback);
+        return dev.read32(bo);
+    };
 
-        const std::vector<uint32_t> out = dev.read32(bo);
+    for (uint64_t seed = 1; seed <= 40; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        HostFn host;
+        const std::vector<uint32_t> out = run(seed, host, 1, n / 32);
+        ASSERT_TRUE(host != nullptr);
         for (unsigned i = 0; i < n; ++i) {
             ASSERT_EQ(out[i], host(xs[i], ys[i]))
-                << "seed " << seed << " element " << i << " x=" << xs[i]
-                << " y=" << ys[i];
+                << "element " << i << " x=" << xs[i] << " y=" << ys[i];
+        }
+
+        // The same kernel sharded over 2 and 4 SMs, with a seeded grid
+        // of 1 to 3 rounds of every slot: block placement must not
+        // change the result, which must equal the (host-checked) 1-SM
+        // output.
+        support::Rng grid_rng(seed);
+        for (unsigned sms : {2u, 4u}) {
+            const unsigned slots = sms * 4;
+            const unsigned grid = 1 + grid_rng.nextBounded(3 * slots);
+            SCOPED_TRACE(std::to_string(sms) + " SMs, grid " +
+                         std::to_string(grid));
+            ASSERT_EQ(run(seed, host, sms, grid), out);
         }
     }
 }

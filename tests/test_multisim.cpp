@@ -13,6 +13,9 @@
  *  - Cross-SM atomics: the atomic benchmarks (Histogram, Reduce,
  *    MotionEst) exercise the commit-time mediator; their results must be
  *    exact at every SM count.
+ *  - Block placement: every block of any grid size runs exactly once at
+ *    every SM count, a small grid spreads over all SMs, and the
+ *    generated code is unchanged wherever placement is the identity.
  *  - Conflict fallback: a kernel whose blocks race on one word must be
  *    detected and rerun serially, still deterministically.
  *  - Barrier deadlock: surfaced as a structured "barrier-deadlock" trap
@@ -22,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <string>
 #include <tuple>
@@ -419,6 +423,210 @@ TEST(MultiSmAtomics, MediatedBenchmarksExactAtEverySmCount)
         EXPECT_EQ(r1.buffers, r2.buffers);
         EXPECT_EQ(r1.cycles, r2.cycles);
     }
+}
+
+// ================================================ block placement
+
+/**
+ * Thread 0 of every block writes the block's index to out[blockIdx]
+ * and bumps a counter. The index travels through a shared array written
+ * by the block's last thread (another warp), so two resident blocks of
+ * one SM that alias on a scratchpad partition would write wrong values.
+ */
+struct BlockIndexKernel : kc::KernelDef
+{
+    std::string name() const override { return "BlockIndex"; }
+
+    void
+    build(kc::Kb &b) override
+    {
+        auto out = b.paramPtr("out", kc::Scalar::U32);
+        auto count = b.paramPtr("count", kc::Scalar::U32);
+        auto slot = b.shared("slot", kc::Scalar::U32, 64);
+        b.if_(b.threadIdx() == b.blockDim() - 1,
+              [&] { b.store(b.index(slot, b.c(0)), b.blockIdx()); });
+        b.barrier();
+        b.if_(b.threadIdx() == b.c(0), [&] {
+            b.store(b.index(out, b.blockIdx()), b.load(slot));
+            b.atomicAdd(b.index(count, b.c(0)), b.c(1));
+        });
+    }
+};
+
+struct PlacementRun
+{
+    bool completed = false;
+    bool mergeFallback = false;
+    std::vector<uint64_t> smCycles;
+    std::vector<uint32_t> out;
+    uint32_t count = 0;
+};
+
+/** Run @p kernel over @p grid blocks of 64 threads (8 slots per SM) and
+ *  read back out[] (one word per block, preset to all ones) and the
+ *  counter. */
+PlacementRun
+runPlacement(kc::KernelDef &kernel, Config c, unsigned sms, unsigned grid)
+{
+    nocl::Device dev(smConfigOf(c, sms), modeOf(c));
+    nocl::Buffer out = dev.alloc(grid * 4);
+    nocl::Buffer count = dev.alloc(4);
+    dev.write32(out, std::vector<uint32_t>(grid, ~0u));
+    nocl::LaunchConfig cfg;
+    cfg.blockDim = 64;
+    cfg.gridDim = grid;
+    const nocl::RunResult res = dev.launch(
+        kernel, cfg, {nocl::Arg::buffer(out), nocl::Arg::buffer(count)});
+
+    PlacementRun r;
+    r.completed = res.completed && !res.trapped;
+    r.mergeFallback = res.mergeFallback;
+    r.smCycles = res.smCycles;
+    r.out = dev.read32(out);
+    r.count = dev.read32(count).at(0);
+    return r;
+}
+
+TEST(BlockPlacement, EveryBlockRunsOnceAtEverySmCount)
+{
+    BlockIndexKernel k;
+    for (Config c : {Config::Baseline, Config::CheriOptimised}) {
+        for (unsigned grid : {1u, 3u, 8u, 16u, 31u, 32u, 33u, 40u, 96u}) {
+            SCOPED_TRACE(std::string(configName(c)) + " grid " +
+                         std::to_string(grid));
+            const PlacementRun one = runPlacement(k, c, 1, grid);
+            ASSERT_TRUE(one.completed);
+            EXPECT_EQ(one.count, grid);
+            for (unsigned b = 0; b < grid; ++b)
+                ASSERT_EQ(one.out[b], b) << "block " << b;
+
+            for (unsigned sms : {2u, 4u}) {
+                SCOPED_TRACE(std::to_string(sms) + " SMs");
+                const PlacementRun multi = runPlacement(k, c, sms, grid);
+                EXPECT_TRUE(multi.completed);
+                EXPECT_FALSE(multi.mergeFallback);
+                EXPECT_EQ(multi.count, grid) << "a block ran twice";
+                EXPECT_EQ(multi.out, one.out);
+            }
+        }
+    }
+}
+
+/** Every thread runs the same fixed loop: blocks of equal work. Takes
+ *  BlockIndexKernel's parameters so that runPlacement can launch it. */
+struct UniformWorkKernel : kc::KernelDef
+{
+    std::string name() const override { return "UniformWork"; }
+
+    void
+    build(kc::Kb &b) override
+    {
+        auto out = b.paramPtr("out", kc::Scalar::U32);
+        b.paramPtr("count", kc::Scalar::U32);
+        auto acc = b.var(b.threadIdx());
+        auto i = b.var(b.c(0));
+        b.forRange(i, b.c(200), b.c(1),
+                   [&] { b.assign(acc, acc * 3 + i); });
+        b.if_(b.threadIdx() == b.c(0),
+              [&] { b.store(b.index(out, b.blockIdx()), acc); });
+    }
+};
+
+TEST(BlockPlacement, SmallGridSpreadsOverAllSms)
+{
+    // 8 blocks on 4 SMs of 8 slots: every SM must get a share of the
+    // work, not just SM 0.
+    UniformWorkKernel k;
+    const PlacementRun r = runPlacement(k, Config::Baseline, 4, 8);
+    ASSERT_TRUE(r.completed);
+    ASSERT_EQ(r.smCycles.size(), 4u);
+    const uint64_t most =
+        *std::max_element(r.smCycles.begin(), r.smCycles.end());
+    for (unsigned k = 0; k < 4; ++k)
+        EXPECT_GE(2 * r.smCycles[k], most) << "SM " << k;
+}
+
+/** FNV-1a over the code image's bytes. */
+uint64_t
+codeHash(const std::vector<uint32_t> &code)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (uint32_t word : code) {
+        for (unsigned i = 0; i < 4; ++i) {
+            h ^= (word >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+/** Hash of a suite kernel's Small compiled image on the default
+ *  configuration of @p c with @p sms SMs; also returns its grid. */
+uint64_t
+suiteCodeHash(const std::string &name, Config c, unsigned sms,
+              unsigned *grid)
+{
+    simt::SmConfig cfg = c == Config::Baseline
+                             ? simt::SmConfig::baseline()
+                             : simt::SmConfig::cheriOptimised();
+    cfg.numSms = sms;
+    nocl::Device dev(cfg, modeOf(c));
+    auto bench = kernels::makeBenchmark(name);
+    EXPECT_NE(bench, nullptr);
+    const Prepared p = bench->prepare(dev, Size::Small);
+    *grid = p.cfg.gridDim;
+    return codeHash(dev.compileOnly(*p.kernel, p.cfg).code);
+}
+
+TEST(BlockPlacement, CodeUnchangedWherePlacementIsIdentity)
+{
+    // Hashes recorded before chunked placement existed. One SM always
+    // uses the identity placement; at 4 SMs (32 block slots of 256
+    // threads) so does any grid that is a multiple of 32 blocks.
+    struct Golden
+    {
+        const char *name;
+        uint64_t baseline, purecap;
+    };
+    const Golden one_sm[] = {
+        {"VecAdd", 0x6e73026df535a654ull, 0xe3c2dcfb0bee5c4dull},
+        {"Histogram", 0xb94ad80de2136327ull, 0x4b582acdd02738dfull},
+        {"Reduce", 0xa84393528e759c3full, 0xa3ef9f293f461fcfull},
+        {"Scan", 0x79e48aaa43167a19ull, 0x0c5747a02c70f808ull},
+        {"Transpose", 0x9dac7ccfe91bfbdfull, 0x4f22a63156e76ca8ull},
+        {"MatVecMul", 0xd55e9be588c33158ull, 0x2a2687b599692f92ull},
+        {"MatMul", 0x2b56ec61d1ea8668ull, 0x1b3997bbc9d18842ull},
+        {"BitonicSm", 0x8269d82ab4485888ull, 0xd3bab8e7fbfa220dull},
+        {"BitonicLa", 0xa7e3c17c3aabc758ull, 0x0caed4e94da53b07ull},
+        {"SPMV", 0x7cddea0e829e8837ull, 0x96c2c795d3d1e344ull},
+        {"BlkStencil", 0x2220f0db66578b6dull, 0x50b8f295df03ef99ull},
+        {"StrStencil", 0x9087987056e02c7eull, 0x873c012710d97508ull},
+        {"VecGCD", 0xb3df5307bc239697ull, 0x6e2532278524081eull},
+        {"MotionEst", 0xec145f727afa59f6ull, 0xd59ce77400ab4408ull},
+    };
+    const Golden four_sms[] = {
+        {"Reduce", 0xbebd1565e0554ce2ull, 0x1915559194b7352aull},
+        {"BlkStencil", 0x9234b0a7fa1fa534ull, 0x1844812ed262adb8ull},
+    };
+
+    const auto check = [](const auto &table, unsigned sms) {
+        for (const Golden &g : table) {
+            SCOPED_TRACE(std::string(g.name) + " " + std::to_string(sms) +
+                         " SMs");
+            unsigned grid = 0;
+            EXPECT_EQ(suiteCodeHash(g.name, Config::Baseline, sms, &grid),
+                      g.baseline);
+            EXPECT_EQ(suiteCodeHash(g.name, Config::CheriOptimised, sms,
+                                    &grid),
+                      g.purecap);
+            if (sms > 1) {
+                EXPECT_EQ(grid % 32, 0u) << "not an identity placement";
+            }
+        }
+    };
+    check(one_sm, 1);
+    check(four_sms, 4);
+    EXPECT_EQ(std::size(one_sm), kernels::makeSuite().size());
 }
 
 // ===================================== conflicting-write fallback

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "support/bits.hpp"
 #include "support/json.hpp"
 #include "support/logging.hpp"
@@ -352,8 +355,9 @@ TEST(Trace, RingDropsOldestDeterministically)
     Buffer buf(kCatAll, 4, 0);
     for (int i = 0; i < 6; ++i) {
         buf.setNow(static_cast<uint64_t>(i));
-        buf.emit(EventKind::Instant, kCatLaunch,
-                 "e" + std::to_string(i));
+        std::string name = "e";
+        name += std::to_string(i);
+        buf.emit(EventKind::Instant, kCatLaunch, std::move(name));
     }
     EXPECT_EQ(buf.size(), 4u);
     EXPECT_EQ(buf.dropped(), 2u);
