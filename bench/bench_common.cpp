@@ -164,11 +164,6 @@ profileJson(const support::trace::KernelProfile &prof,
         total += c;
     out.set("instructions", Value::integer(total));
 
-    if (stats.has("simhost_engine"))
-        out.set("engine",
-                Value::str(simt::execEngineName(
-                    static_cast<simt::ExecEngine>(
-                        stats.get("simhost_engine")))));
     out.set("fastpath_share",
             Value::number(ratioOf(stats.get("simhost_fastpath_instrs"),
                                   stats.get("simhost_instrs"))));
@@ -178,8 +173,6 @@ profileJson(const support::trace::KernelProfile &prof,
     out.set("fusion_hit_rate",
             Value::number(ratioOf(stats.get("simhost_fused_instrs"),
                                   stats.get("simhost_instrs"))));
-    out.set("resample_count",
-            Value::integer(stats.get("simhost_resample_count")));
     out.set("stack_cache_hit_rate",
             Value::number(ratioOf(stats.get("stack_cache_hits"),
                                   stats.get("stack_cache_hits") +

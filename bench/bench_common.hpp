@@ -12,10 +12,11 @@
  * nocl::KernelCache, so a sweep compiles each kernel once instead of
  * once per point. The simulator is deterministic, therefore serial and
  * parallel runs report bit-identical cycle counts and modelled
- * statistics. (The simhost_* counters describe the host simulation
- * itself and depend on the adaptive engine cache's warm-up state -- a
- * kernel's first launch is the sampling launch -- so they are outside
- * this guarantee; see DESIGN.md section 10.)
+ * statistics. The simhost_* counters describe the host simulation
+ * itself: they depend on the execute engine (SmConfig::hostFastPath)
+ * and on the runtime dispatch (AVX2 or CHERI_SIMT_FORCE_SCALAR), but
+ * are otherwise just as deterministic -- a kernel's cold first launch
+ * and a warm repeat report the same values (DESIGN.md section 10).
  */
 
 #ifndef CHERI_SIMT_BENCH_BENCH_COMMON_HPP_
@@ -194,11 +195,9 @@ void printHeader(const std::string &id, const std::string &caption);
  * object:
  *
  *   "profile": { "launches": int, "instructions": int,
- *                "engine": "<auto|verbatim|fastpath|simd>",
  *                "fastpath_share": number,
  *                "packed_mem_share": number,
  *                "fusion_hit_rate": number,
- *                "resample_count": int,
  *                "stack_cache_hit_rate": number,
  *                "dram_bytes_per_transaction": number,
  *                "top_pcs": [ { "pc": "0x...", "count": int,

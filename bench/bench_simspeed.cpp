@@ -1,20 +1,20 @@
 /**
  * @file
- * Simulator host-throughput regression guard for the multi-engine
- * execute layer (DESIGN.md section 10): runs the suite under the
- * optimised CHERI configuration with each engine forced -- verbatim
- * per-lane, regularity fast path, packed host-SIMD -- and with the
- * adaptive policy (the default), and reports host instructions/second,
- * per-engine speedups over verbatim, and the scalarised-execution hit
- * rate.
+ * Simulator host-throughput regression guard for the execute layer
+ * (DESIGN.md section 10): runs the suite under the optimised CHERI
+ * configuration on the reference engine (hostFastPath = false, the
+ * per-lane interpreter) and on the accelerated engine (the default),
+ * and reports host instructions/second for both, the accelerated
+ * engine's speedup over the reference, and its scalarised-execution
+ * hit rate.
  *
  * The engines are bit-identical by construction (test_fastpath_parity
- * proves it); this harness guards the *reason they exist*:
- * uniform-heavy kernels (VecAdd, Reduce) should simulate several times
- * faster, and no kernel may regress under the adaptive policy -- the
- * per-benchmark `speedup >= 1.0` assertion below fails the run (and so
- * CI) on any per-kernel regression that a geomean would hide. This is
- * the guard that caught the SPMV fast-path regression.
+ * proves it); this harness guards the *reason the accelerated one
+ * exists*: uniform-heavy kernels (VecAdd, Reduce) should simulate
+ * several times faster, and no kernel may regress -- the per-benchmark
+ * `speedup >= 1.0` assertion below fails the run (and so CI) on any
+ * per-kernel regression that a geomean would hide. This is the guard
+ * that caught the SPMV fast-path regression.
  *
  * Host wall-clock numbers are machine-dependent, so they live in the
  * JSON "metrics" object, never in the modelled "stats" counters. The
@@ -46,85 +46,84 @@ const std::vector<std::string> kFocus = {"VecAdd", "Reduce", "SPMV"};
 const char *kAdversarial = "BlkStencil";
 
 /**
- * Per-benchmark floor for the adaptive speedup-over-verbatim assertion.
- * The target is >= 1.0x on every kernel; the margin covers host timing
- * noise that survives the serial best-of-N re-measure (a few percent on
- * a loaded machine, worst for the microsecond-scale small workloads).
+ * Per-benchmark floor for the accelerated-over-reference speedup
+ * assertion. The target is >= 1.0x on every kernel; the margin covers
+ * host timing noise that survives the serial best-of-N re-measure (a
+ * few percent on a loaded machine, worst for the microsecond-scale
+ * small workloads).
  */
-constexpr double kMinAdaptiveSpeedup = 0.95;
+constexpr double kMinSpeedup = 0.95;
 
 /**
- * Focus-suite geomean floor for the adaptive engine: the packed memory
- * lanes + superinstruction fusion work targets >= 2.5x on the
- * uniform-heavy kernels (stretch 3x); below this the fast engines have
- * regressed structurally, not by noise.
+ * Focus-suite geomean floor for the accelerated engine: the packed
+ * memory lanes + superinstruction fusion work targets >= 2.5x on the
+ * uniform-heavy kernels (stretch 3x); below this the accelerated
+ * engine has regressed structurally, not by noise.
  */
 constexpr double kMinFocusGeomean = 2.5;
 
 /**
- * Kernels the tuned guard + steady-state re-sampler newly promote off
- * the verbatim engine: each must show a real adaptive win, not just
- * avoid regressing.
+ * Kernels with little warp regularity that the accelerated engine must
+ * still speed up for real, not just avoid regressing.
  */
-struct PromotedFloor
+struct KernelFloor
 {
     const char *name;
     double minSpeedup;
 };
-const PromotedFloor kPromoted[] = {
+const KernelFloor kKernelFloors[] = {
     {"Transpose", 1.2},
     {"VecGCD", 1.2},
 };
 
-/** The engine rows of the matrix, in fixed order. */
+/** The engine rows of the matrix: reference first, then accelerated. */
 struct EngineRow
 {
     const char *key;   ///< metric-name fragment
     const char *label; ///< config label in the results JSON
-    simt::ExecEngine sel;
+    bool hostFastPath;
 };
 
 const EngineRow kEngines[] = {
-    {"verbatim", "cheri_opt_verbatim", simt::ExecEngine::Verbatim},
-    {"fastpath", "cheri_opt_fastpath", simt::ExecEngine::FastPath},
-    {"simd", "cheri_opt_simd", simt::ExecEngine::Simd},
-    {"adaptive", "cheri_opt_adaptive", simt::ExecEngine::Auto},
+    {"reference", "cheri_opt_reference", false},
+    {"accelerated", "cheri_opt_accelerated", true},
 };
-constexpr size_t kNumEngines = sizeof(kEngines) / sizeof(kEngines[0]);
 
 simt::SmConfig
-engineConfig(simt::ExecEngine sel)
+engineConfig(bool host_fast_path)
 {
     simt::SmConfig cfg = simt::SmConfig::cheriOptimised();
-    cfg.engineSel = sel;
+    cfg.hostFastPath = host_fast_path;
     return cfg;
 }
 
-/** One benchmark's serial re-measure under every engine. */
+/** One benchmark's serial re-measure under both engines. */
 struct Measured
 {
     std::string name;
     bool ok = true;
-    uint64_t instrs = 0;              ///< simhost_instrs (verbatim run)
-    uint64_t engineChosen = 0;        ///< simhost_engine of the adaptive run
-    double hitRate = 0.0;             ///< fastpath-engine full-run hit rate
-    double bestNs[kNumEngines] = {};  ///< best-of-N wall clock per engine
-    uint64_t packedInstrs = 0;        ///< packed-mem instrs, warm adaptive run
-    uint64_t fusedInstrs = 0;         ///< fused-block (annotated) instrs
-    uint64_t resamples = 0;           ///< steady-state probes, warm adaptive run
+    uint64_t instrs = 0;       ///< simhost_instrs
+    double hitRate = 0.0;      ///< accelerated-engine fast-path hit rate
+    double bestNs[2] = {};     ///< best-of-N wall clock per engine
+    uint64_t packedInstrs = 0; ///< packed-mem instrs (accelerated)
+    uint64_t fusedInstrs = 0;  ///< fused-block (annotated) instrs
+
+    double
+    speedup() const
+    {
+        return bestNs[1] > 0.0 ? bestNs[0] / bestNs[1] : 0.0;
+    }
 };
 
 /**
- * Serial best-of-N wall-clock measurement of one benchmark under every
- * engine. One device per engine is reused across repetitions
+ * Serial best-of-N wall-clock measurement of one benchmark under both
+ * engines. One device per engine is reused across repetitions
  * (construction and input preparation stay off the clock; only
  * RunResult::hostNs -- the time inside Sm::run() -- is measured); each
  * repetition re-prepares fresh input/output buffers so accumulating
  * kernels verify. Repetitions are interleaved across engines, so slow
- * host drift (thermal, background load) biases every engine equally
- * instead of penalising whichever is measured last. Repetitions beyond
- * the first run with a warm adaptive decision cache, so best-of-N
- * measures the engine the policy settled on.
+ * host drift (thermal, background load) biases both engines equally
+ * instead of penalising whichever is measured last.
  */
 bool
 measureBench(kernels::Benchmark &bench, kernels::Size size,
@@ -132,11 +131,10 @@ measureBench(kernels::Benchmark &bench, kernels::Size size,
 {
     std::vector<std::unique_ptr<nocl::Device>> devs;
     for (const auto &e : kEngines)
-        devs.push_back(std::make_unique<nocl::Device>(engineConfig(e.sel),
-                                                      Mode::Purecap));
+        devs.push_back(std::make_unique<nocl::Device>(
+            engineConfig(e.hostFastPath), Mode::Purecap));
     for (unsigned rep = 0; rep < reps; ++rep) {
-        for (size_t ei = 0; ei < kNumEngines; ++ei) {
-            const simt::ExecEngine sel = kEngines[ei].sel;
+        for (size_t ei = 0; ei < 2; ++ei) {
             kernels::Prepared p = bench.prepare(*devs[ei], size);
             const nocl::RunResult res =
                 devs[ei]->launch(*p.kernel, p.cfg, p.args);
@@ -145,23 +143,16 @@ measureBench(kernels::Benchmark &bench, kernels::Size size,
             const double ns = static_cast<double>(res.hostNs);
             if (rep == 0 || ns < m.bestNs[ei])
                 m.bestNs[ei] = ns;
-            if (ei == 0 && rep == 0)
-                m.instrs = res.stats.get("simhost_instrs");
-            if (sel == simt::ExecEngine::Auto) {
-                // Overwritten every repetition: the last (warm-cache)
-                // run reflects the engine the policy settled on.
-                m.engineChosen = res.stats.get("simhost_engine");
-                m.packedInstrs =
-                    res.stats.get("simhost_packed_mem_instrs");
-                m.fusedInstrs = res.stats.get("simhost_fused_instrs");
-                m.resamples = res.stats.get("simhost_resample_count");
-            }
-            if (sel == simt::ExecEngine::FastPath && rep == 0) {
-                const uint64_t in = res.stats.get("simhost_instrs");
-                m.hitRate = in ? static_cast<double>(res.stats.get(
-                                     "simhost_fastpath_instrs")) /
-                                     static_cast<double>(in)
-                               : 0.0;
+            if (ei == 1 && rep == 0) {
+                const support::StatSet &st = res.stats;
+                m.instrs = st.get("simhost_instrs");
+                m.hitRate =
+                    m.instrs ? static_cast<double>(
+                                   st.get("simhost_fastpath_instrs")) /
+                                   static_cast<double>(m.instrs)
+                             : 0.0;
+                m.packedInstrs = st.get("simhost_packed_mem_instrs");
+                m.fusedInstrs = st.get("simhost_fused_instrs");
             }
         }
     }
@@ -176,8 +167,7 @@ main(int argc, char **argv)
     benchcommon::Harness h(argc, argv, "simspeed");
     benchcommon::printHeader(
         "SimSpeed", "host simulation throughput per execute engine "
-                    "(verbatim / fastpath / simd / adaptive, CHERI "
-                    "optimised)");
+                    "(reference / accelerated, CHERI optimised)");
 
     // ---- Matrix phase: record and verify every engine row ----
     // Runs on the shared worker pool; architectural outputs and stats
@@ -185,7 +175,8 @@ main(int argc, char **argv)
     // phase below, never from this one.
     std::vector<benchcommon::ConfigPoint> points;
     for (const auto &e : kEngines)
-        points.push_back({e.label, engineConfig(e.sel), Mode::Purecap});
+        points.push_back(
+            {e.label, engineConfig(e.hostFastPath), Mode::Purecap});
     const auto rows = h.runMatrix(points);
     if (h.options().list)
         return 0;
@@ -212,23 +203,20 @@ main(int argc, char **argv)
         measured.push_back(std::move(m));
     }
 
-    std::printf("%-12s %12s %10s %10s %10s %10s %9s %8s %6s %6s\n",
-                "Benchmark", "Instrs", "Verb Mi/s", "Fast spd", "Simd spd",
-                "Adpt spd", "Engine", "HitRate", "Pack%", "Fuse%");
+    std::printf("%-12s %12s %10s %10s %9s %8s %6s %6s\n", "Benchmark",
+                "Instrs", "Ref Mi/s", "Acc Mi/s", "Speedup", "HitRate",
+                "Pack%", "Fuse%");
 
     std::vector<double> focus_speedups;
     std::vector<std::string> regressions;
-    std::vector<std::string> promo_failures;
+    std::vector<std::string> floor_failures;
     for (const auto &m : measured) {
-        const double verb_ns = m.bestNs[0];
-        const double verb_ips =
-            verb_ns > 0.0 ? static_cast<double>(m.instrs) / (verb_ns * 1e-9)
-                          : 0.0;
-        double spd[kNumEngines] = {};
-        for (size_t ei = 0; ei < kNumEngines; ++ei)
-            spd[ei] = m.bestNs[ei] > 0.0 ? verb_ns / m.bestNs[ei] : 0.0;
-        const double adaptive = spd[kNumEngines - 1];
-
+        double ips[2] = {};
+        for (size_t ei = 0; ei < 2; ++ei)
+            ips[ei] = m.bestNs[ei] > 0.0 ? static_cast<double>(m.instrs) /
+                                               (m.bestNs[ei] * 1e-9)
+                                         : 0.0;
+        const double speedup = m.speedup();
         const double packed_share =
             m.instrs ? static_cast<double>(m.packedInstrs) /
                            static_cast<double>(m.instrs)
@@ -237,57 +225,44 @@ main(int argc, char **argv)
             m.instrs ? static_cast<double>(m.fusedInstrs) /
                            static_cast<double>(m.instrs)
                      : 0.0;
-        std::printf("%-12s %12llu %10.2f %9.2fx %9.2fx %9.2fx %9s "
-                    "%7.1f%% %5.1f%% %5.1f%%%s\n",
+        std::printf("%-12s %12llu %10.2f %10.2f %8.2fx %7.1f%% %5.1f%% "
+                    "%5.1f%%%s\n",
                     m.name.c_str(),
                     static_cast<unsigned long long>(m.instrs),
-                    verb_ips * 1e-6, spd[1], spd[2], adaptive,
-                    simt::execEngineName(
-                        static_cast<simt::ExecEngine>(m.engineChosen)),
+                    ips[0] * 1e-6, ips[1] * 1e-6, speedup,
                     m.hitRate * 100.0, packed_share * 100.0,
                     fusion_cov * 100.0, m.ok ? "" : "  [VERIFY FAILED]");
 
         verify_failed = verify_failed || !m.ok;
-        for (size_t ei = 0; ei < kNumEngines; ++ei) {
-            h.metric(std::string("speedup_") + kEngines[ei].key + "_" +
-                         m.name,
-                     spd[ei]);
+        for (size_t ei = 0; ei < 2; ++ei)
             h.metric(std::string("instrs_per_sec_") + kEngines[ei].key +
                          "_" + m.name,
-                     m.bestNs[ei] > 0.0 ? static_cast<double>(m.instrs) /
-                                              (m.bestNs[ei] * 1e-9)
-                                        : 0.0);
-        }
+                     ips[ei]);
         h.metric("hit_rate_" + m.name, m.hitRate);
-        h.metric("speedup_" + m.name, adaptive);
-        h.metric("engine_" + m.name,
-                 static_cast<double>(m.engineChosen));
+        h.metric("speedup_" + m.name, speedup);
         h.metric("packed_mem_share_" + m.name, packed_share);
         h.metric("fusion_coverage_" + m.name, fusion_cov);
-        h.metric("resample_count_" + m.name,
-                 static_cast<double>(m.resamples));
         for (const auto &f : kFocus)
             if (m.name == f)
-                focus_speedups.push_back(adaptive);
+                focus_speedups.push_back(speedup);
         if (m.name == kAdversarial)
-            h.metric("adversarial_speedup", adaptive);
+            h.metric("adversarial_speedup", speedup);
 
-        // The per-kernel regression guard: the adaptive engine must not
-        // lose to verbatim on ANY benchmark (geomeans hide per-kernel
-        // regressions; this is how the SPMV 0.79x bug shipped).
-        if (m.ok && adaptive < kMinAdaptiveSpeedup)
+        // The per-kernel regression guard: the accelerated engine must
+        // not lose to the reference on ANY benchmark (geomeans hide
+        // per-kernel regressions; this is how the SPMV 0.79x bug
+        // shipped).
+        if (m.ok && speedup < kMinSpeedup)
             regressions.push_back(m.name);
 
-        // Newly promoted kernels must realise their adaptive win.
-        for (const auto &p : kPromoted)
-            if (m.ok && m.name == p.name && adaptive < p.minSpeedup)
-                promo_failures.push_back(m.name);
+        for (const auto &f : kKernelFloors)
+            if (m.ok && m.name == f.name && speedup < f.minSpeedup)
+                floor_failures.push_back(m.name);
     }
 
     const double gm = benchcommon::geomean(focus_speedups);
-    std::printf("%-12s %12s %10s %10s %10s %9.2fx   (focus geomean, "
-                "adaptive)\n",
-                "geomean", "", "", "", "", gm);
+    std::printf("%-12s %12s %10s %10s %8.2fx   (focus geomean)\n",
+                "geomean", "", "", "", gm);
     h.metric("focus_geomean_speedup", gm);
 
     // Multi-SM host scaling: the focus launches plus StrStencil (a
@@ -349,17 +324,14 @@ main(int argc, char **argv)
     h.finish();
 
     for (const auto &m : measured) {
-        const double adaptive =
-            m.bestNs[kNumEngines - 1] > 0.0
-                ? m.bestNs[0] / m.bestNs[kNumEngines - 1]
-                : 0.0;
+        const double speedup = m.speedup();
         const double hit_rate = m.hitRate;
         benchmark::RegisterBenchmark(
             ("simspeed/" + m.name).c_str(),
-            [adaptive, hit_rate](benchmark::State &state) {
+            [speedup, hit_rate](benchmark::State &state) {
                 for (auto _ : state) {
                 }
-                state.counters["speedup"] = adaptive;
+                state.counters["speedup"] = speedup;
                 state.counters["hit_rate"] = hit_rate;
             })
             ->Iterations(1);
@@ -375,19 +347,19 @@ main(int argc, char **argv)
     }
     if (!regressions.empty()) {
         std::fprintf(stderr,
-                     "simspeed: FAIL: adaptive engine slower than "
-                     "verbatim (speedup < %.2f) on:",
-                     kMinAdaptiveSpeedup);
+                     "simspeed: FAIL: accelerated engine slower than "
+                     "the reference (speedup < %.2f) on:",
+                     kMinSpeedup);
         for (const auto &name : regressions)
             std::fprintf(stderr, " %s", name.c_str());
         std::fprintf(stderr, "\n");
         return 1;
     }
-    if (!promo_failures.empty()) {
+    if (!floor_failures.empty()) {
         std::fprintf(stderr,
-                     "simspeed: FAIL: promoted kernels below their "
-                     "adaptive floor:");
-        for (const auto &name : promo_failures)
+                     "simspeed: FAIL: kernels below their speedup "
+                     "floor:");
+        for (const auto &name : floor_failures)
             std::fprintf(stderr, " %s", name.c_str());
         std::fprintf(stderr, "\n");
         return 1;

@@ -22,8 +22,8 @@
  * Flags:
  *   --bench <name>      suite benchmark (default VecAdd)
  *   --size small|full   workload size (default small)
- *   --engine-a <e>      verbatim | fastpath | simd | auto (default verbatim)
- *   --engine-b <e>      (default simd)
+ *   --engine-a <e>      reference | accelerated (default reference)
+ *   --engine-b <e>      (default accelerated)
  *   --sms-a <n>         SMs of leg A (default 1)
  *   --sms-b <n>         SMs of leg B (default --sms-a)
  *   --window <cycles>   lockstep window size (default 1024)
@@ -54,8 +54,8 @@ struct Options
 {
     std::string bench = "VecAdd";
     kernels::Size size = kernels::Size::Small;
-    simt::ExecEngine engineA = simt::ExecEngine::Verbatim;
-    simt::ExecEngine engineB = simt::ExecEngine::Simd;
+    bool fastA = false; ///< leg A's SmConfig::hostFastPath
+    bool fastB = true;
     unsigned smsA = 1;
     unsigned smsB = 0; ///< 0 = same as smsA
     uint64_t window = 1024;
@@ -63,19 +63,21 @@ struct Options
     std::string dumpPrefix;
 };
 
-simt::ExecEngine
+/** Engine name -> SmConfig::hostFastPath. */
+bool
 parseEngine(const std::string &name)
 {
-    if (name == "auto")
-        return simt::ExecEngine::Auto;
-    if (name == "verbatim")
-        return simt::ExecEngine::Verbatim;
-    if (name == "fastpath")
-        return simt::ExecEngine::FastPath;
-    if (name == "simd")
-        return simt::ExecEngine::Simd;
-    fatal("unknown engine '%s' (auto|verbatim|fastpath|simd)",
-          name.c_str());
+    if (name == "reference")
+        return false;
+    if (name == "accelerated")
+        return true;
+    fatal("unknown engine '%s' (reference|accelerated)", name.c_str());
+}
+
+const char *
+engineName(bool host_fast_path)
+{
+    return host_fast_path ? "accelerated" : "reference";
 }
 
 Options
@@ -96,9 +98,9 @@ parseOptions(int argc, char **argv)
             opts.size = s == "small" ? kernels::Size::Small
                                      : kernels::Size::Full;
         } else if (std::strcmp(argv[i], "--engine-a") == 0) {
-            opts.engineA = parseEngine(value(i, "--engine-a"));
+            opts.fastA = parseEngine(value(i, "--engine-a"));
         } else if (std::strcmp(argv[i], "--engine-b") == 0) {
-            opts.engineB = parseEngine(value(i, "--engine-b"));
+            opts.fastB = parseEngine(value(i, "--engine-b"));
         } else if (std::strcmp(argv[i], "--sms-a") == 0) {
             opts.smsA = static_cast<unsigned>(
                 std::strtoul(value(i, "--sms-a").c_str(), nullptr, 10));
@@ -133,12 +135,12 @@ struct Leg
 };
 
 Leg
-makeLeg(const Options &opts, simt::ExecEngine engine, unsigned sms)
+makeLeg(const Options &opts, bool host_fast_path, unsigned sms)
 {
     simt::SmConfig cfg = opts.cheri ? simt::SmConfig::cheriOptimised()
                                     : simt::SmConfig::baseline();
     cfg.numSms = sms;
-    cfg.engineSel = engine;
+    cfg.hostFastPath = host_fast_path;
     const kc::CompileOptions::Mode mode =
         opts.cheri ? kc::CompileOptions::Mode::Purecap
                    : kc::CompileOptions::Mode::Baseline;
@@ -178,12 +180,12 @@ main(int argc, char **argv)
                 "leg A %s x%u SM vs leg B %s x%u SM, window %llu\n",
                 opts.bench.c_str(),
                 opts.size == kernels::Size::Small ? "small" : "full",
-                opts.cheri ? 1 : 0, simt::execEngineName(opts.engineA),
-                opts.smsA, simt::execEngineName(opts.engineB), opts.smsB,
+                opts.cheri ? 1 : 0, engineName(opts.fastA), opts.smsA,
+                engineName(opts.fastB), opts.smsB,
                 static_cast<unsigned long long>(opts.window));
 
-    Leg a = makeLeg(opts, opts.engineA, opts.smsA);
-    Leg b = makeLeg(opts, opts.engineB, opts.smsB);
+    Leg a = makeLeg(opts, opts.fastA, opts.smsA);
+    Leg b = makeLeg(opts, opts.fastB, opts.smsB);
 
     uint64_t stop = 0;
     uint64_t windows = 0;
@@ -206,9 +208,9 @@ main(int argc, char **argv)
                         static_cast<unsigned long long>(stop -
                                                         opts.window),
                         static_cast<unsigned long long>(stop), k,
-                        simt::execEngineName(opts.engineA),
+                        engineName(opts.fastA),
                         static_cast<unsigned long long>(ha),
-                        simt::execEngineName(opts.engineB),
+                        engineName(opts.fastB),
                         static_cast<unsigned long long>(hb));
             if (!opts.dumpPrefix.empty()) {
                 dumpCheckpoint(opts.dumpPrefix + "-a.ckpt", *a.launch);

@@ -9,8 +9,7 @@
  *    subset invariants: packed-memory steps within scalarised steps
  *    within retired steps, fused steps within retired steps), and
  *    (when present) well-formed per-kernel "profile" objects including
- *    the packed_mem_share / fusion_hit_rate ratios in [0, 1] and an
- *    integer resample_count;
+ *    the packed_mem_share / fusion_hit_rate ratios in [0, 1];
  *  - "cheri-simt-trace-v1": Chrome-trace-event exports -- a traceEvents
  *    array of M/X/i/C events with integer pid/tid/ts, durations on
  *    complete events, and metadata naming every process.
@@ -69,8 +68,6 @@ checkProfile(const Value &r, const std::string &where)
             return fail(where + ".profile." + std::string(field) +
                         " outside [0, 1]");
     }
-    if (!prof.get("resample_count").isInt())
-        return fail(where + ".profile.resample_count is not an integer");
     const Value &tops = prof.get("top_pcs");
     if (!tops.isArray())
         return fail(where + ".profile.top_pcs is not an array");
@@ -242,8 +239,8 @@ main(int argc, char **argv)
         // Packed-memory steps are scalarised steps that also took a
         // vector memory handler, and fused steps are retired steps that
         // executed inside a fused block: both are subsets, and both
-        // counters (plus the re-sample count) only ever appear on
-        // documents that carry the instruction counters.
+        // counters only ever appear on documents that carry the
+        // instruction counters.
         if (stats.get("simhost_packed_mem_instrs").isInt()) {
             if (!has_fast)
                 return fail(where + ".stats: simhost_packed_mem_instrs "
@@ -261,22 +258,6 @@ main(int argc, char **argv)
                 stats.get("simhost_instrs").asUint())
                 return fail(where + ".stats: simhost_fused_instrs "
                                     "exceeds simhost_instrs");
-        }
-        if (stats.get("simhost_resample_count").isInt() && !has_instrs)
-            return fail(where + ".stats: simhost_resample_count "
-                                "without simhost_instrs");
-        // The resolved execute engine is a named enumerator, never the
-        // unresolved Auto (0). Only checkable for single-SM documents:
-        // the multi-SM merge sums per-SM stats, so the value becomes a
-        // sum of enumerators.
-        if (stats.get("simhost_engine").isInt() &&
-            doc.get("sms").asUint() == 1) {
-            const uint64_t e = stats.get("simhost_engine").asUint();
-            if (e < 1 || e > 3)
-                return fail(where + ".stats: simhost_engine must be in "
-                                    "[1, 3] (verbatim/fastpath/simd), "
-                                    "got " +
-                            std::to_string(e));
         }
         if (const int rc = checkProfile(r, where))
             return rc;

@@ -108,8 +108,8 @@ struct CompiledKernel
 
     /**
      * irFingerprint of the source IR (set by compile()). Stable kernel
-     * identity across configurations -- the launch layer keys the
-     * simulator's adaptive engine-decision cache with it.
+     * identity across configurations -- the launch layer keys
+     * checkpoint images with it.
      */
     uint64_t fingerprint = 0;
 };

@@ -370,7 +370,6 @@ Device::beginStepped(
 
     for (auto &sm : sms_) {
         sm->loadProgram(compiled.code);
-        sm->setProgramKey(launch->kernelKey_);
         // Stepped launches start from a zeroed scratchpad, like a fresh
         // device: plain launches inherit whatever the previous kernel
         // left there, which would make delta-replayed fault sites
@@ -971,13 +970,6 @@ Device::launchAttempt(
             sm.attachTrace(trace_->smBuffer(0),
                            trace_->pcScratch(0, compiled.code.size()));
         sm.loadProgram(compiled.code);
-        // Key the simulator's adaptive engine-decision cache with the
-        // KernelCache identity, so every compilation of the same kernel
-        // IR shares one decision (must precede launch(), which resolves
-        // the engine).
-        sm.setProgramKey(support::strprintf(
-            "%s|%016llx", compiled.name.c_str(),
-            static_cast<unsigned long long>(compiled.fingerprint)));
         sm.launch(0, warps_per_block);
         const bool completed = sm.run(max_cycles);
 
@@ -1016,12 +1008,8 @@ Device::launchAttempt(
     const unsigned ns = smCfg_.numSms;
     const auto t0 = std::chrono::steady_clock::now();
 
-    for (auto &sm : sms_) {
+    for (auto &sm : sms_)
         sm->loadProgram(compiled.code);
-        sm->setProgramKey(support::strprintf(
-            "%s|%016llx", compiled.name.c_str(),
-            static_cast<unsigned long long>(compiled.fingerprint)));
-    }
     if (trace_ != nullptr) {
         // Buffers and scratch must exist before the workers spawn; each
         // worker then only ever touches its own SM's buffer.

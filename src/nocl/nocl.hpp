@@ -188,7 +188,8 @@ class Device;
  * Chunk boundaries are warp-instruction boundaries (simt::Sm::runUntil),
  * so a launch advanced by any sequence of runUntil() calls and then
  * finish()ed is bit-identical -- cycles, traps, stats, memory -- to one
- * finished in a single call, across all execute engines and SM counts.
+ * finished in a single call, under either execute engine and at any SM
+ * count.
  *
  * Obtain instances from Device::beginStepped (a fresh launch) or
  * Device::restoreStepped (from a checkpoint image). At most one stepped

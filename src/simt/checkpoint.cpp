@@ -211,15 +211,8 @@ configHash(const SmConfig &cfg)
     w.b(cfg.metaSrfSinglePort);
     w.b(cfg.sfuCheriOffload);
     w.b(cfg.staticPcMeta);
-    w.b(cfg.hostFastPath);
-    w.u8(static_cast<uint8_t>(cfg.engineSel));
-    w.u32(cfg.engineSampleWindow);
-    w.f64(cfg.engineMinHitRate);
-    w.f64(cfg.engineMinPackedShare);
-    w.u32(cfg.engineResampleInterval);
-    w.u32(cfg.engineProbeWindow);
-    w.f64(cfg.engineEwmaAlpha);
-    w.f64(cfg.engineHysteresis);
+    // hostFastPath is deliberately excluded: both engines produce the
+    // same state, so an image saved under one restores under the other.
     w.u32(cfg.pipelineDepth);
     w.u32(cfg.divLatency);
     w.u32(cfg.sfuCyclesPerElem);
@@ -759,11 +752,10 @@ FaultInjector::loadState(ByteReader &r)
 void
 Sm::saveState(ByteWriter &w) const
 {
-    // Program identity (the image itself plus the decision-cache key).
+    // Program identity (the image itself).
     w.u32(static_cast<uint32_t>(code_.size()));
     for (uint32_t word : code_)
         w.u32(word);
-    w.str(programKey_);
 
     // Scheduler / launch geometry.
     w.u32(warpsPerBlock_);
@@ -799,23 +791,6 @@ Sm::saveState(ByteWriter &w) const
     w.u64(dataOccAccum_);
     w.u64(metaOccAccum_);
     putU64Vec(w, opCounts_);
-
-    // Adaptive engine policy (host-side, but it shapes the simhost_*
-    // counters and the cached decision, so it travels for full-stat
-    // bit-identity).
-    w.u8(static_cast<uint8_t>(engine_));
-    w.b(sampling_);
-    w.u64(sampleSteps_);
-    w.u64(sampleHits_);
-    w.u64(samplePacked_);
-    w.b(resampleArmed_);
-    w.b(probing_);
-    w.u8(static_cast<uint8_t>(preProbeEngine_));
-    w.u64(stepsSinceSample_);
-    w.f64(ewmaHit_);
-    w.f64(ewmaPacked_);
-    w.b(haveEwma_);
-    w.u64(resampleCount_);
 
     // Unflushed per-step counters (zero when the snapshot is taken at a
     // runUntil() boundary, but serialized so any boundary is safe).
@@ -858,11 +833,9 @@ Sm::loadState(ByteReader &r)
     std::vector<uint32_t> code(code_words);
     for (uint32_t &word : code)
         word = r.u32();
-    const std::string key = r.str();
     if (r.failed())
         return false;
     loadProgram(code);
-    programKey_ = key;
 
     warpsPerBlock_ = r.u32();
     rrPtr_ = r.u32();
@@ -914,20 +887,6 @@ Sm::loadState(ByteReader &r)
         r.failWith("per-op count table mismatch");
         return false;
     }
-
-    engine_ = static_cast<ExecEngine>(r.u8());
-    sampling_ = r.b();
-    sampleSteps_ = r.u64();
-    sampleHits_ = r.u64();
-    samplePacked_ = r.u64();
-    resampleArmed_ = r.b();
-    probing_ = r.b();
-    preProbeEngine_ = static_cast<ExecEngine>(r.u8());
-    stepsSinceSample_ = r.u64();
-    ewmaHit_ = r.f64();
-    ewmaPacked_ = r.f64();
-    haveEwma_ = r.b();
-    resampleCount_ = r.u64();
 
     ctrInstrs_ = r.u64();
     ctrCheriInstrs_ = r.u64();

@@ -35,51 +35,6 @@ namespace simt
  */
 using LaneMask = std::vector<uint8_t>;
 
-/**
- * Host-side execute engine (see DESIGN.md section 10). Engines differ
- * only in host speed: architectural state, modelled counters, memory
- * contents and trap records are bit-identical across all of them (the
- * 3-way parity suite proves it). Only the simhost_* throughput counters
- * may differ.
- */
-enum class ExecEngine : uint8_t
-{
-    /**
-     * Sample the fast-path hit rate over the first engineSampleWindow
-     * warp-steps of a launch, then pick the cheapest engine for this
-     * (kernel, configuration) and cache the decision process-wide.
-     */
-    Auto = 0,
-
-    /** Reference per-lane interpreter; no descriptor fast paths. */
-    Verbatim = 1,
-
-    /**
-     * Warp-regularity fast paths (scalarised execute, lazy operand
-     * descriptors) with threaded-code dispatch on the residual vector
-     * ALU path.
-     */
-    FastPath = 2,
-
-    /**
-     * FastPath plus the packed host-SIMD lane ALU (AVX2 when compiled
-     * in and supported by the host, otherwise the scalar handler --
-     * still bit-identical, just not faster than FastPath).
-     */
-    Simd = 3,
-};
-
-inline const char *
-execEngineName(ExecEngine e)
-{
-    switch (e) {
-      case ExecEngine::Auto: return "auto";
-      case ExecEngine::Verbatim: return "verbatim";
-      case ExecEngine::FastPath: return "fastpath";
-      default: return "simd";
-    }
-}
-
 /** Simulated physical memory map. */
 constexpr uint32_t kTcimBase = 0x00000000;   ///< instruction memory
 constexpr uint32_t kTcimSize = 1 << 16;      ///< 64 KiB
@@ -140,90 +95,17 @@ struct SmConfig
     bool staticPcMeta = false;
 
     /**
-     * Host-side warp-regularity fast path: scalarise the execution of
-     * instructions whose active-lane operands are uniform or affine.
-     * Purely a simulator-speed optimisation -- architectural state, perf
-     * counters and trap behaviour are bit-identical either way (see
-     * DESIGN.md section 7). Exposed so the parity tests can force both
-     * paths.
+     * Host execute engine (DESIGN.md section 10). true selects the
+     * accelerated engine: warp-regularity fast paths (scalarised
+     * execute over uniform/affine operand descriptors), threaded-code
+     * ALU dispatch with packed host-SIMD handlers, and packed memory
+     * lanes. false selects the reference engine, the plain per-lane
+     * interpreter. Purely a simulator-speed choice: architectural
+     * state, modelled counters, memory contents and trap records are
+     * bit-identical either way (the parity suite proves it); only the
+     * host-only simhost_* counters differ.
      */
     bool hostFastPath = true;
-
-    /**
-     * Execute-engine selection (only consulted when hostFastPath is
-     * true; hostFastPath == false forces the Verbatim engine, keeping
-     * the historical on/off switch meaningful for the parity tests).
-     * The default Auto policy is the fix for the SPMV regression: a
-     * kernel whose sampled hit rate is below engineMinHitRate stops
-     * paying the descriptor-classification overhead and runs Verbatim.
-     */
-    ExecEngine engineSel = ExecEngine::Auto;
-
-    /**
-     * Warp-steps sampled (running the FastPath engine) before the Auto
-     * policy decides. Kernels finishing earlier decide on the partial
-     * sample at run end -- the whole run, which is the unbiased
-     * estimate; the window only bounds how long a pathological first
-     * launch keeps paying fast-path overhead. Deliberately large:
-     * kernel prefixes (setup loops) are more regular than steady state,
-     * and a biased early decision would be cached for every later
-     * launch. The decision derives only from deterministic
-     * architectural events, so it is reproducible across repeats.
-     */
-    unsigned engineSampleWindow = 32768;
-
-    /**
-     * Minimum sampled fast-path hit rate (simhost_fastpath_instrs /
-     * simhost_instrs over the window) for a regularity engine to pay
-     * for itself; below it Auto picks Verbatim. Re-calibrated for the
-     * packed-memory/fusion engines against bench_simspeed: with fused
-     * dispatch the descriptor-classification overhead is covered at far
-     * lower regularity (every suite kernel now gains >=1.26x under the
-     * fast engines, see EXPERIMENTS.md), so the guard only has to catch
-     * pathologically irregular kernels.
-     */
-    double engineMinHitRate = 0.10;
-
-    /**
-     * Minimum share of sampled warp-steps retiring through a
-     * packed-coverable vector ALU handler for Auto to prefer Simd over
-     * FastPath (the two engines behave identically elsewhere).
-     */
-    double engineMinPackedShare = 0.02;
-
-    /**
-     * Steady-state re-sampling interval (warp-steps) for the Auto
-     * policy: after the initial window decides, the engine re-opens a
-     * cheap probe window every this many retired warp-steps so long
-     * kernels whose regularity shifts mid-run can promote/demote
-     * instead of being pinned by their prefix. 0 disables re-sampling
-     * (one-shot policy, the pre-resampler behaviour). Engine flips are
-     * architecturally invisible (all engines are bit-identical), so
-     * re-sampling never perturbs modelled state.
-     */
-    unsigned engineResampleInterval = 131072;
-
-    /**
-     * Warp-steps measured per steady-state probe window. Small against
-     * engineResampleInterval so the measurement overhead (probes run
-     * the FastPath engine when the current engine is Verbatim) stays
-     * well under 1%.
-     */
-    unsigned engineProbeWindow = 8192;
-
-    /**
-     * EWMA blend weight for a new probe's hit rate / packed share
-     * against the running estimate (1.0 = trust only the newest probe).
-     */
-    double engineEwmaAlpha = 0.5;
-
-    /**
-     * Hysteresis margin around engineMinHitRate/engineMinPackedShare
-     * for steady-state re-decisions: the EWMA must cross the threshold
-     * by this much to flip an engine already in force, preventing
-     * flapping at the boundary.
-     */
-    double engineHysteresis = 0.05;
 
     /** Pipeline depth: a warp re-issues this many cycles after issue. */
     unsigned pipelineDepth = 6;

@@ -5,10 +5,7 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <limits>
-#include <map>
-#include <mutex>
 
 #include "isa/encoding.hpp"
 #include "support/bits.hpp"
@@ -84,31 +81,6 @@ materialiseMeta(const MetaDesc &d, std::vector<CapMeta> &buf)
             buf[lane] = (d.nullMask >> lane) & 1 ? CapMeta{} : d.value;
         return;
     }
-}
-
-// Decoded-program cache, shared across Sm instances: benchmark harnesses
-// construct one Sm per configuration point but run the same few kernel
-// images, so each image is decoded (and its dispatch tables resolved)
-// once per process. Safe to share because the tables are pure functions
-// of the opcode and of process-wide runtime dispatch (see engine.hpp).
-std::mutex g_decode_cache_mutex;
-std::map<std::vector<uint32_t>,
-         std::shared_ptr<const engine::DecodedProgram>>
-    g_decode_cache;
-
-/** FNV-1a over the image words: the fallback program key. */
-std::string
-imageKey(const std::vector<uint32_t> &words)
-{
-    uint64_t h = 1469598103934665603ull;
-    for (const uint32_t w : words) {
-        h ^= w;
-        h *= 1099511628211ull;
-    }
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "img:%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
 }
 
 /**
@@ -192,8 +164,7 @@ Sm::Sm(const SmConfig &cfg)
       statSimhostInstrs_(stats_.handle("simhost_instrs")),
       statSimhostFastpath_(stats_.handle("simhost_fastpath_instrs")),
       statSimhostPackedMem_(stats_.handle("simhost_packed_mem_instrs")),
-      statSimhostFused_(stats_.handle("simhost_fused_instrs")),
-      statSimhostResamples_(stats_.handle("simhost_resample_count"))
+      statSimhostFused_(stats_.handle("simhost_fused_instrs"))
 {
     fatal_if(cfg_.stackCacheLines > 0 &&
                  (cfg_.stackCacheLineBytes <
@@ -239,20 +210,7 @@ Sm::loadProgram(const std::vector<uint32_t> &words)
 {
     fatal_if(words.size() * 4 > kTcimSize, "program exceeds TCIM size");
     code_ = words;
-
-    {
-        std::lock_guard<std::mutex> lock(g_decode_cache_mutex);
-        auto &slot = g_decode_cache[words];
-        if (!slot) {
-            slot = std::make_shared<const engine::DecodedProgram>(
-                engine::decodeProgram(words));
-        }
-        decoded_ = slot;
-    }
-
-    // Fallback engine-decision key; the launch layer overrides it with
-    // the KernelCache fingerprint via setProgramKey().
-    programKey_ = imageKey(words);
+    decoded_ = engine::sharedProgram(words);
 }
 
 void
@@ -327,161 +285,6 @@ Sm::launch(uint32_t entry_pc, unsigned warps_per_block)
     stats_.add("simhost_fastpath_instrs", 0);
     stats_.add("simhost_packed_mem_instrs", 0);
     stats_.add("simhost_fused_instrs", 0);
-    stats_.add("simhost_resample_count", 0);
-
-    resolveEngine();
-}
-
-std::string
-Sm::engineCacheKey() const
-{
-    // Everything that shifts descriptor regularity (and so the sampled
-    // hit rate) must salt the key: the CHERI mode and register-file
-    // organisation change how often operands stay uniform/affine, and
-    // the geometry changes what one SM's shard of the grid looks like.
-    char buf[128];
-    std::snprintf(buf, sizeof buf,
-                  "|p%u|mc%u|sv%u|nv%u|sp%u|l%u|w%u|v%u|n%u|i%u",
-                  cfg_.purecap ? 1u : 0u, cfg_.metaCompressed ? 1u : 0u,
-                  cfg_.sharedVrf ? 1u : 0u, cfg_.nvo ? 1u : 0u,
-                  cfg_.metaSrfSinglePort ? 1u : 0u, cfg_.numLanes,
-                  cfg_.numWarps, cfg_.vrfCapacity, cfg_.numSms, cfg_.smId);
-    return programKey_ + buf;
-}
-
-void
-Sm::resolveEngine()
-{
-    sampling_ = false;
-    sampleSteps_ = 0;
-    sampleHits_ = 0;
-    samplePacked_ = 0;
-    resampleArmed_ = false;
-    probing_ = false;
-    stepsSinceSample_ = 0;
-    ewmaHit_ = 0.0;
-    ewmaPacked_ = 0.0;
-    haveEwma_ = false;
-    resampleCount_ = 0;
-    if (!cfg_.hostFastPath) {
-        engine_ = ExecEngine::Verbatim;
-        return;
-    }
-    if (cfg_.engineSel != ExecEngine::Auto) {
-        engine_ = cfg_.engineSel;
-        return;
-    }
-    resampleArmed_ = cfg_.engineResampleInterval > 0;
-    engine::EngineDecision d;
-    if (engine::lookupEngineDecision(engineCacheKey(), d)) {
-        // Warm start: the cached decision seeds both the engine and the
-        // EWMA the steady-state probes blend into.
-        engine_ = d.engine;
-        ewmaHit_ = d.hitRate;
-        ewmaPacked_ = d.packedShare;
-        haveEwma_ = true;
-        return;
-    }
-    engine_ = ExecEngine::FastPath;
-    sampling_ = true;
-}
-
-void
-Sm::beginProbe()
-{
-    probing_ = true;
-    sampling_ = true;
-    sampleSteps_ = 0;
-    sampleHits_ = 0;
-    samplePacked_ = 0;
-    stepsSinceSample_ = 0;
-    preProbeEngine_ = engine_;
-    // The Verbatim engine never classifies descriptors, so a hit rate
-    // is unobservable under it; probe on FastPath (bit-identical).
-    if (engine_ == ExecEngine::Verbatim)
-        engine_ = ExecEngine::FastPath;
-}
-
-void
-Sm::decideEngine()
-{
-    sampling_ = false;
-    const bool probe = probing_;
-    probing_ = false;
-    stepsSinceSample_ = 0;
-
-    double hit = 0.0, packed = 0.0;
-    if (sampleSteps_ > 0) {
-        hit = static_cast<double>(sampleHits_) /
-              static_cast<double>(sampleSteps_);
-        packed = static_cast<double>(samplePacked_) /
-                 static_cast<double>(sampleSteps_);
-    } else if (probe) {
-        // An empty probe (kernel ended immediately): keep the estimate.
-        hit = ewmaHit_;
-        packed = ewmaPacked_;
-    }
-    // Blend into the running estimate so one anomalous window cannot
-    // whipsaw the policy; the first window IS the estimate.
-    if (haveEwma_) {
-        const double a = cfg_.engineEwmaAlpha;
-        hit = a * hit + (1.0 - a) * ewmaHit_;
-        packed = a * packed + (1.0 - a) * ewmaPacked_;
-    }
-    ewmaHit_ = hit;
-    ewmaPacked_ = packed;
-    haveEwma_ = true;
-
-    // The conservative guard first (the SPMV fix): a kernel that rarely
-    // scalarises pays descriptor classification for nothing, so it runs
-    // the reference engine. Otherwise prefer Simd whenever a meaningful
-    // share of steps retires through a packed-coverable handler. On
-    // steady-state probes the thresholds shift by the hysteresis margin
-    // in favour of the engine already in force, so the policy never
-    // flaps at a boundary.
-    double min_hit = cfg_.engineMinHitRate;
-    double min_packed = cfg_.engineMinPackedShare;
-    if (probe) {
-        const ExecEngine cur = preProbeEngine_;
-        min_hit += cur == ExecEngine::Verbatim ? cfg_.engineHysteresis
-                                               : -cfg_.engineHysteresis;
-        min_packed += cur == ExecEngine::Simd ? -cfg_.engineHysteresis
-                                              : cfg_.engineHysteresis;
-    }
-    engine::EngineDecision d;
-    d.hitRate = hit;
-    d.packedShare = packed;
-    if (hit < min_hit)
-        d.engine = ExecEngine::Verbatim;
-    else if (packed >= min_packed)
-        d.engine = ExecEngine::Simd;
-    else
-        d.engine = ExecEngine::FastPath;
-    engine_ = d.engine;
-    engine::storeEngineDecision(engineCacheKey(), d);
-    if (probe) {
-        ++resampleCount_;
-        statSimhostResamples_.add();
-    }
-
-    using namespace support::trace;
-    if (trace_ != nullptr && trace_->wants(kCatEngine)) {
-        using support::json::Value;
-        Event &e = trace_->emit(
-            EventKind::Instant, kCatEngine,
-            std::string(probe ? "resample: " : "engine: ") +
-                execEngineName(d.engine));
-        e.cycle = now_;
-        e.args.emplace_back("engine",
-                            Value::str(execEngineName(d.engine)));
-        e.args.emplace_back("hit_rate", Value::number(d.hitRate));
-        e.args.emplace_back("packed_share", Value::number(d.packedShare));
-        e.args.emplace_back("sample_steps", Value::integer(sampleSteps_));
-        e.args.emplace_back("probe", Value::boolean(probe));
-        if (probe)
-            e.args.emplace_back(
-                "from", Value::str(execEngineName(preProbeEngine_)));
-    }
 }
 
 int
@@ -784,10 +587,6 @@ Sm::run(uint64_t max_cycles)
     flushStepCounters();
     if (injector_)
         stats_.set("fault_injections", injector_->fires());
-    // The engine selected for this kernel (for Auto: the decision in
-    // force at run end). simhost_-prefixed like the other host-side
-    // throughput counters, so parity comparisons exclude it.
-    stats_.set("simhost_engine", static_cast<uint64_t>(engine_));
 
     using namespace support::trace;
     if (trace_ != nullptr && trace_->wants(kCatCounter)) {
@@ -817,9 +616,6 @@ Sm::run(uint64_t max_cycles)
         pm.args.emplace_back(
             "fused_instrs",
             Value::integer(stats_.get("simhost_fused_instrs")));
-        pm.args.emplace_back(
-            "resamples",
-            Value::integer(stats_.get("simhost_resample_count")));
     }
     return ok;
 }
@@ -839,7 +635,6 @@ Sm::runUntil(uint64_t stop_cycle)
     flushStepCounters();
     if (injector_)
         stats_.set("fault_injections", injector_->fires());
-    stats_.set("simhost_engine", static_cast<uint64_t>(engine_));
     return st;
 }
 
@@ -896,12 +691,6 @@ Sm::runLoopCore(uint64_t max_cycles)
         if (injector_)
             injector_->setNow(now_);
         if (liveWarps_ == 0) {
-            // A kernel that finished inside the sampling window decides
-            // on the partial sample (deterministic: the sample is a
-            // function of the architectural execution only). Timeouts
-            // and deadlocks deliberately do not decide.
-            if (sampling_)
-                decideEngine();
             // Fold per-op counts into the stat set.
             for (size_t i = 0; i < opCounts_.size(); ++i) {
                 if (opCounts_[i]) {
@@ -1263,10 +1052,10 @@ Sm::executeWarp(unsigned wid)
 {
     Warp &w = warps_[wid];
     const bool check_pcc = cfg_.purecap && !cfg_.staticPcMeta;
-    // Engine dispatch: Verbatim is the reference per-lane interpreter;
-    // FastPath and Simd differ only in which lane-loop handler table the
-    // residual vector ALU path uses (see below).
-    const bool fast_enabled = engine_ != ExecEngine::Verbatim;
+    // Engine dispatch: the reference engine is the plain per-lane
+    // interpreter; the accelerated engine adds the descriptor fast
+    // paths, threaded ALU dispatch and packed memory lanes below.
+    const bool fast_enabled = cfg_.hostFastPath;
 
     // ---- Active-thread selection ----
     // A regular warp has every live lane at the same (nest, pc) [and the
@@ -1352,9 +1141,8 @@ Sm::executeWarp(unsigned wid)
 
     ++ctrInstrs_;
     // Fusion coverage: instructions retiring inside a fused block. The
-    // count follows the decode-time annotation, not the engine in
-    // force, so repeated launches report identical stats whether they
-    // sample cold or warm-start from a cached engine decision.
+    // count follows the decode-time annotation, so it is the same under
+    // either engine.
     if (decoded_->fusedId[idx] != 0)
         ++ctrFused_;
     opCounts_[static_cast<size_t>(op)]++;
@@ -1724,25 +1512,16 @@ Sm::executeWarp(unsigned wid)
                 // timing, tag maintenance and trap logic already ran
                 // above, so memory and register state stay
                 // bit-identical to the reference loops by construction
-                // (DESIGN.md section 12). Eligibility is sampled
-                // engine-independently so the policy can see it from
-                // the FastPath probe windows.
-                const bool packed_mem_ok =
-                    decoded_->memLoop[idx] != nullptr &&
-                    shard_ == nullptr && all_dram && !is_cap_access &&
-                    rs1d.stride != 0;
-                if (sampling_ && packed_mem_ok)
-                    ++samplePacked_;
-                // Coverage stat follows eligibility, not handler
-                // execution, so launches report identical stats under
-                // any engine (the subset proof packed <= fastpath holds:
-                // an eligible access always retires via the fast path).
-                if (packed_mem_ok)
-                    ++ctrPackedMem_;
+                // (DESIGN.md section 12). The coverage stat counts
+                // these steps, so packed <= fastpath holds: an eligible
+                // access always retires via the fast path.
                 const engine::MemLoopFn mfn =
-                    packed_mem_ok && engine_ == ExecEngine::Simd
+                    shard_ == nullptr && all_dram && !is_cap_access &&
+                            rs1d.stride != 0
                         ? decoded_->memLoop[idx]
                         : nullptr;
+                if (mfn)
+                    ++ctrPackedMem_;
 
                 // ---- Functional access ----
                 if (is_store) {
@@ -1925,7 +1704,7 @@ Sm::executeWarp(unsigned wid)
             // metadata-level fault or CSC (whose store-cap check reads
             // per-lane rs2 tags) takes the reference loop. Like the
             // packed handlers, the hoist is an engine-tier device: the
-            // Verbatim engine keeps the plain per-lane reference loop.
+            // reference engine keeps the plain per-lane loop.
             bool hoisted = false;
             if (fast_enabled && rs1m.kind == MetaDesc::Kind::Uniform &&
                 op != Op::CSC) {
@@ -2541,20 +2320,15 @@ Sm::executeWarp(unsigned wid)
             // Threaded-code dispatch: the handler pointer was resolved
             // at decode time for every trap-free pure-data ALU op (the
             // set the former per-opcode vectorAluLoop switch covered),
-            // nullptr otherwise. The Simd engine swaps in the packed
-            // (host-SIMD) handler table; per-lane expressions are
-            // bit-identical across all tables.
-            const engine::AluLoopFn fn = engine_ == ExecEngine::Simd
-                                             ? decoded_->packedLoop[idx]
-                                             : decoded_->aluLoop[idx];
-            if (fn) {
+            // nullptr otherwise: the packed (host-SIMD) handler where
+            // the op has one, else the scalar lane loop. Per-lane
+            // expressions are bit-identical across both.
+            if (const engine::AluLoopFn fn = decoded_->aluLoop[idx]) {
                 const engine::AluCtx ctx{&rs1d,          &rs2d,
                                          active_.data(), result_.data(),
                                          imm,            cfg_.numLanes};
                 fn(ctx);
                 fast_done = true;
-                if (sampling_ && decoded_->packedOk[idx])
-                    ++samplePacked_;
             }
         }
         if (!fast_done) {
@@ -2858,7 +2632,7 @@ Sm::executeWarp(unsigned wid)
                 // written this step, so the vector is still all-null and
                 // a full-mask write is exactly the uniform null
                 // broadcast (same entry state, no RfAccess effects).
-                // Engine-tier shortcut: Verbatim keeps the reference
+                // Engine-tier shortcut: the reference engine keeps the
                 // per-lane classify.
                 if (fast_enabled && !resultMetaDirty_ && full_mask &&
                     !injector_)
@@ -2873,23 +2647,6 @@ Sm::executeWarp(unsigned wid)
 
     if (fast_hit)
         ++ctrFastpath_;
-
-    // Adaptive-policy sampling window (counts every retired warp-step:
-    // no path returns early once the instruction is counted above).
-    // Steady-state: between windows, count down to the next periodic
-    // probe so long kernels can promote or demote engines mid-run.
-    if (sampling_) {
-        ++sampleSteps_;
-        if (fast_hit)
-            ++sampleHits_;
-        const unsigned window = probing_ ? cfg_.engineProbeWindow
-                                         : cfg_.engineSampleWindow;
-        if (sampleSteps_ >= window)
-            decideEngine();
-    } else if (resampleArmed_) {
-        if (++stepsSinceSample_ >= cfg_.engineResampleInterval)
-            beginProbe();
-    }
 
     // Register-file spill/reload traffic goes through DRAM.
     const unsigned rf_bytes = fetch_acc.dramBytes + wb_acc.dramBytes;

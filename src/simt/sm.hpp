@@ -131,18 +131,6 @@ class Sm
     /** Load a program image into the tightly-coupled instruction memory. */
     void loadProgram(const std::vector<uint32_t> &words);
 
-    /**
-     * Identify the loaded program for the adaptive engine policy's
-     * decision cache (the nocl launch layer passes the KernelCache
-     * fingerprint). loadProgram() installs a fallback key hashed from
-     * the image, so callers that never set a key still share decisions
-     * across launches of the same image.
-     */
-    void setProgramKey(const std::string &key) { programKey_ = key; }
-
-    /** Engine the current/last launch ran with (Auto resolved). */
-    ExecEngine engine() const { return engine_; }
-
     /** Set a special capability register (DDC/STC/ARG). */
     void setScr(isa::Scr scr, const cap::CapPipe &value);
 
@@ -192,11 +180,11 @@ class Sm
 
     /**
      * Checkpoint serialization of the complete launch state: warps,
-     * PCCs, SCRs, register files, scratchpad, timing models, engine
-     * policy, fault-injector trigger, stats and per-op counts --
-     * everything needed for a restored Sm (same SmConfig, same program)
-     * to continue bit-identically. DRAM is serialized separately at the
-     * device level. Defined in simt/checkpoint.cpp.
+     * PCCs, SCRs, register files, scratchpad, timing models,
+     * fault-injector trigger, stats and per-op counts -- everything
+     * needed for a restored Sm (same modelled SmConfig, same program;
+     * either engine) to continue bit-identically. DRAM is serialized
+     * separately at the device level. Defined in simt/checkpoint.cpp.
      */
     void saveState(support::ByteWriter &w) const;
     bool loadState(support::ByteReader &r);
@@ -298,28 +286,6 @@ class Sm
      *  @p max_cycles, with no watchdog recording on CycleLimit (the
      *  caller decides whether the bound is a watchdog or a pause). */
     RunStatus runLoopCore(uint64_t max_cycles);
-
-    // ---- Adaptive engine policy (DESIGN.md section 10) ----
-
-    /** Key of the engine-decision cache: programKey_ + config salt. */
-    std::string engineCacheKey() const;
-
-    /** Resolve cfg_.engineSel at launch(): forced engine, cached
-     *  decision, or start a sampling window on the FastPath engine. */
-    void resolveEngine();
-
-    /** Conclude a sampling window (full, or partial at run end):
-     *  compute hit rate and packed share, blend them into the EWMA,
-     *  pick the engine (with hysteresis on steady-state probes) and
-     *  cache the decision. */
-    void decideEngine();
-
-    /** Open a steady-state probe window: re-measure the hit rate /
-     *  packed share over engineProbeWindow warp-steps. Probes run the
-     *  FastPath engine when the current engine is Verbatim (a hit rate
-     *  is unobservable there); engine flips are architecturally
-     *  invisible, so this never perturbs modelled state. */
-    void beginProbe();
 
     /** @p in and @p auth_cap, when available at the trap site, feed the
      *  forensic record (disassembly, capability bounds) -- diagnostics
@@ -434,35 +400,6 @@ class Sm
     // cache in sm.cpp).
     std::shared_ptr<const engine::DecodedProgram> decoded_;
 
-    // ---- Adaptive engine policy state ----
-
-    // Identity of the loaded program for the decision cache (KernelCache
-    // fingerprint via setProgramKey(), else an image hash).
-    std::string programKey_;
-
-    // Engine this launch executes with. While sampling_ is true the SM
-    // runs FastPath and counts fast-path hits until engineSampleWindow
-    // warp-steps (or run end), then decideEngine() picks and caches.
-    ExecEngine engine_ = ExecEngine::FastPath;
-    bool sampling_ = false;
-    uint64_t sampleSteps_ = 0;  ///< warp-steps observed in the window
-    uint64_t sampleHits_ = 0;   ///< of which took a descriptor fast path
-    uint64_t samplePacked_ = 0; ///< of which retired a packed-coverable op
-
-    // Steady-state re-sampler (DESIGN.md section 12): after the initial
-    // decision, a cheap probe window reopens every engineResampleInterval
-    // warp-steps; probe results blend into an EWMA and re-decide with
-    // hysteresis. All of this is host-only policy state -- the engines
-    // are bit-identical, so flips never touch architectural results.
-    bool resampleArmed_ = false;    ///< Auto policy with interval > 0
-    bool probing_ = false;          ///< current window is a probe
-    ExecEngine preProbeEngine_ = ExecEngine::FastPath;
-    uint64_t stepsSinceSample_ = 0; ///< steps since the last window closed
-    double ewmaHit_ = 0.0;
-    double ewmaPacked_ = 0.0;
-    bool haveEwma_ = false;
-    uint64_t resampleCount_ = 0;    ///< probes concluded this launch
-
     cap::CapPipe scrs_[isa::NUM_SCRS];
 
     std::vector<Warp> warps_;
@@ -523,7 +460,6 @@ class Sm
     support::StatSet::Handle statSimhostFastpath_;
     support::StatSet::Handle statSimhostPackedMem_;
     support::StatSet::Handle statSimhostFused_;
-    support::StatSet::Handle statSimhostResamples_;
 
     // Per-step retire counters kept as plain integers and folded into
     // the stat set once per run() (flushStepCounters): even a cached

@@ -3,11 +3,9 @@
  * No-perturbation proof for the trace/profile layer (DESIGN.md section
  * 11): attaching a trace session -- all categories enabled, profiling
  * on -- must leave every architecturally visible outcome bit-identical
- * to the untraced run. The matrix covers all three forced engines and
+ * to the untraced run. The matrix covers both execute engines and
  * 1/2/4 SMs, a faulting kernel (so the trap-forensics path is in the
- * loop), fault injection, and a steady-state re-sampling run whose
- * engine flips must stay invisible while every promote/demote decision
- * lands in the trace. A final group proves the exported Chrome
+ * loop), and fault injection. A final group proves the exported Chrome
  * trace itself is deterministic: two identical traced runs produce
  * byte-identical JSON documents.
  */
@@ -20,7 +18,6 @@
 #include "kc/asm.hpp"
 #include "kernels/suite.hpp"
 #include "nocl/nocl.hpp"
-#include "simt/engine.hpp"
 #include "simt/sm.hpp"
 #include "support/trace.hpp"
 
@@ -31,13 +28,12 @@ using isa::Op;
 using kc::Assembler;
 using kernels::Prepared;
 using kernels::Size;
-using simt::ExecEngine;
 using support::trace::Session;
 using support::trace::SessionConfig;
 using Mode = kc::CompileOptions::Mode;
 
 /** Everything architecturally observable about one benchmark run.
- *  Includes the simhost_* counters: with a forced engine they are
+ *  Includes the simhost_* counters: on a given engine they are
  *  deterministic too, so tracing must not move even those. */
 struct Outcome
 {
@@ -60,13 +56,13 @@ makeSession()
 }
 
 Outcome
-runBench(const std::string &bench_name, ExecEngine sel, unsigned sms,
+runBench(const std::string &bench_name, bool host_fast_path, unsigned sms,
          Session *session)
 {
     auto bench = kernels::makeBenchmark(bench_name);
     EXPECT_NE(bench, nullptr);
     simt::SmConfig cfg = simt::SmConfig::cheriOptimised();
-    cfg.engineSel = sel;
+    cfg.hostFastPath = host_fast_path;
     cfg.numSms = sms;
     cfg.numWarps = 16; // 512 threads keeps the Small suite quick
     cfg.vrfCapacity = 16 * 32 * 3 / 8;
@@ -111,14 +107,13 @@ TEST(TraceParity, TracedRunsAreBitIdentical)
 {
     for (const char *bench : {"VecAdd", "BlkStencil"}) {
         SCOPED_TRACE(bench);
-        for (ExecEngine sel : {ExecEngine::Verbatim, ExecEngine::FastPath,
-                               ExecEngine::Simd}) {
-            SCOPED_TRACE(simt::execEngineName(sel));
+        for (bool fast : {false, true}) {
+            SCOPED_TRACE(fast ? "accelerated" : "reference");
             for (unsigned sms : {1u, 2u, 4u}) {
                 SCOPED_TRACE(sms);
-                const Outcome plain = runBench(bench, sel, sms, nullptr);
+                const Outcome plain = runBench(bench, fast, sms, nullptr);
                 Session session = makeSession();
-                const Outcome traced = runBench(bench, sel, sms, &session);
+                const Outcome traced = runBench(bench, fast, sms, &session);
                 expectSameOutcome(traced, plain);
                 // The session must actually have observed the launch,
                 // otherwise this only proves "off == off".
@@ -145,12 +140,12 @@ TEST(TraceParity, TracedRunsAreBitIdentical)
 // event with its forensic args.
 
 simt::SmConfig
-trapConfig(ExecEngine sel)
+trapConfig(bool host_fast_path)
 {
     simt::SmConfig cfg = simt::SmConfig::cheriOptimised();
     cfg.numWarps = 2;
     cfg.numLanes = 8;
-    cfg.engineSel = sel;
+    cfg.hostFastPath = host_fast_path;
     return cfg;
 }
 
@@ -184,15 +179,14 @@ runTrapProgram(simt::Sm &sm)
 
 TEST(TraceParity, TrapForensicsDoNotPerturb)
 {
-    for (ExecEngine sel : {ExecEngine::Verbatim, ExecEngine::FastPath,
-                           ExecEngine::Simd}) {
-        SCOPED_TRACE(simt::execEngineName(sel));
-        simt::Sm plain(trapConfig(sel));
+    for (bool fast : {false, true}) {
+        SCOPED_TRACE(fast ? "accelerated" : "reference");
+        simt::Sm plain(trapConfig(fast));
         const simt::TrapInfo ref = runTrapProgram(plain);
         ASSERT_EQ(ref.kind, simt::TrapKind::BoundsViolation);
 
         Session session = makeSession();
-        simt::Sm traced(trapConfig(sel));
+        simt::Sm traced(trapConfig(fast));
         traced.attachTrace(session.smBuffer(0));
         const simt::TrapInfo got = runTrapProgram(traced);
         traced.attachTrace(nullptr);
@@ -250,75 +244,14 @@ TEST(TraceParity, FaultStrikesDoNotPerturb)
     EXPECT_GT(session.eventCount(), 0u);
 }
 
-// ---- Steady-state re-sampling under trace ----
-//
-// An Auto-engine run with a tiny re-sample interval flips engines
-// mid-kernel through periodic probe windows. The flips must stay
-// architecturally invisible -- the traced run commits the identical
-// cycles, memory image, stats (including the simhost_* counters: with
-// the decision cache cleared both legs start cold, so even the probe
-// schedule is deterministic) -- and every promote/demote decision must
-// appear in the exported trace as a "resample:" instant event.
-
-Outcome
-runResampled(Session *session)
-{
-    simt::engine::clearEngineDecisions();
-    auto bench = kernels::makeBenchmark("VecAdd");
-    EXPECT_NE(bench, nullptr);
-    simt::SmConfig cfg = simt::SmConfig::cheriOptimised();
-    cfg.engineSel = ExecEngine::Auto;
-    cfg.engineSampleWindow = 64;
-    cfg.engineResampleInterval = 256;
-    cfg.engineProbeWindow = 64;
-    cfg.numWarps = 16;
-    cfg.vrfCapacity = 16 * 32 * 3 / 8;
-    nocl::Device dev(cfg, Mode::Purecap);
-    if (session != nullptr) {
-        session->beginTrack("VecAdd/resample");
-        dev.attachTraceSession(session);
-    }
-    Prepared p = bench->prepare(dev, Size::Small);
-
-    Outcome o;
-    const nocl::RunResult run = dev.launch(*p.kernel, p.cfg, p.args);
-    o.completed = run.completed;
-    o.trapped = run.trapped;
-    o.verified = p.verify(dev);
-    o.cycles = run.cycles;
-    for (const auto &[name, value] : run.stats.all())
-        o.stats.emplace(name, value);
-    o.dramHash = dev.dram().contentHash();
-    o.trap = run.trapInfo;
-    return o;
-}
-
-TEST(TraceParity, ResamplingRunsAreBitIdentical)
-{
-    const Outcome plain = runResampled(nullptr);
-    EXPECT_TRUE(plain.completed);
-    ASSERT_NE(plain.stats.count("simhost_resample_count"), 0u);
-    EXPECT_GT(plain.stats.at("simhost_resample_count"), 0u);
-
-    Session session = makeSession();
-    const Outcome traced = runResampled(&session);
-    expectSameOutcome(traced, plain);
-
-    EXPECT_GT(session.eventCount(), 0u);
-    EXPECT_EQ(session.droppedEvents(), 0u);
-    const std::string json =
-        session.chromeTrace("test_trace_parity").dump(2);
-    EXPECT_NE(json.find("resample: "), std::string::npos);
-}
-
 // ---- Deterministic export ----
 
 TEST(TraceParity, RepeatedExportIsByteIdentical)
 {
     auto traceOnce = [] {
         Session session = makeSession();
-        runBench("VecAdd", ExecEngine::FastPath, 2, &session);
-        runBench("BlkStencil", ExecEngine::FastPath, 2, &session);
+        runBench("VecAdd", true, 2, &session);
+        runBench("BlkStencil", true, 2, &session);
         return session.chromeTrace("test_trace_parity").dump(2);
     };
     const std::string a = traceOnce();
