@@ -10,8 +10,6 @@
  * and compares cycles and storage against the unlimited configuration.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/bench_common.hpp"
@@ -75,18 +73,5 @@ main(int argc, char **argv)
              static_cast<double>(half_rf.metaStorageBits()) / base_bits *
                  100.0);
     h.finish();
-
-    benchmark::RegisterBenchmark(
-        "abl_capreglimit/summary", [&](benchmark::State &state) {
-            for (auto _ : state) {
-            }
-            state.counters["cycle_delta_pct"] = (gm - 1.0) * 100.0;
-            state.counters["meta_overhead_pct"] =
-                static_cast<double>(half_rf.metaStorageBits()) /
-                base_bits * 100.0;
-        })
-        ->Iterations(1);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -6,8 +6,6 @@
  * per-lane null mask).
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/bench_common.hpp"
@@ -50,21 +48,5 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(nvo_hits));
     h.metric("nvo_srf_hits", static_cast<double>(nvo_hits));
     h.finish();
-
-    for (size_t i = 0; i < r_on.size(); ++i) {
-        const double von = r_on[i].run.avgMetaVrf;
-        const double voff = r_off[i].run.avgMetaVrf;
-        benchmark::RegisterBenchmark(
-            ("abl_nvo/" + r_on[i].name).c_str(),
-            [von, voff](benchmark::State &state) {
-                for (auto _ : state) {
-                }
-                state.counters["meta_vrf_on"] = von;
-                state.counters["meta_vrf_off"] = voff;
-            })
-            ->Iterations(1);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -7,8 +7,6 @@
  * path) with offload on and off.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "area/area_model.hpp"
@@ -61,18 +59,5 @@ main(int argc, char **argv)
     h.metric("cycle_cost_pct", (benchcommon::geomean(ratios) - 1.0) * 100.0);
     h.metric("alms_saved", static_cast<double>(alms_off - alms_on));
     h.finish();
-
-    benchmark::RegisterBenchmark(
-        "abl_sfu/summary", [&](benchmark::State &state) {
-            for (auto _ : state) {
-            }
-            state.counters["cycle_cost_pct"] =
-                (benchcommon::geomean(ratios) - 1.0) * 100.0;
-            state.counters["alms_saved"] =
-                static_cast<double>(alms_off - alms_on);
-        })
-        ->Iterations(1);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -6,8 +6,6 @@
  * at the cost of serialised data/metadata accesses (one-cycle stalls).
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/bench_common.hpp"
@@ -63,18 +61,5 @@ main(int argc, char **argv)
     h.metric("meta_storage_shared_kb", shared_kb);
     h.metric("meta_storage_split_kb", split_kb);
     h.finish();
-
-    benchmark::RegisterBenchmark(
-        "abl_sharedvrf/summary",
-        [shared_kb, split_kb](benchmark::State &state) {
-            for (auto _ : state) {
-            }
-            state.counters["meta_storage_shared_kb"] = shared_kb;
-            state.counters["meta_storage_split_kb"] = split_kb;
-        })
-        ->Iterations(1);
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

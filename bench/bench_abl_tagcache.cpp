@@ -7,8 +7,6 @@
  * traffic (the basis of the paper's Figure 12 claim).
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/bench_common.hpp"
@@ -59,22 +57,8 @@ main(int argc, char **argv)
                         static_cast<unsigned long long>(tag),
                         static_cast<unsigned long long>(data), pct);
             h.metric("tag_traffic_pct_" + points[point_idx - 1].label, pct);
-
-            benchmark::RegisterBenchmark(
-                ("abl_tagcache/" + std::string(filter ? "on" : "off") +
-                 "/lines" + std::to_string(lines))
-                    .c_str(),
-                [pct](benchmark::State &state) {
-                    for (auto _ : state) {
-                    }
-                    state.counters["tag_traffic_pct"] = pct;
-                })
-                ->Iterations(1);
         }
     }
     h.finish();
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

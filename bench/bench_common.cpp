@@ -225,7 +225,7 @@ matchesFilter(const std::string &filter, const std::string &config_label,
 }
 
 BenchOptions
-parseArgs(int &argc, char **argv)
+parseArgs(int argc, char **argv)
 {
     BenchOptions opts;
 
@@ -240,7 +240,6 @@ parseArgs(int &argc, char **argv)
         }
     };
 
-    int out = 1;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto take_value = [&](const char *flag) -> std::string {
@@ -285,11 +284,13 @@ parseArgs(int &argc, char **argv)
         } else if (arg == "--profile") {
             opts.profile = true;
         } else {
-            argv[out++] = argv[i];
+            fatal("unknown argument '%s'\nusage: %s [--size small|full] "
+                  "[--threads <n>] [--json <path>] [--filter <regex>] "
+                  "[--list] [--sms <n>] [--seed <n>] [--trace <path>] "
+                  "[--profile]",
+                  arg.c_str(), argv[0]);
         }
     }
-    argc = out;
-    argv[argc] = nullptr;
     fatal_if(opts.sms == 0, "--sms requires at least one SM");
     if ((!opts.tracePath.empty() || opts.profile) && opts.threads != 1) {
         // The trace session is single-threaded by design: points must
@@ -378,7 +379,7 @@ printHeader(const std::string &id, const std::string &caption)
     std::printf("\n=== %s: %s ===\n", id.c_str(), caption.c_str());
 }
 
-Harness::Harness(int &argc, char **argv, std::string binary)
+Harness::Harness(int argc, char **argv, std::string binary)
     : opts_(parseArgs(argc, argv)), binary_(std::move(binary))
 {
     kernels::setWorkloadSeed(opts_.seed);
@@ -447,11 +448,9 @@ Harness::record(const std::string &label,
         entry.set("trap_kind",
                   Value::str(simt::trapKindName(r.run.trapKind)));
         entry.set("cycles", Value::integer(r.run.cycles));
-        entry.set("retries", Value::integer(r.run.retries));
         entry.set("watchdog", Value::integer(r.run.watchdogFires));
         entry.set("fault_injections",
                   Value::integer(r.run.faultInjections));
-        entry.set("degraded", Value::boolean(r.run.degraded));
         Value stats = Value::object();
         for (const auto &[name, value] : r.run.stats.all())
             stats.set(name, Value::integer(value));

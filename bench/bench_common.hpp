@@ -94,8 +94,7 @@ struct BenchOptions
 };
 
 /**
- * Strip the harness flags from argv (remaining flags are left for the
- * Google Benchmark runner):
+ * Parse the harness flags; any other argument is a usage error:
  *
  *   --json <path> | --json=<path>     write a JSON results file
  *   --threads <n> | --threads=<n>     worker threads (0 = auto)
@@ -112,7 +111,7 @@ struct BenchOptions
  *                                     to the results JSON (forces
  *                                     --threads 1)
  */
-BenchOptions parseArgs(int &argc, char **argv);
+BenchOptions parseArgs(int argc, char **argv);
 
 /** Does "<config_label>/<bench_name>" match @p filter (empty = all)? */
 bool matchesFilter(const std::string &filter,
@@ -179,8 +178,7 @@ void printHeader(const std::string &id, const std::string &caption);
  *     "results": [
  *       { "config": "<label>", "bench": "<name>", "ok": bool,
  *         "completed": bool, "trapped": bool, "trap_kind": "<str>",
- *         "cycles": int, "retries": int, "watchdog": int,
- *         "fault_injections": int, "degraded": bool,
+ *         "cycles": int, "watchdog": int, "fault_injections": int,
  *         "stats": { "<counter>": int, ... } }, ...
  *     ],
  *     "metrics": { "<name>": number, ... },
@@ -210,7 +208,7 @@ class Harness
 {
   public:
     /** @p binary names the emitting binary in the JSON file. */
-    Harness(int &argc, char **argv, std::string binary);
+    Harness(int argc, char **argv, std::string binary);
 
     const BenchOptions &options() const { return opts_; }
     kernels::Size size() const { return opts_.size; }

@@ -63,7 +63,7 @@ using benchcommon::ScaledCampaignOptions;
 using benchcommon::ScaledResult;
 using support::json::Value;
 
-/** Driver-specific flags (parsed after the shared harness flags). */
+/** Driver-specific flags (stripped before the shared harness flags). */
 struct CampaignFlags
 {
     uint64_t scaledSites = 10000;
@@ -212,10 +212,8 @@ recordCampaign(benchcommon::Harness &harness, const char *label,
         entry.set("trap_kind",
                   Value::str(simt::trapKindName(fc.trapKind)));
         entry.set("cycles", Value::integer(fc.cycles));
-        entry.set("retries", Value::integer(fc.retries));
         entry.set("watchdog", Value::integer(fc.watchdog));
         entry.set("fault_injections", Value::integer(fc.faultInjections));
-        entry.set("degraded", Value::boolean(fc.degraded));
         entry.set("fault_class", Value::str(fc.cls));
         entry.set("fault_site",
                   Value::str(simt::faultSiteName(fc.plan.site)));
@@ -406,9 +404,9 @@ selftestKill(const benchcommon::BenchOptions &bench_opts,
 int
 main(int argc, char **argv)
 {
+    const CampaignFlags flags = parseCampaignFlags(argc, argv);
     benchcommon::Harness harness(argc, argv, "bench_fault_campaign");
     const benchcommon::BenchOptions &opts = harness.options();
-    const CampaignFlags flags = parseCampaignFlags(argc, argv);
 
     if (flags.worker) {
         // Child mode of the kill/resume self-test: scaled campaign

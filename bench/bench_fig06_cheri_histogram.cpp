@@ -8,8 +8,6 @@
  * observation that justifies moving them into the shared function unit.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <map>
@@ -63,18 +61,5 @@ main(int argc, char **argv)
         h.metric("freq_pct_" + name, freq * 100.0);
     h.metric("freq_pct_all_cheri_ops", cheri_total * 100.0);
     h.finish();
-
-    for (const auto &[name, freq] : rows) {
-        const double pct = freq * 100.0;
-        benchmark::RegisterBenchmark(
-            ("fig06/" + name).c_str(), [pct](benchmark::State &state) {
-                for (auto _ : state) {
-                }
-                state.counters["freq_pct"] = pct;
-            })
-            ->Iterations(1);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

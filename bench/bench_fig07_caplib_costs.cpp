@@ -6,8 +6,6 @@
  * implementation (the functional contract that the costs price).
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "area/area_model.hpp"
@@ -61,19 +59,5 @@ main(int argc, char **argv)
     h.metric("alms_fast_path", c.fastPath());
     h.metric("alms_slow_path", c.slowPath());
     h.finish();
-
-    for (const Row &row : rows) {
-        const double alms = row.alms;
-        benchmark::RegisterBenchmark(
-            (std::string("fig07/") + row.name).c_str(),
-            [alms](benchmark::State &state) {
-                for (auto _ : state) {
-                }
-                state.counters["alms"] = alms;
-            })
-            ->Iterations(1);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -10,8 +10,6 @@
  * capabilities, Figure 11).
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/bench_common.hpp"
@@ -82,23 +80,5 @@ main(int argc, char **argv)
              static_cast<double>(opt_rf.metaStorageBits()) / base_bits *
                  100.0);
     h.finish();
-
-    for (size_t i = 0; i < rn.size(); ++i) {
-        const double gp = rn[i].run.avgDataVrf / total_regs * 100.0;
-        const double mn = rn[i].run.avgMetaVrf / total_regs * 100.0;
-        const double mp = rwo[i].run.avgMetaVrf / total_regs * 100.0;
-        benchmark::RegisterBenchmark(
-            ("fig10/" + rn[i].name).c_str(),
-            [gp, mn, mp](benchmark::State &state) {
-                for (auto _ : state) {
-                }
-                state.counters["gp_vrf_pct"] = gp;
-                state.counters["meta_vrf_nvo_pct"] = mn;
-                state.counters["meta_vrf_plain_pct"] = mp;
-            })
-            ->Iterations(1);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

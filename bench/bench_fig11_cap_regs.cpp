@@ -8,8 +8,6 @@
  * observation are reported.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <bit>
 #include <cstdio>
 
@@ -42,21 +40,5 @@ main(int argc, char **argv)
                 worst);
     h.metric("max_cap_regs", worst);
     h.finish();
-
-    for (const auto &r : results) {
-        const double static_count = r.run.kernel->capRegCount;
-        const double runtime_count = std::popcount(r.run.rfCapRegMask);
-        benchmark::RegisterBenchmark(
-            ("fig11/" + r.name).c_str(),
-            [static_count, runtime_count](benchmark::State &state) {
-                for (auto _ : state) {
-                }
-                state.counters["cap_regs_static"] = static_count;
-                state.counters["cap_regs_runtime"] = runtime_count;
-            })
-            ->Iterations(1);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

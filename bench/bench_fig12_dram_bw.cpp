@@ -6,8 +6,6 @@
  * the tag cache and its capability-free-region filter).
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/bench_common.hpp"
@@ -68,21 +66,5 @@ main(int argc, char **argv)
                 "", "", "", benchcommon::geomean(ratios));
     h.metric("geomean_traffic_ratio", benchcommon::geomean(ratios));
     h.finish();
-
-    for (size_t i = 0; i < base.size(); ++i) {
-        const double ratio =
-            static_cast<double>(totalTraffic(cheri[i].run.stats)) /
-            static_cast<double>(totalTraffic(base[i].run.stats));
-        benchmark::RegisterBenchmark(
-            ("fig12/" + base[i].name).c_str(),
-            [ratio](benchmark::State &state) {
-                for (auto _ : state) {
-                }
-                state.counters["traffic_ratio"] = ratio;
-            })
-            ->Iterations(1);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -5,8 +5,6 @@
  * with the geometric mean (paper: 1.6%, with BlkStencil as the outlier).
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/bench_common.hpp"
@@ -51,32 +49,5 @@ main(int argc, char **argv)
                 "", "", (gm - 1.0) * 100.0);
     h.metric("geomean_overhead_pct", (gm - 1.0) * 100.0);
     h.finish();
-
-    for (size_t i = 0; i < base.size(); ++i) {
-        const double overhead_pct =
-            (static_cast<double>(cheri[i].run.cycles) /
-                 static_cast<double>(base[i].run.cycles) -
-             1.0) *
-            100.0;
-        benchmark::RegisterBenchmark(
-            ("fig13/" + base[i].name).c_str(),
-            [overhead_pct](benchmark::State &state) {
-                for (auto _ : state) {
-                }
-                state.counters["overhead_pct"] = overhead_pct;
-            })
-            ->Iterations(1);
-    }
-    benchmark::RegisterBenchmark("fig13/geomean",
-                                 [gm](benchmark::State &state) {
-                                     for (auto _ : state) {
-                                     }
-                                     state.counters["overhead_pct"] =
-                                         (gm - 1.0) * 100.0;
-                                 })
-        ->Iterations(1);
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

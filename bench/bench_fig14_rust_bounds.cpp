@@ -9,8 +9,6 @@
  * (46% for the whole Rust port).
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/bench_common.hpp"
@@ -50,22 +48,5 @@ main(int argc, char **argv)
                 "geomean", "", "", (gm - 1.0) * 100.0);
     h.metric("geomean_overhead_pct", (gm - 1.0) * 100.0);
     h.finish();
-
-    for (size_t i = 0; i < base.size(); ++i) {
-        const double pct = (static_cast<double>(soft[i].run.cycles) /
-                                static_cast<double>(base[i].run.cycles) -
-                            1.0) *
-                           100.0;
-        benchmark::RegisterBenchmark(
-            ("fig14/" + base[i].name).c_str(),
-            [pct](benchmark::State &state) {
-                for (auto _ : state) {
-                }
-                state.counters["overhead_pct"] = pct;
-            })
-            ->Iterations(1);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -24,8 +24,6 @@
  * 1.0x target.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -322,23 +320,6 @@ main(int argc, char **argv)
              benchcommon::geomean(sms4_speedups));
 
     h.finish();
-
-    for (const auto &m : measured) {
-        const double speedup = m.speedup();
-        const double hit_rate = m.hitRate;
-        benchmark::RegisterBenchmark(
-            ("simspeed/" + m.name).c_str(),
-            [speedup, hit_rate](benchmark::State &state) {
-                for (auto _ : state) {
-                }
-                state.counters["speedup"] = speedup;
-                state.counters["hit_rate"] = hit_rate;
-            })
-            ->Iterations(1);
-    }
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
 
     if (verify_failed) {
         std::fprintf(stderr,

@@ -6,8 +6,6 @@
  * overheads relative to a full-size (spill-free) VRF.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <iterator>
 
@@ -97,25 +95,9 @@ main(int argc, char **argv)
                  cyc);
         h.metric("mem_overhead_pct_vrf" + std::to_string(row.capacity),
                  mem);
-
-        benchmark::RegisterBenchmark(
-            (std::string("tab02/vrf") + std::to_string(row.capacity))
-                .c_str(),
-            [storage_kb, ratio, cyc, mem](benchmark::State &state) {
-                for (auto _ : state) {
-                }
-                state.counters["storage_kb"] = storage_kb;
-                state.counters["compress_ratio"] = ratio;
-                state.counters["cycle_overhead_pct"] = cyc;
-                state.counters["mem_overhead_pct"] = mem;
-            })
-            ->Iterations(1);
     }
     std::printf("(paper: 1,202 Kb/1:0.57/0.8%%/0.1%% -- "
                 "937 Kb/1:0.45/0.9%%/2.2%% -- 672 Kb/1:0.32/4.3%%/39.9%%)\n");
     h.finish();
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

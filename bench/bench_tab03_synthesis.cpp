@@ -5,8 +5,6 @@
  * configurations, from the analytical area model.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "area/area_model.hpp"
@@ -46,17 +44,6 @@ main(int argc, char **argv)
         h.metric(std::string("alms_") + row.name,
                  static_cast<double>(e.alms));
         h.metric(std::string("bram_kbits_") + row.name, e.bramKbits);
-
-        benchmark::RegisterBenchmark(
-            (std::string("tab03/") + row.name).c_str(),
-            [e](benchmark::State &state) {
-                for (auto _ : state) {
-                }
-                state.counters["alms"] = static_cast<double>(e.alms);
-                state.counters["bram_kbits"] = e.bramKbits;
-                state.counters["fmax_mhz"] = e.fmaxMhz;
-            })
-            ->Iterations(1);
     }
 
     // Area breakdown of the optimised configuration.
@@ -67,8 +54,5 @@ main(int argc, char **argv)
         std::printf("  %-40s %10llu\n", item.component.c_str(),
                     static_cast<unsigned long long>(item.alms));
     h.finish();
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -258,9 +258,8 @@ runBenchCases(size_t bench_idx, const CampaignOptions &opts)
 
         nocl::LaunchPolicy policy;
         policy.maxCycles = std::max<uint64_t>(golden_cycles * 4, 100'000);
-        policy.maxRetries = 0;
         const nocl::RunResult run =
-            dev.launchWithPolicy(*p.kernel, p.cfg, p.args, policy);
+            dev.launch(*p.kernel, p.cfg, p.args, policy);
 
         fc.trapKind = run.trapKind;
         fc.trapAddr = run.trapAddr;
@@ -270,9 +269,7 @@ runBenchCases(size_t bench_idx, const CampaignOptions &opts)
         fc.purecap = opts.cheri;
         fc.faultInjections = run.faultInjections;
         fc.cycles = run.cycles;
-        fc.retries = run.retries;
         fc.watchdog = run.watchdogFires;
-        fc.degraded = run.degraded;
 
         if (run.trapped) {
             fc.outcome = FaultOutcome::Detected;
@@ -770,9 +767,8 @@ replaySiteClassification(size_t bench_idx, const ScaledCampaignOptions &opts,
 
     nocl::LaunchPolicy policy;
     policy.maxCycles = max_cycles;
-    policy.maxRetries = 0;
     const nocl::RunResult run =
-        dev.launchWithPolicy(*p.kernel, p.cfg, p.args, policy);
+        dev.launch(*p.kernel, p.cfg, p.args, policy);
     *kind = run.trapKind;
     *trap_addr = run.trapAddr;
     if (run.trapped)
@@ -968,9 +964,7 @@ runOriginalCampaignDelta(const CampaignOptions &opts)
             fc.purecap = opts.cheri;
             fc.faultInjections = sr.run.faultInjections;
             fc.cycles = sr.run.cycles;
-            fc.retries = sr.run.retries;
             fc.watchdog = sr.run.watchdogFires;
-            fc.degraded = sr.run.degraded;
             cases.push_back(std::move(fc));
         }
         rows[i] = std::move(cases);

@@ -76,9 +76,7 @@ struct FaultCase
     uint32_t trapAddr = 0;
     uint64_t faultInjections = 0;
     uint64_t cycles = 0;
-    unsigned retries = 0;
     unsigned watchdog = 0;
-    bool degraded = false;
 
     /** Forensic record of the detected trap (see formatTrapRecord),
      *  the SM that raised it, and the launched kernel's name. */

@@ -197,12 +197,9 @@ main(int argc, char **argv)
             return fail(where + ".cycles is not an integer");
         if (r.get("ok").asBool() && r.get("cycles").asUint() == 0)
             return fail(where + ": ok result with zero cycles");
-        for (const char *field : {"retries", "watchdog",
-                                  "fault_injections"})
+        for (const char *field : {"watchdog", "fault_injections"})
             if (!r.get(field).isInt())
                 return fail(where + "." + field + " is not an integer");
-        if (!r.get("degraded").isBool())
-            return fail(where + ".degraded is not a bool");
         // Fault-campaign entries additionally classify the outcome.
         if (!r.get("fault_outcome").isNull()) {
             const std::string outcome = r.get("fault_outcome").asString();

@@ -47,6 +47,28 @@ disasmOf(const kc::CompiledKernel &compiled, bool purecap)
     return out;
 }
 
+/** Reset @p sm to the start of a launch: zeroed scratchpad, then
+ *  Sm::launch. */
+void
+relaunch(simt::Sm &sm, unsigned warps_per_block)
+{
+    // Sm::launch keeps the scratchpad (host-visible memory), but no
+    // launch may see what an earlier launch or a failed epoch left
+    // there: the serial fallback must replay the SM exactly.
+    sm.scratchpad().reset();
+    sm.launch(0, warps_per_block);
+}
+
+/** Host nanoseconds since @p t0. */
+uint64_t
+elapsedNs(std::chrono::steady_clock::time_point t0)
+{
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+}
+
 } // namespace
 
 KernelCache &
@@ -112,7 +134,8 @@ KernelCache::clear()
 }
 
 Device::Device(const simt::SmConfig &sm_cfg, kc::CompileOptions::Mode mode)
-    : smCfg_(sm_cfg), mode_(mode)
+    : smCfg_(sm_cfg), mode_(mode),
+      memsys_(std::make_unique<simt::MemorySystem>())
 {
     fatal_if(mode == kc::CompileOptions::Mode::Purecap && !sm_cfg.purecap,
              "pure-capability code requires a CHERI-enabled SM");
@@ -123,13 +146,8 @@ Device::Device(const simt::SmConfig &sm_cfg, kc::CompileOptions::Mode mode)
     for (unsigned k = 0; k < sm_cfg.numSms; ++k) {
         simt::SmConfig cfg = smCfg_;
         cfg.smId = k;
-        sms_.push_back(std::make_unique<simt::Sm>(cfg));
+        sms_.push_back(std::make_unique<simt::Sm>(cfg, dram()));
     }
-    // SM 0's memory is the device's authoritative DRAM. The other SMs
-    // reach DRAM only through their epoch shards over it, so their own
-    // memories are never written and, being demand-zero mappings, hold
-    // no resident host pages.
-    memsys_ = std::make_unique<simt::MemorySystem>(sms_[0]->dram());
 
     kc::CompileOptions opts = compileOptions(LaunchConfig{});
     heapNext_ = kHeapBase;
@@ -243,9 +261,9 @@ Device::compileCached(kc::KernelDef &def, const LaunchConfig &cfg) const
 
 RunResult
 Device::launch(kc::KernelDef &def, const LaunchConfig &cfg,
-               const std::vector<Arg> &args)
+               const std::vector<Arg> &args, const LaunchPolicy &policy)
 {
-    return launchCompiled(compileCached(def, cfg), cfg, args);
+    return launchCompiled(compileCached(def, cfg), cfg, args, policy);
 }
 
 uint32_t
@@ -322,6 +340,283 @@ Device::installScrs(const kc::CompiledKernel &compiled,
 }
 
 // ---------------------------------------------------------------------
+// The launch pipeline: prepare, run, collect
+// ---------------------------------------------------------------------
+
+unsigned
+Device::prepare(const kc::CompiledKernel &compiled, const LaunchConfig &cfg,
+                const std::vector<Arg> &args,
+                const simt::FaultPlan &memory_fault, SteppedLaunch *undo)
+{
+    fatal_if(cfg.blockDim < smCfg_.numLanes ||
+                 cfg.blockDim % smCfg_.numLanes != 0,
+             "blockDim must be a multiple of the warp size");
+    fatal_if(cfg.blockDim > smCfg_.numThreads(),
+             "blockDim exceeds the SM thread count");
+    fatal_if(args.size() != compiled.params.size(),
+             "kernel %s expects %zu arguments, got %zu",
+             compiled.name.c_str(), compiled.params.size(), args.size());
+    const unsigned num_slots = smCfg_.numThreads() / cfg.blockDim;
+    fatal_if(static_cast<uint64_t>(compiled.sharedBytes) * num_slots >
+                 simt::kSharedSize,
+             "kernel %s: shared arrays (%u B x %u block slots) exceed the "
+             "scratchpad",
+             compiled.name.c_str(), compiled.sharedBytes, num_slots);
+
+    if (undo != nullptr) {
+        for (uint32_t at = kc::argBlockAddress();
+             at < kc::argBlockAddress() + compiled.paramBlockBytes; at += 4)
+            undo->snapshotPageAt(at);
+    }
+    writeArgBlock(compiled, args);
+
+    // Memory-site faults (tag clear, DRAM word flip) strike the base DRAM
+    // once, after the argument block is written: every SM, at every SM
+    // count, then observes the identical corrupted image, which is what
+    // makes campaign classification SM-count-invariant. Runtime sites
+    // are handled inside each Sm instead.
+    unsigned memory_faults = 0;
+    if (memory_fault.memorySite()) {
+        if (undo != nullptr)
+            undo->snapshotPageAt(memory_fault.addr & ~3u);
+        if (simt::applyMemoryFault(memory_fault, dram()))
+            ++memory_faults;
+    }
+
+    installScrs(compiled, compileOptions(cfg));
+    for (auto &sm : sms_) {
+        sm->loadProgram(compiled.code);
+        relaunch(*sm, cfg.blockDim / smCfg_.numLanes);
+    }
+    return memory_faults;
+}
+
+void
+Device::openEpoch()
+{
+    memsys_->beginEpoch(numSms());
+    for (unsigned k = 0; k < numSms(); ++k)
+        sms_[k]->attachShard(&memsys_->shard(k));
+}
+
+void
+Device::closeEpoch()
+{
+    for (auto &sm : sms_)
+        sm->attachShard(nullptr);
+    memsys_->endEpoch();
+}
+
+std::vector<uint8_t>
+Device::runEpoch(const std::vector<simt::Sm::RunStatus> &status,
+                 uint64_t max_cycles, unsigned warps_per_block,
+                 SteppedLaunch *undo, support::trace::Buffer *devbuf,
+                 RunResult &res)
+{
+    const unsigned ns = numSms();
+    // SMs that already completed or deadlocked are skipped: re-entering
+    // run() on them would re-log their terminal condition.
+    std::vector<uint8_t> completed(ns, 0);
+    const auto run_sm = [&](unsigned k) {
+        completed[k] = status[k] == simt::Sm::RunStatus::CycleLimit
+                           ? sms_[k]->run(max_cycles)
+                           : status[k] == simt::Sm::RunStatus::Completed;
+    };
+    if (ns == 1) {
+        run_sm(0);
+    } else {
+        std::vector<std::thread> workers;
+        workers.reserve(ns);
+        for (unsigned k = 0; k < ns; ++k)
+            workers.emplace_back(run_sm, k);
+        for (auto &w : workers)
+            w.join();
+    }
+
+    // Commit, stamped at the slowest SM's finish.
+    if (devbuf != nullptr) {
+        uint64_t max_c = 0;
+        for (auto &sm : sms_)
+            max_c = std::max(max_c, sm->cycles());
+        devbuf->setNow(max_c);
+    }
+    if (undo != nullptr)
+        undo->snapshotTouchedPages();
+    const simt::MemorySystem::MergeReport merge = memsys_->commitEpoch();
+    closeEpoch();
+    if (!merge.conflict)
+        return completed;
+
+    // The conflicting epoch committed nothing, so the base still holds
+    // the argument block and the applied fault. Rerun the SMs one at a
+    // time, each in a single-shard epoch (which cannot conflict), for
+    // exact sequential semantics.
+    res.mergeFallback = true;
+    res.mergeFallbackReason = support::strprintf(
+        "%s at 0x%08x", merge.reason, merge.conflictAddr);
+    for (unsigned k = 0; k < ns; ++k) {
+        simt::Sm &sm = *sms_[k];
+        memsys_->beginEpoch(1);
+        sm.attachShard(&memsys_->shard(0));
+        relaunch(sm, warps_per_block);
+        completed[k] = sm.run(max_cycles) ? 1 : 0;
+        sm.attachShard(nullptr);
+        if (devbuf != nullptr)
+            devbuf->setNow(sm.cycles());
+        if (undo != nullptr)
+            undo->snapshotTouchedPages();
+        const auto rep = memsys_->commitEpoch();
+        panic_if(rep.conflict, "single-shard epoch conflicted");
+        memsys_->endEpoch();
+    }
+    return completed;
+}
+
+void
+Device::collect(const std::vector<uint8_t> &completed,
+                unsigned memory_faults, uint64_t epoch_ns, RunResult &res)
+{
+    const unsigned ns = numSms();
+    res.numSms = ns;
+    res.completed = true;
+    res.faultInjections = memory_faults;
+    uint64_t cycles_sum = 0;
+    double data_vrf_weighted = 0.0, meta_vrf_weighted = 0.0;
+    for (unsigned k = 0; k < ns; ++k) {
+        simt::Sm &sm = *sms_[k];
+        res.completed = res.completed && completed[k];
+        if (sm.trapped() && !res.trapped) {
+            // Deterministic choice: the lowest-numbered trapped SM.
+            res.trapped = true;
+            res.trapKind = sm.firstTrap().kind;
+            res.trapAddr = sm.firstTrap().addr;
+            res.trapInfo = sm.firstTrap();
+            res.trapSm = k;
+        }
+        if (sm.trapped() &&
+            sm.firstTrap().kind == simt::TrapKind::WatchdogTimeout)
+            ++res.watchdogFires;
+        res.faultInjections += sm.faultFires();
+        res.smCycles.push_back(sm.cycles());
+        res.cycles = std::max(res.cycles, sm.cycles());
+        cycles_sum += sm.cycles();
+        res.stats.merge(sm.stats());
+        data_vrf_weighted +=
+            sm.avgDataVectorsInVrf() * static_cast<double>(sm.cycles());
+        meta_vrf_weighted +=
+            sm.avgMetaVectorsInVrf() * static_cast<double>(sm.cycles());
+        res.rfCapRegMask |= sm.regfile().capRegMask();
+    }
+    if (ns == 1) {
+        const simt::Sm &sm = *sms_[0];
+        res.avgDataVrf = sm.avgDataVectorsInVrf();
+        res.avgMetaVrf = sm.avgMetaVectorsInVrf();
+        res.hostNs = sm.hostNanos();
+        return;
+    }
+    if (res.stats.has("cycles"))
+        res.stats.set("cycles", res.cycles);
+    res.stats.set("cycles_sum", cycles_sum);
+    res.stats.set("merge_fallbacks", res.mergeFallback ? 1 : 0);
+    if (cycles_sum > 0) {
+        res.avgDataVrf =
+            data_vrf_weighted / static_cast<double>(cycles_sum);
+        res.avgMetaVrf =
+            meta_vrf_weighted / static_cast<double>(cycles_sum);
+    }
+    res.hostNs = epoch_ns;
+}
+
+RunResult
+Device::launchCompiled(
+    const std::shared_ptr<const kc::CompiledKernel> &compiled_ptr,
+    const LaunchConfig &cfg, const std::vector<Arg> &args,
+    const LaunchPolicy &policy)
+{
+    fatal_if(compiled_ptr == nullptr, "launchCompiled without a kernel");
+    const kc::CompiledKernel &compiled = *compiled_ptr;
+    const unsigned memory_faults =
+        prepare(compiled, cfg, args, smCfg_.faultPlan, nullptr);
+
+    // ---- Trace-session plumbing (observational only) ----
+    //
+    // The device runtime owns the sm = -1 buffer; the memory system
+    // reports epoch commits into it. Per-SM buffers and profile scratch
+    // are attached here, on the control thread, before any worker
+    // spawns; each worker then only ever touches its own SM's buffer.
+    support::trace::Buffer *devbuf = nullptr;
+    if (trace_ != nullptr) {
+        using namespace support::trace;
+        using support::json::Value;
+        devbuf = trace_->deviceBuffer();
+        devbuf->setNow(0);
+        memsys_->attachTrace(devbuf);
+        if (memory_faults > 0 && devbuf->wants(kCatFault)) {
+            const char *site = simt::faultSiteName(smCfg_.faultPlan.site);
+            Event &e = devbuf->emit(EventKind::Instant, kCatFault,
+                                    std::string("fault-apply: ") + site);
+            e.args.emplace_back("site", Value::str(site));
+            e.args.emplace_back(
+                "addr", Value::str(support::strprintf(
+                            "0x%08x", smCfg_.faultPlan.addr & ~3u)));
+            e.args.emplace_back("bit",
+                                Value::integer(smCfg_.faultPlan.bit));
+        }
+        for (unsigned k = 0; k < numSms(); ++k)
+            sms_[k]->attachTrace(trace_->smBuffer(k),
+                                 trace_->pcScratch(k, compiled.code.size()));
+    }
+
+    // ---- Run ----
+    //
+    // A single SM runs directly on DRAM: the packed memory path serves
+    // only an SM without a shard.
+    RunResult res;
+    res.kernel = compiled_ptr;
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<uint8_t> completed;
+    if (numSms() == 1) {
+        completed = {sms_[0]->run(policy.maxCycles)};
+    } else {
+        openEpoch();
+        completed = runEpoch(
+            std::vector<simt::Sm::RunStatus>(
+                numSms(), simt::Sm::RunStatus::CycleLimit),
+            policy.maxCycles, cfg.blockDim / smCfg_.numLanes, nullptr,
+            devbuf, res);
+    }
+    collect(completed, memory_faults, elapsedNs(t0), res);
+
+    // Close out the launch on the trace timeline: emit the launch span,
+    // fold the profile scratch, and advance the track past it.
+    if (trace_ != nullptr) {
+        using namespace support::trace;
+        using support::json::Value;
+        for (auto &sm : sms_)
+            sm->attachTrace(nullptr);
+        if (devbuf->wants(kCatLaunch)) {
+            devbuf->setNow(0);
+            Event &e = devbuf->emit(EventKind::Span, kCatLaunch,
+                                    std::string("launch ") + compiled.name);
+            e.dur = res.cycles;
+            e.args.emplace_back("kernel", Value::str(compiled.name));
+            e.args.emplace_back("sms", Value::integer(res.numSms));
+            e.args.emplace_back("serial", Value::boolean(res.mergeFallback));
+            e.args.emplace_back("completed",
+                                Value::boolean(res.completed));
+            e.args.emplace_back("trapped", Value::boolean(res.trapped));
+        }
+        if (trace_->profiling())
+            trace_->setDisasm(disasmOf(
+                compiled, mode_ == kc::CompileOptions::Mode::Purecap));
+        trace_->foldProfile();
+        memsys_->attachTrace(nullptr);
+        trace_->commitAttempt(res.cycles);
+    }
+    return res;
+}
+
+// ---------------------------------------------------------------------
 // Stepped (pausable / checkpointable) launches
 // ---------------------------------------------------------------------
 
@@ -333,16 +628,6 @@ Device::beginStepped(
 {
     fatal_if(compiled_ptr == nullptr, "beginStepped without a kernel");
     const kc::CompiledKernel &compiled = *compiled_ptr;
-    const kc::CompileOptions opts = compileOptions(cfg);
-
-    fatal_if(cfg.blockDim < smCfg_.numLanes ||
-                 cfg.blockDim % smCfg_.numLanes != 0,
-             "blockDim must be a multiple of the warp size");
-    fatal_if(cfg.blockDim > smCfg_.numThreads(),
-             "blockDim exceeds the SM thread count");
-    fatal_if(args.size() != compiled.params.size(),
-             "kernel %s expects %zu arguments, got %zu",
-             compiled.name.c_str(), compiled.params.size(), args.size());
 
     auto launch = std::unique_ptr<SteppedLaunch>(new SteppedLaunch(*this));
     launch->kernel_ = compiled_ptr;
@@ -350,37 +635,12 @@ Device::beginStepped(
         "%s|%016llx", compiled.name.c_str(),
         static_cast<unsigned long long>(compiled.fingerprint));
     launch->warpsPerBlock_ = cfg.blockDim / smCfg_.numLanes;
+    launch->memoryFaults_ = prepare(
+        compiled, cfg, args,
+        memory_fault != nullptr ? *memory_fault : smCfg_.faultPlan,
+        launch.get());
 
-    // Undo snapshots must precede the writes they cover: the argument
-    // block, then the fault word.
-    for (uint32_t at = kc::argBlockAddress();
-         at < kc::argBlockAddress() + compiled.paramBlockBytes; at += 4)
-        launch->snapshotPageAt(at);
-    writeArgBlock(compiled, args);
-
-    const simt::FaultPlan &plan =
-        memory_fault != nullptr ? *memory_fault : smCfg_.faultPlan;
-    if (plan.memorySite()) {
-        launch->snapshotPageAt(plan.addr & ~3u);
-        if (simt::applyMemoryFault(plan, dram()))
-            ++launch->memoryFaults_;
-    }
-
-    installScrs(compiled, opts);
-
-    for (auto &sm : sms_) {
-        sm->loadProgram(compiled.code);
-        // Stepped launches start from a zeroed scratchpad, like a fresh
-        // device: plain launches inherit whatever the previous kernel
-        // left there, which would make delta-replayed fault sites
-        // classify differently from fresh-device runs.
-        sm->scratchpad().reset();
-        sm->launch(0, launch->warpsPerBlock_);
-    }
-
-    memsys_->beginEpoch(numSms());
-    for (unsigned k = 0; k < numSms(); ++k)
-        sms_[k]->attachShard(&memsys_->shard(k));
+    openEpoch();
     launch->epochOpen_ = true;
     launch->status_.assign(numSms(), simt::Sm::RunStatus::CycleLimit);
     return launch;
@@ -441,7 +701,7 @@ Device::restoreStepped(const std::vector<uint8_t> &image,
     launch->warpsPerBlock_ = header.warpsPerBlock;
     launch->memoryFaults_ = header.memoryFaults;
 
-    memsys_->beginEpoch(ns);
+    openEpoch();
     launch->epochOpen_ = true;
     launch->status_.assign(ns, simt::Sm::RunStatus::CycleLimit);
     for (unsigned k = 0; k < ns; ++k) {
@@ -449,20 +709,15 @@ Device::restoreStepped(const std::vector<uint8_t> &image,
         support::ByteReader sm_r(sections[2 + 2 * k].payload.data(),
                                  sections[2 + 2 * k].payload.size());
         if (!sm.loadState(sm_r)) {
-            launch->detachShards();
-            memsys_->endEpoch();
             return fail(support::strprintf("SM %u restore failed: ", k) +
                         sm_r.error());
         }
         support::ByteReader sh_r(sections[3 + 2 * k].payload.data(),
                                  sections[3 + 2 * k].payload.size());
         if (!memsys_->shard(k).loadState(sh_r)) {
-            launch->detachShards();
-            memsys_->endEpoch();
             return fail(support::strprintf("shard %u restore failed: ", k) +
                         sh_r.error());
         }
-        sm.attachShard(&memsys_->shard(k));
         launch->status_[k] = sm.finished()
                                  ? simt::Sm::RunStatus::Completed
                                  : simt::Sm::RunStatus::CycleLimit;
@@ -474,18 +729,8 @@ Device::restoreStepped(const std::vector<uint8_t> &image,
 
 SteppedLaunch::~SteppedLaunch()
 {
-    if (epochOpen_) {
-        detachShards();
-        dev_.memsys_->endEpoch();
-        epochOpen_ = false;
-    }
-}
-
-void
-SteppedLaunch::detachShards()
-{
-    for (auto &sm : dev_.sms_)
-        sm->attachShard(nullptr);
+    if (epochOpen_)
+        dev_.closeEpoch();
 }
 
 void
@@ -601,129 +846,13 @@ SteppedLaunch::finish(uint64_t max_cycles)
     panic_if(finished_ || !epochOpen_,
              "finish on a finished stepped launch");
     finished_ = true;
-    const unsigned ns = dev_.numSms();
-    const auto t0 = std::chrono::steady_clock::now();
-
-    // Run the unfinished SMs to the watchdog bound. SMs that already
-    // completed or deadlocked during stepping are skipped: re-entering
-    // run() on them would re-log their terminal condition.
-    std::vector<uint8_t> completed(ns, 0);
-    for (unsigned k = 0; k < ns; ++k) {
-        switch (status_[k]) {
-          case simt::Sm::RunStatus::Completed:
-            completed[k] = 1;
-            break;
-          case simt::Sm::RunStatus::Deadlock:
-            completed[k] = 0;
-            break;
-          case simt::Sm::RunStatus::CycleLimit:
-            completed[k] = dev_.sms_[k]->run(max_cycles) ? 1 : 0;
-            break;
-        }
-    }
-
-    // Commit the epoch. Every base page about to be overwritten is
-    // undo-snapshotted first, so restoreBase() stays an exact revert.
-    snapshotTouchedPages();
-    detachShards();
-    const simt::MemorySystem::MergeReport merge =
-        dev_.memsys_->commitEpoch();
-    dev_.memsys_->endEpoch();
     epochOpen_ = false;
-
+    const auto t0 = std::chrono::steady_clock::now();
     RunResult res;
-    res.numSms = ns;
     res.kernel = kernel_;
-
-    if (merge.conflict) {
-        res.mergeFallback = true;
-        res.mergeFallbackReason = support::strprintf(
-            "%s at 0x%08x", merge.reason, merge.conflictAddr);
-        // The conflicting epoch committed nothing, so the base still
-        // holds the argument block and the applied fault -- rerun the
-        // SMs one at a time from it for exact sequential semantics.
-        // Scratchpads revert to the launch's starting state (zeroed).
-        for (unsigned k = 0; k < ns; ++k) {
-            simt::Sm &sm = *dev_.sms_[k];
-            dev_.memsys_->beginEpoch(1);
-            sm.attachShard(&dev_.memsys_->shard(0));
-            sm.scratchpad().reset();
-            sm.launch(0, warpsPerBlock_);
-            completed[k] = sm.run(max_cycles) ? 1 : 0;
-            sm.attachShard(nullptr);
-            snapshotTouchedPages();
-            const auto rep = dev_.memsys_->commitEpoch();
-            panic_if(rep.conflict, "single-shard epoch conflicted");
-            dev_.memsys_->endEpoch();
-        }
-    }
-
-    // ---- Aggregate per-SM results (mirrors Device::launchAttempt) ----
-    if (ns == 1) {
-        simt::Sm &sm = *dev_.sms_[0];
-        res.completed = completed[0] != 0;
-        res.trapped = sm.trapped();
-        if (res.trapped) {
-            res.trapKind = sm.firstTrap().kind;
-            res.trapAddr = sm.firstTrap().addr;
-            res.trapInfo = sm.firstTrap();
-            res.trapSm = 0;
-            if (res.trapKind == simt::TrapKind::WatchdogTimeout)
-                res.watchdogFires = 1;
-        }
-        res.cycles = sm.cycles();
-        res.stats = sm.stats();
-        res.avgDataVrf = sm.avgDataVectorsInVrf();
-        res.avgMetaVrf = sm.avgMetaVectorsInVrf();
-        res.rfCapRegMask = sm.regfile().capRegMask();
-        res.hostNs = sm.hostNanos();
-        res.smCycles = {res.cycles};
-        res.faultInjections = memoryFaults_ + sm.faultFires();
-        return res;
-    }
-
-    res.completed = true;
-    uint64_t cycles_sum = 0;
-    double data_vrf_weighted = 0.0, meta_vrf_weighted = 0.0;
-    for (unsigned k = 0; k < ns; ++k) {
-        simt::Sm &sm = *dev_.sms_[k];
-        res.completed = res.completed && completed[k];
-        if (sm.trapped() && !res.trapped) {
-            res.trapped = true;
-            res.trapKind = sm.firstTrap().kind;
-            res.trapAddr = sm.firstTrap().addr;
-            res.trapInfo = sm.firstTrap();
-            res.trapSm = k;
-        }
-        if (sm.trapped() &&
-            sm.firstTrap().kind == simt::TrapKind::WatchdogTimeout)
-            ++res.watchdogFires;
-        res.faultInjections += sm.faultFires();
-        res.smCycles.push_back(sm.cycles());
-        res.cycles = std::max(res.cycles, sm.cycles());
-        cycles_sum += sm.cycles();
-        res.stats.merge(sm.stats());
-        data_vrf_weighted +=
-            sm.avgDataVectorsInVrf() * static_cast<double>(sm.cycles());
-        meta_vrf_weighted +=
-            sm.avgMetaVectorsInVrf() * static_cast<double>(sm.cycles());
-        res.rfCapRegMask |= sm.regfile().capRegMask();
-    }
-    if (res.stats.has("cycles"))
-        res.stats.set("cycles", res.cycles);
-    res.stats.set("cycles_sum", cycles_sum);
-    res.stats.set("merge_fallbacks", res.mergeFallback ? 1 : 0);
-    if (cycles_sum > 0) {
-        res.avgDataVrf =
-            data_vrf_weighted / static_cast<double>(cycles_sum);
-        res.avgMetaVrf =
-            meta_vrf_weighted / static_cast<double>(cycles_sum);
-    }
-    res.hostNs = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    res.faultInjections += memoryFaults_;
+    const std::vector<uint8_t> completed = dev_.runEpoch(
+        status_, max_cycles, warpsPerBlock_, this, nullptr, res);
+    dev_.collect(completed, memoryFaults_, elapsedNs(t0), res);
     return res;
 }
 
@@ -734,8 +863,7 @@ SteppedLaunch::restoreBase()
         // Abandoning an unfinished launch: the epoch committed nothing,
         // so only the pages written at begin (argument block, fault
         // word) need reverting.
-        detachShards();
-        dev_.memsys_->endEpoch();
+        dev_.closeEpoch();
         epochOpen_ = false;
         finished_ = true;
     }
@@ -748,397 +876,6 @@ SteppedLaunch::restoreBase()
             dev_.dram().setWordTag(base + wi * 4, up.tags[wi] != 0);
     }
     undo_.clear();
-}
-
-RunResult
-Device::launchCompiled(
-    const std::shared_ptr<const kc::CompiledKernel> &compiled,
-    const LaunchConfig &cfg, const std::vector<Arg> &args)
-{
-    return launchAttempt(compiled, cfg, args, 2'000'000'000ull,
-                         /*defer_serial_fallback=*/false,
-                         /*force_serial=*/false);
-}
-
-RunResult
-Device::launchWithPolicy(kc::KernelDef &def, const LaunchConfig &cfg,
-                         const std::vector<Arg> &args,
-                         const LaunchPolicy &policy)
-{
-    return launchWithPolicy(compileCached(def, cfg), cfg, args, policy);
-}
-
-RunResult
-Device::launchWithPolicy(
-    const std::shared_ptr<const kc::CompiledKernel> &compiled,
-    const LaunchConfig &cfg, const std::vector<Arg> &args,
-    const LaunchPolicy &policy)
-{
-    // Snapshot the launch-visible DRAM (buffers + argument block) AND
-    // every SM's scratchpad so a failed attempt can be replayed from
-    // identical state. The scratchpad snapshot matters: Sm::launch()
-    // deliberately preserves scratchpad contents (host-visible memory),
-    // so a retry after a partial attempt would otherwise start from
-    // whatever the failed attempt wrote there -- state silently
-    // different from the first attempt's, and from what a replay of the
-    // same fault site observes. MainMemory is a value type with a deep
-    // copy, so that part is a straight copy.
-    const simt::MainMemory snapshot = dram();
-    support::ByteWriter spad_snapshot;
-    for (auto &sm : sms_)
-        sm->scratchpad().saveState(spad_snapshot);
-    const auto restore_snapshot = [&] {
-        dram() = snapshot;
-        support::ByteReader r(spad_snapshot.data().data(),
-                              spad_snapshot.size());
-        for (auto &sm : sms_) {
-            const bool ok = sm->scratchpad().loadState(r);
-            panic_if(!ok, "scratchpad snapshot restore failed");
-        }
-    };
-
-    const auto attempt = [&](bool force_serial) {
-        return launchAttempt(compiled, cfg, args, policy.maxCycles,
-                             /*defer_serial_fallback=*/!force_serial,
-                             force_serial);
-    };
-    const auto needs_retry = [](const RunResult &r) {
-        return (r.mergeFallback && !r.completed) ||
-               (r.trapped &&
-                r.trapKind == simt::TrapKind::WatchdogTimeout);
-    };
-
-    RunResult res = attempt(false);
-    unsigned retries = 0;
-    unsigned watchdog_total = res.watchdogFires;
-    while (needs_retry(res) && retries < policy.maxRetries) {
-        ++retries;
-        if (trace_ != nullptr) {
-            using namespace support::trace;
-            support::trace::Buffer *buf = trace_->deviceBuffer();
-            if (buf->wants(kCatWatchdog)) {
-                buf->setNow(0);
-                using support::json::Value;
-                Event &e = buf->emit(EventKind::Instant, kCatWatchdog,
-                                     "containment-retry");
-                e.args.emplace_back("attempt", Value::integer(retries));
-                e.args.emplace_back(
-                    "reason",
-                    Value::str(res.trapped ? "watchdog-timeout"
-                                           : "merge-conflict"));
-            }
-        }
-        restore_snapshot();
-        res = attempt(false);
-        watchdog_total += res.watchdogFires;
-    }
-    if (policy.degradeToSerial && numSms() > 1 && res.mergeFallback &&
-        !res.completed &&
-        !(res.trapped &&
-          res.trapKind == simt::TrapKind::WatchdogTimeout)) {
-        // Degradation is for merge conflicts only: a watchdog-stopped
-        // launch would simply time out again in serial form.
-        // Parallel execution keeps conflicting: give up on it and run
-        // the SMs one at a time for exact sequential semantics.
-        if (trace_ != nullptr) {
-            using namespace support::trace;
-            support::trace::Buffer *buf = trace_->deviceBuffer();
-            if (buf->wants(kCatLaunch)) {
-                buf->setNow(0);
-                using support::json::Value;
-                Event &e = buf->emit(EventKind::Instant, kCatLaunch,
-                                     "degrade-to-serial");
-                e.args.emplace_back(
-                    "reason", Value::str(res.mergeFallbackReason));
-            }
-        }
-        restore_snapshot();
-        res = attempt(true);
-        watchdog_total += res.watchdogFires;
-        res.degraded = true;
-    }
-    res.retries = retries;
-    res.watchdogFires = watchdog_total;
-    return res;
-}
-
-RunResult
-Device::launchAttempt(
-    const std::shared_ptr<const kc::CompiledKernel> &compiled_ptr,
-    const LaunchConfig &cfg, const std::vector<Arg> &args,
-    uint64_t max_cycles, bool defer_serial_fallback, bool force_serial)
-{
-    fatal_if(compiled_ptr == nullptr, "launchCompiled without a kernel");
-    const kc::CompiledKernel &compiled = *compiled_ptr;
-    const kc::CompileOptions opts = compileOptions(cfg);
-
-    fatal_if(cfg.blockDim < smCfg_.numLanes ||
-                 cfg.blockDim % smCfg_.numLanes != 0,
-             "blockDim must be a multiple of the warp size");
-    fatal_if(cfg.blockDim > smCfg_.numThreads(),
-             "blockDim exceeds the SM thread count");
-
-    fatal_if(args.size() != compiled.params.size(),
-             "kernel %s expects %zu arguments, got %zu",
-             compiled.name.c_str(), compiled.params.size(), args.size());
-    const unsigned num_slots = smCfg_.numThreads() / cfg.blockDim;
-    fatal_if(static_cast<uint64_t>(compiled.sharedBytes) * num_slots >
-                 simt::kSharedSize,
-             "kernel %s: shared arrays (%u B x %u block slots) exceed the "
-             "scratchpad",
-             compiled.name.c_str(), compiled.sharedBytes, num_slots);
-
-    // ---- Write the argument block ----
-    const bool purecap = mode_ == kc::CompileOptions::Mode::Purecap;
-    writeArgBlock(compiled, args);
-
-    // ---- Memory-site fault injection ----
-    //
-    // Tag / DRAM-word faults are applied once, here, to the shared base
-    // DRAM after the argument block is written: every SM (and every
-    // `--sms` count) then observes the identical corrupted image, which
-    // is what makes campaign classification SM-count-invariant. Runtime
-    // sites are handled inside each Sm instead.
-    unsigned memory_faults = 0;
-    if (smCfg_.faultPlan.memorySite() &&
-        simt::applyMemoryFault(smCfg_.faultPlan, dram()))
-        ++memory_faults;
-
-    // ---- Trace-session plumbing (observational only) ----
-    //
-    // The device runtime owns the sm = -1 buffer; the memory system
-    // reports epoch commits into it. Per-SM buffers and profile scratch
-    // are created here, on the control thread, before any worker spawns.
-    support::trace::Buffer *devbuf = nullptr;
-    if (trace_ != nullptr) {
-        devbuf = trace_->deviceBuffer();
-        devbuf->setNow(0);
-        memsys_->attachTrace(devbuf);
-        if (memory_faults > 0 &&
-            devbuf->wants(support::trace::kCatFault)) {
-            using support::json::Value;
-            const char *site = simt::faultSiteName(smCfg_.faultPlan.site);
-            support::trace::Event &e =
-                devbuf->emit(support::trace::EventKind::Instant,
-                             support::trace::kCatFault,
-                             std::string("fault-apply: ") + site);
-            e.args.emplace_back("site", Value::str(site));
-            e.args.emplace_back(
-                "addr", Value::str(support::strprintf(
-                            "0x%08x", smCfg_.faultPlan.addr & ~3u)));
-            e.args.emplace_back("bit",
-                                Value::integer(smCfg_.faultPlan.bit));
-        }
-    }
-
-    // Close out the attempt on the trace timeline: emit the launch span,
-    // fold the profile scratch, and advance the track past this attempt.
-    const auto trace_attempt_end = [&](const RunResult &res, bool serial) {
-        if (trace_ == nullptr)
-            return;
-        using namespace support::trace;
-        using support::json::Value;
-        if (devbuf->wants(kCatLaunch)) {
-            devbuf->setNow(0);
-            Event &e = devbuf->emit(EventKind::Span, kCatLaunch,
-                                    std::string("launch ") + compiled.name);
-            e.dur = res.cycles;
-            e.args.emplace_back("kernel", Value::str(compiled.name));
-            e.args.emplace_back("sms", Value::integer(res.numSms));
-            e.args.emplace_back("serial", Value::boolean(serial));
-            e.args.emplace_back("completed",
-                                Value::boolean(res.completed));
-            e.args.emplace_back("trapped", Value::boolean(res.trapped));
-        }
-        if (trace_->profiling())
-            trace_->setDisasm(disasmOf(compiled, purecap));
-        trace_->foldProfile();
-        memsys_->attachTrace(nullptr);
-        trace_->commitAttempt(res.cycles);
-    };
-
-    // ---- Special capability registers (all SMs share them) ----
-    installScrs(compiled, opts);
-
-    const unsigned warps_per_block = cfg.blockDim / smCfg_.numLanes;
-
-    // ---- Run ----
-    if (smCfg_.numSms == 1) {
-        // Single SM: the exact pre-sharding code path.
-        simt::Sm &sm = *sms_[0];
-        if (trace_ != nullptr)
-            sm.attachTrace(trace_->smBuffer(0),
-                           trace_->pcScratch(0, compiled.code.size()));
-        sm.loadProgram(compiled.code);
-        sm.launch(0, warps_per_block);
-        const bool completed = sm.run(max_cycles);
-
-        RunResult res;
-        res.completed = completed;
-        res.trapped = sm.trapped();
-        if (res.trapped) {
-            res.trapKind = sm.firstTrap().kind;
-            res.trapAddr = sm.firstTrap().addr;
-            res.trapInfo = sm.firstTrap();
-            res.trapSm = 0;
-            if (res.trapKind == simt::TrapKind::WatchdogTimeout)
-                res.watchdogFires = 1;
-        }
-        res.cycles = sm.cycles();
-        res.stats = sm.stats();
-        res.kernel = compiled_ptr;
-        res.avgDataVrf = sm.avgDataVectorsInVrf();
-        res.avgMetaVrf = sm.avgMetaVectorsInVrf();
-        res.rfCapRegMask = sm.regfile().capRegMask();
-        res.hostNs = sm.hostNanos();
-        res.smCycles = {res.cycles};
-        res.faultInjections = memory_faults + sm.faultFires();
-        if (trace_ != nullptr) {
-            sm.attachTrace(nullptr);
-            trace_attempt_end(res, /*serial=*/false);
-        }
-        return res;
-    }
-
-    // Multi-SM: run every SM on its own host worker thread against a
-    // private shard of the shared DRAM, then merge deterministically.
-    // A cross-SM conflict aborts the merge (committing nothing) and the
-    // launch is rerun serially, SM by SM, for exact sequential
-    // semantics -- the same conservative gating as the hostFastPath.
-    const unsigned ns = smCfg_.numSms;
-    const auto t0 = std::chrono::steady_clock::now();
-
-    for (auto &sm : sms_)
-        sm->loadProgram(compiled.code);
-    if (trace_ != nullptr) {
-        // Buffers and scratch must exist before the workers spawn; each
-        // worker then only ever touches its own SM's buffer.
-        for (unsigned k = 0; k < ns; ++k)
-            sms_[k]->attachTrace(
-                trace_->smBuffer(k),
-                trace_->pcScratch(k, compiled.code.size()));
-    }
-
-    std::vector<uint8_t> completed(ns, 0);
-    RunResult res;
-    res.numSms = ns;
-    res.kernel = compiled_ptr;
-
-    bool run_serially = force_serial;
-    bool aborted = false;
-    if (!force_serial) {
-        memsys_->beginEpoch(ns);
-        {
-            std::vector<std::thread> workers;
-            workers.reserve(ns);
-            for (unsigned k = 0; k < ns; ++k) {
-                workers.emplace_back([&, k] {
-                    sms_[k]->attachShard(&memsys_->shard(k));
-                    sms_[k]->launch(0, warps_per_block);
-                    completed[k] = sms_[k]->run(max_cycles) ? 1 : 0;
-                    sms_[k]->attachShard(nullptr);
-                });
-            }
-            for (auto &w : workers)
-                w.join();
-        }
-        if (devbuf != nullptr) {
-            // Stamp the epoch-commit event at the slowest SM's finish.
-            uint64_t max_c = 0;
-            for (auto &sm : sms_)
-                max_c = std::max(max_c, sm->cycles());
-            devbuf->setNow(max_c);
-        }
-        const simt::MemorySystem::MergeReport merge =
-            memsys_->commitEpoch();
-        memsys_->endEpoch();
-
-        if (merge.conflict) {
-            res.mergeFallback = true;
-            res.mergeFallbackReason = support::strprintf(
-                "%s at 0x%08x", merge.reason, merge.conflictAddr);
-            if (defer_serial_fallback) {
-                // The conflicting epoch committed nothing; leave the
-                // launch incomplete and let the caller's policy decide
-                // between retry and serial degradation.
-                aborted = true;
-            } else {
-                run_serially = true;
-            }
-        }
-    }
-
-    if (run_serially) {
-        // Serial execution: one SM at a time, each in its own
-        // single-shard epoch (a single shard can never conflict, so
-        // its commit applies everything), giving exact sequential
-        // semantics on the shared DRAM.
-        for (unsigned k = 0; k < ns; ++k) {
-            memsys_->beginEpoch(1);
-            sms_[k]->attachShard(&memsys_->shard(0));
-            sms_[k]->launch(0, warps_per_block);
-            completed[k] = sms_[k]->run(max_cycles) ? 1 : 0;
-            sms_[k]->attachShard(nullptr);
-            if (devbuf != nullptr)
-                devbuf->setNow(sms_[k]->cycles());
-            const auto rep = memsys_->commitEpoch();
-            panic_if(rep.conflict, "single-shard epoch conflicted");
-            memsys_->endEpoch();
-        }
-    }
-
-    // ---- Aggregate per-SM results ----
-    res.completed = true;
-    uint64_t cycles_sum = 0;
-    double data_vrf_weighted = 0.0, meta_vrf_weighted = 0.0;
-    for (unsigned k = 0; k < ns; ++k) {
-        simt::Sm &sm = *sms_[k];
-        res.completed = res.completed && completed[k];
-        if (sm.trapped() && !res.trapped) {
-            // Deterministic choice: the lowest-numbered trapped SM.
-            res.trapped = true;
-            res.trapKind = sm.firstTrap().kind;
-            res.trapAddr = sm.firstTrap().addr;
-            res.trapInfo = sm.firstTrap();
-            res.trapSm = k;
-        }
-        if (sm.trapped() &&
-            sm.firstTrap().kind == simt::TrapKind::WatchdogTimeout)
-            ++res.watchdogFires;
-        res.faultInjections += sm.faultFires();
-        res.smCycles.push_back(sm.cycles());
-        res.cycles = std::max(res.cycles, sm.cycles());
-        cycles_sum += sm.cycles();
-        res.stats.merge(sm.stats());
-        data_vrf_weighted +=
-            sm.avgDataVectorsInVrf() * static_cast<double>(sm.cycles());
-        meta_vrf_weighted +=
-            sm.avgMetaVectorsInVrf() * static_cast<double>(sm.cycles());
-        res.rfCapRegMask |= sm.regfile().capRegMask();
-    }
-    if (res.stats.has("cycles"))
-        res.stats.set("cycles", res.cycles);
-    res.stats.set("cycles_sum", cycles_sum);
-    res.stats.set("merge_fallbacks", res.mergeFallback ? 1 : 0);
-    if (cycles_sum > 0) {
-        res.avgDataVrf =
-            data_vrf_weighted / static_cast<double>(cycles_sum);
-        res.avgMetaVrf =
-            meta_vrf_weighted / static_cast<double>(cycles_sum);
-    }
-    res.hostNs = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    res.faultInjections += memory_faults;
-    if (aborted)
-        res.completed = false;
-    if (trace_ != nullptr) {
-        for (auto &sm : sms_)
-            sm->attachTrace(nullptr);
-        trace_attempt_end(res, run_serially);
-    }
-    return res;
 }
 
 } // namespace nocl

@@ -30,6 +30,7 @@ namespace support
 {
 namespace trace
 {
+class Buffer;
 class Session;
 } // namespace trace
 } // namespace support
@@ -91,20 +92,13 @@ struct LaunchConfig
 };
 
 /**
- * Containment policy for launchWithPolicy: a cycle watchdog plus a
- * bounded retry/degradation ladder. A kernel that exceeds maxCycles is
- * stopped and surfaces a watchdog-timeout structured trap instead of
- * hanging the host. A launch that cannot be contained in parallel form
- * (a watchdog fire, or a cross-SM merge conflict) is retried from a
- * DRAM snapshot up to maxRetries times; a still-conflicting multi-SM
- * launch then degrades to exact serial execution when degradeToSerial
- * is set.
+ * Containment policy of a launch: a cycle watchdog. A kernel that
+ * exceeds maxCycles is stopped and surfaces a watchdog-timeout
+ * structured trap instead of hanging the host.
  */
 struct LaunchPolicy
 {
     uint64_t maxCycles = 2'000'000'000ull;
-    unsigned maxRetries = 1;
-    bool degradeToSerial = true;
 };
 
 /** Result of one kernel launch. */
@@ -141,14 +135,8 @@ struct RunResult
 
     // ---- Containment / fault-injection accounting ----
 
-    /** Retries launchWithPolicy spent before this (final) attempt. */
-    unsigned retries = 0;
-
-    /** Watchdog-timeout traps observed across all attempts. */
+    /** Watchdog-timeout traps: the SMs the watchdog stopped. */
     unsigned watchdogFires = 0;
-
-    /** launchWithPolicy gave up on parallel execution and ran serially. */
-    bool degraded = false;
 
     /** Injected faults that actually fired (memory sites applied at
      *  launch plus runtime sites that triggered during execution). */
@@ -177,13 +165,16 @@ class Device;
  * later -- the foundation of the deterministic checkpoint/restore layer
  * (DESIGN.md section 13) and of fork-from-state fault campaigns.
  *
- * A stepped launch always runs its SMs against copy-on-write MemShard
- * overlays of the base DRAM (even with one SM, where shard routing is
+ * A stepped launch goes through the same prepare, run and collect steps
+ * as a plain launch (Device::launchCompiled) and differs from it in two
+ * ways. It always runs its SMs against copy-on-write MemShard overlays of
+ * the base DRAM (even with one SM, where shard routing is
  * architecturally transparent), so the base memory stays untouched until
- * finish() commits the epoch. Together with page-granular undo snapshots
- * of every base page the launch modifies, this makes restoreBase() an
- * exact revert to the device's pre-launch memory state -- the campaign
- * runs thousands of fault sites as cheap deltas off one prepared device.
+ * finish() commits the epoch. And it records a page-granular undo
+ * snapshot of every base page before the launch writes it, which makes
+ * restoreBase() an exact revert to the device's pre-launch memory state
+ * -- the campaign runs thousands of fault sites as cheap deltas off one
+ * prepared device.
  *
  * Chunk boundaries are warp-instruction boundaries (simt::Sm::runUntil),
  * so a launch advanced by any sequence of runUntil() calls and then
@@ -217,10 +208,11 @@ class SteppedLaunch
 
     /**
      * Run the remaining SMs to completion with @p max_cycles as the
-     * watchdog bound (absolute cycle count, as in LaunchPolicy), commit
-     * the epoch, and aggregate per-SM results exactly as a plain launch
-     * does -- including the serial single-shard fallback on a cross-SM
-     * merge conflict. May be called once.
+     * watchdog bound (absolute cycle count, as in LaunchPolicy), on
+     * worker threads when there are several, then commit the epoch and
+     * aggregate per-SM results exactly as a plain launch does --
+     * including the serial single-shard fallback on a cross-SM merge
+     * conflict. May be called once.
      */
     RunResult finish(uint64_t max_cycles);
 
@@ -250,8 +242,6 @@ class SteppedLaunch
 
     /** Save every base page the open epoch's shards touched. */
     void snapshotTouchedPages();
-
-    void detachShards();
 
     struct UndoPage
     {
@@ -321,7 +311,7 @@ class Device
     simt::Sm &smAt(unsigned i) { return *sms_.at(i); }
     unsigned numSms() const { return static_cast<unsigned>(sms_.size()); }
 
-    /** The device's shared main memory (owned by SM 0). */
+    /** The device's one main memory, which every SM borrows. */
     simt::MainMemory &dram() { return memsys_->base(); }
     const simt::MainMemory &dram() const { return memsys_->base(); }
 
@@ -341,12 +331,13 @@ class Device
     std::vector<float> readF32(const Buffer &b) const;
 
     /**
-     * Compile and run a kernel. Arguments must match the kernel's
-     * declared parameters in order and kind. Compilation goes through
-     * the process-wide KernelCache.
+     * Compile and run a kernel under @p policy's watchdog. Arguments
+     * must match the kernel's declared parameters in order and kind.
+     * Compilation goes through the process-wide KernelCache.
      */
     RunResult launch(kc::KernelDef &def, const LaunchConfig &cfg,
-                     const std::vector<Arg> &args);
+                     const std::vector<Arg> &args,
+                     const LaunchPolicy &policy = LaunchPolicy{});
 
     /**
      * Compile @p def for this device via the KernelCache (reusing a
@@ -359,35 +350,24 @@ class Device
      * Run an already-compiled kernel. @p compiled must have been
      * produced for this device's mode and for launch geometry matching
      * @p cfg (compileCached guarantees both).
+     *
+     * Every launch starts from a zeroed scratchpad. A single-SM launch
+     * runs directly on DRAM; a multi-SM one runs each SM on its own host
+     * worker thread against a private shard and merges the shards. A
+     * cross-SM merge conflict commits nothing and reruns the SMs one at
+     * a time, each from its launch state (RunResult::mergeFallback).
      */
     RunResult
     launchCompiled(const std::shared_ptr<const kc::CompiledKernel> &compiled,
-                   const LaunchConfig &cfg, const std::vector<Arg> &args);
-
-    /**
-     * Launch under a containment policy: a watchdog bounds the cycle
-     * count, failed attempts (watchdog fire, or a multi-SM merge
-     * conflict) are retried from a DRAM snapshot, and a repeatedly
-     * conflicting parallel launch degrades to serial execution. The
-     * result carries retries / watchdogFires / degraded for reporting.
-     */
-    RunResult launchWithPolicy(
-        const std::shared_ptr<const kc::CompiledKernel> &compiled,
-        const LaunchConfig &cfg, const std::vector<Arg> &args,
-        const LaunchPolicy &policy = LaunchPolicy{});
-
-    RunResult launchWithPolicy(kc::KernelDef &def, const LaunchConfig &cfg,
-                               const std::vector<Arg> &args,
-                               const LaunchPolicy &policy = LaunchPolicy{});
+                   const LaunchConfig &cfg, const std::vector<Arg> &args,
+                   const LaunchPolicy &policy = LaunchPolicy{});
 
     /**
      * Begin a stepped (pausable / checkpointable) launch of an
      * already-compiled kernel. Performs the same preparation as a plain
-     * launch -- argument block, memory-site fault, SCRs, program load --
-     * then leaves the SMs launched but not yet run; drive them with
-     * SteppedLaunch::runUntil / finish. Stepped launches always start
-     * from a zeroed scratchpad (like a fresh device), so a fault site
-     * replayed as a delta classifies identically to a fresh-device run.
+     * launch -- validation, argument block, memory-site fault, SCRs,
+     * program load, zeroed scratchpad -- then leaves the SMs launched
+     * but not yet run; drive them with SteppedLaunch::runUntil / finish.
      *
      * @p memory_fault, when non-null, replaces the config's fault plan
      * for the launch-time memory-site corruption (tag clear / DRAM word
@@ -444,8 +424,7 @@ class Device
 
     kc::CompileOptions compileOptions(const LaunchConfig &cfg) const;
 
-    /** Write the kernel-argument block for @p args into the base DRAM
-     *  (shared by plain and stepped launches). */
+    /** Write the kernel-argument block for @p args into the base DRAM. */
     void writeArgBlock(const kc::CompiledKernel &compiled,
                        const std::vector<Arg> &args);
 
@@ -455,20 +434,54 @@ class Device
                      const kc::CompileOptions &opts);
 
     /**
-     * One launch attempt. @p defer_serial_fallback leaves a conflicting
-     * multi-SM epoch uncommitted (completed = false) instead of
-     * rerunning serially; @p force_serial skips the parallel epoch and
-     * runs the SMs one at a time for exact sequential semantics.
+     * Prepare step of every launch: validate the launch, write the
+     * argument block, apply @p memory_fault's memory-site corruption,
+     * install the SCRs, load the program and launch every SM from a
+     * zeroed scratchpad. When @p undo is non-null each base page is
+     * saved into its undo log before it is written. Returns the number
+     * of memory-site faults applied.
      */
-    RunResult launchAttempt(
-        const std::shared_ptr<const kc::CompiledKernel> &compiled,
-        const LaunchConfig &cfg, const std::vector<Arg> &args,
-        uint64_t max_cycles, bool defer_serial_fallback, bool force_serial);
+    unsigned prepare(const kc::CompiledKernel &compiled,
+                     const LaunchConfig &cfg, const std::vector<Arg> &args,
+                     const simt::FaultPlan &memory_fault,
+                     SteppedLaunch *undo);
+
+    /** Open a launch epoch: one fresh shard per SM, attached. */
+    void openEpoch();
+
+    /** Detach every SM from its shard and drop the epoch. */
+    void closeEpoch();
+
+    /**
+     * Run step of a sharded launch. Runs every SM whose @p status is
+     * still CycleLimit to @p max_cycles (on worker threads when there
+     * are several SMs) and commits the epoch. On a cross-SM conflict the
+     * epoch commits nothing; every SM then reruns from its launch state
+     * in a single-shard epoch of its own, one at a time, and
+     * @p res records the fallback. @p undo, when non-null, saves every
+     * base page before each commit writes it; @p devbuf, when non-null,
+     * receives the commit timestamps. Returns whether each SM completed.
+     */
+    std::vector<uint8_t>
+    runEpoch(const std::vector<simt::Sm::RunStatus> &status,
+             uint64_t max_cycles, unsigned warps_per_block,
+             SteppedLaunch *undo, support::trace::Buffer *devbuf,
+             RunResult &res);
+
+    /**
+     * Collect step: aggregate the per-SM results into @p res. At more
+     * than one SM the counters are summed, "cycles" is the max, and
+     * "cycles_sum" and "merge_fallbacks" are added; @p epoch_ns becomes
+     * hostNs (a single SM reports its own run time instead).
+     */
+    void collect(const std::vector<uint8_t> &completed,
+                 unsigned memory_faults, uint64_t epoch_ns,
+                 RunResult &res);
 
     simt::SmConfig smCfg_;
     kc::CompileOptions::Mode mode_;
+    std::unique_ptr<simt::MemorySystem> memsys_; ///< owns the DRAM
     std::vector<std::unique_ptr<simt::Sm>> sms_;
-    std::unique_ptr<simt::MemorySystem> memsys_;
     uint32_t heapNext_ = 0;
     uint32_t heapLimit_ = 0;
     support::trace::Session *trace_ = nullptr;

@@ -17,7 +17,6 @@ namespace
 {
 
 constexpr size_t kTagBytes = kDramSize / 4 / 8;
-constexpr size_t kCopyPageBytes = 4096;
 
 /**
  * A private anonymous mapping of @p bytes. The host kernel zero-fills
@@ -38,22 +37,6 @@ mapZeroed(size_t bytes)
     return p;
 }
 
-/**
- * Copy @p bytes from @p src into the all-zero @p dst, skipping all-zero
- * source pages so that they stay unbacked in the destination.
- */
-void
-copyLivePages(void *dst, const void *src, size_t bytes)
-{
-    static const uint8_t zero_page[kCopyPageBytes] = {};
-    auto *d = static_cast<uint8_t *>(dst);
-    const auto *s = static_cast<const uint8_t *>(src);
-    for (size_t off = 0; off < bytes; off += kCopyPageBytes) {
-        if (std::memcmp(s + off, zero_page, kCopyPageBytes) != 0)
-            std::memcpy(d + off, s + off, kCopyPageBytes);
-    }
-}
-
 } // namespace
 
 MainMemory::MainMemory()
@@ -62,29 +45,12 @@ MainMemory::MainMemory()
 {
 }
 
-MainMemory::MainMemory(const MainMemory &other) : MainMemory()
-{
-    copyLivePages(data_, other.data_, kDramSize);
-    copyLivePages(tags_, other.tags_, kTagBytes);
-}
-
 // Moves swap mappings, so a moved-from memory is still a valid (empty)
 // memory rather than a dangling one.
 MainMemory::MainMemory(MainMemory &&other) noexcept : MainMemory()
 {
     std::swap(data_, other.data_);
     std::swap(tags_, other.tags_);
-}
-
-MainMemory &
-MainMemory::operator=(const MainMemory &other)
-{
-    if (this != &other) {
-        zeroAll();
-        copyLivePages(data_, other.data_, kDramSize);
-        copyLivePages(tags_, other.tags_, kTagBytes);
-    }
-    return *this;
 }
 
 MainMemory &

@@ -37,16 +37,16 @@ namespace simt
  * Both arrays live in private anonymous mappings that the host kernel
  * zero-fills on first touch, so a fresh memory reads as all-zero and
  * untagged while costing no resident pages until it is written
- * (DESIGN.md section 7). Copies are deep; every object owns its own
- * mappings for its whole lifetime.
+ * (DESIGN.md section 7). A memory cannot be copied; every object owns
+ * its own mappings for its whole lifetime.
  */
 class MainMemory
 {
   public:
     MainMemory();
-    MainMemory(const MainMemory &other);
+    MainMemory(const MainMemory &) = delete;
     MainMemory(MainMemory &&other) noexcept;
-    MainMemory &operator=(const MainMemory &other);
+    MainMemory &operator=(const MainMemory &) = delete;
     MainMemory &operator=(MainMemory &&other) noexcept;
     ~MainMemory();
 

@@ -2,14 +2,15 @@
  * @file
  * Shared device-memory facade for multi-SM grid sharding.
  *
- * In the single-SM model one simt::Sm owns the device's MainMemory. With
- * SmConfig::numSms > 1, the SMs run concurrently on host worker threads
- * and must share DRAM and its tag bits without data races and without
- * giving up determinism. MemorySystem provides that: during a parallel
- * launch epoch every SM is attached to a private MemShard -- a page-based
- * copy-on-write overlay of the (frozen) base memory that records, per
- * naturally aligned 32-bit word, whether the SM read it, wrote it with a
- * plain store, or updated it with an atomic read-modify-write.
+ * The memory system owns the device's one MainMemory, which every
+ * simt::Sm borrows. With SmConfig::numSms > 1, the SMs run concurrently
+ * on host worker threads and must share DRAM and its tag bits without
+ * data races and without giving up determinism. MemorySystem provides
+ * that: during a parallel launch epoch every SM is attached to a private
+ * MemShard -- a page-based copy-on-write overlay of the (frozen) base
+ * memory that records, per naturally aligned 32-bit word, whether the SM
+ * read it, wrote it with a plain store, or updated it with an atomic
+ * read-modify-write.
  *
  * When every SM has finished, commitEpoch() merges the shards into the
  * base memory in SM index order -- a fixed, scheduler-independent order,
@@ -163,8 +164,8 @@ class MemShard
 };
 
 /**
- * The device's memory system: the authoritative base memory plus the
- * per-SM shard views of a parallel launch epoch and their deterministic
+ * The device's memory system: the authoritative base memory (owned here)
+ * plus the per-SM shard views of a launch epoch and their deterministic
  * merge.
  */
 class MemorySystem
@@ -180,8 +181,6 @@ class MemorySystem
         uint64_t amosMediated = 0;
         uint64_t pagesTouched = 0;
     };
-
-    explicit MemorySystem(MainMemory &base) : base_(base) {}
 
     MainMemory &base() { return base_; }
     const MainMemory &base() const { return base_; }
@@ -214,7 +213,7 @@ class MemorySystem
     /** Emit the epoch-commit / merge-conflict trace event. */
     void traceCommit(const MergeReport &report);
 
-    MainMemory &base_;
+    MainMemory base_;
     std::vector<std::unique_ptr<MemShard>> shards_;
     support::trace::Buffer *trace_ = nullptr;
 };

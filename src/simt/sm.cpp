@@ -136,8 +136,8 @@ opTraits(Op op)
 
 } // namespace
 
-Sm::Sm(const SmConfig &cfg)
-    : cfg_(cfg), dram_(), scratchpad_(cfg_),
+Sm::Sm(const SmConfig &cfg, MainMemory &dram)
+    : cfg_(cfg), dram_(dram), scratchpad_(cfg_),
       dramTimer_(cfg_.dramLatency, cfg_.dramBytesPerCycle),
       tagController_(cfg_, dramTimer_, stats_),
       stackCache_(cfg_.stackCacheLines, cfg_.stackCacheLineBytes,

@@ -92,7 +92,9 @@ std::string formatTrapRecord(const TrapInfo &t, const std::string &kernel,
 class Sm
 {
   public:
-    explicit Sm(const SmConfig &cfg);
+    /** An SM over @p dram, which the caller owns and keeps alive for
+     *  the SM's lifetime (a device's SMs all borrow its one DRAM). */
+    Sm(const SmConfig &cfg, MainMemory &dram);
 
     const SmConfig &config() const { return cfg_; }
 
@@ -100,8 +102,8 @@ class Sm
 
     /**
      * Attach (or detach, with nullptr) a MemShard: while attached, all
-     * functional DRAM traffic goes through the shard instead of this
-     * SM's own MainMemory. Used by nocl::Device for parallel multi-SM
+     * functional DRAM traffic goes through the shard instead of the
+     * borrowed MainMemory. Used by nocl::Device for parallel multi-SM
      * launch epochs; timing models (DRAM timer, caches) are unaffected.
      */
     void attachShard(MemShard *shard) { shard_ = shard; }
@@ -373,7 +375,7 @@ class Sm
 
     const SmConfig cfg_;
     support::StatSet stats_;
-    MainMemory dram_;
+    MainMemory &dram_;
     MemShard *shard_ = nullptr;
 
     // Observational trace sink and per-PC profile histogram (both

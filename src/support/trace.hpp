@@ -52,11 +52,11 @@ namespace trace
 /** Event categories; a Session records only categories in its mask. */
 enum Category : uint32_t
 {
-    kCatLaunch = 1u << 0,   ///< launch lifecycle: attempts, retries, degrade
+    kCatLaunch = 1u << 0,   ///< launch spans (serial fallback flagged)
     // Bit 1 is unused; the other bits keep their values so masks
     // written down elsewhere stay meaningful.
     kCatEpoch = 1u << 2,    ///< epoch commits, merge conflicts, fallbacks
-    kCatWatchdog = 1u << 3, ///< watchdog fires and containment retries
+    kCatWatchdog = 1u << 3, ///< watchdog fires
     kCatFault = 1u << 4,    ///< fault-injection strikes
     kCatTrap = 1u << 5,     ///< traps with forensic context
     kCatCounter = 1u << 6,  ///< counter samples (hit rate, DRAM traffic)
@@ -248,8 +248,8 @@ class Session
     /** Write chromeTrace() to @p path (2-space indent, trailing \n). */
     bool writeChromeTrace(const std::string &path, const std::string &binary);
 
-    /** Commit any event still sitting in a producer buffer (e.g. a
-     *  retry decision emitted after the last attempt's commit). */
+    /** Commit any event still sitting in a producer buffer (e.g. one
+     *  emitted after the last launch's commit). */
     void flush();
 
   private:

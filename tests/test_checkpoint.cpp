@@ -17,12 +17,10 @@
  * Also covered: structured refusal of corrupt / truncated / mismatched
  * images (no simulator state touched), restoreBase() exactness (the
  * fault campaign's delta-execution foundation), campaign journal
- * recovery including the partial-trailing-line crash signature, and the
- * launchWithPolicy regression that retries must restore scratchpad
- * contents alongside DRAM between attempts. So is the main-memory
- * backing store: zero-filled on creation, deep copies, a loadState that
- * leaves nothing stale, and content hashes and images fixed to recorded
- * values.
+ * recovery including the partial-trailing-line crash signature. So is
+ * the main-memory backing store: zero-filled on creation, a loadState
+ * that leaves nothing stale, and content hashes and images fixed to
+ * recorded values.
  */
 
 #include <gtest/gtest.h>
@@ -47,7 +45,6 @@
 namespace
 {
 
-using kc::Kb;
 using kernels::Prepared;
 using kernels::Size;
 using nocl::Arg;
@@ -381,70 +378,6 @@ TEST(CampaignJournal, TruncatedTailIsRecoveredAndResumeIsExact)
     std::remove(headerless.c_str());
 }
 
-// ------------------------------- launchWithPolicy retry state restore
-
-/**
- * Reads the scratchpad before dirtying it, accumulates into DRAM, then
- * spins into the watchdog. A fresh attempt must observe an all-zero
- * scratchpad and a pre-launch DRAM image, so after any number of policy
- * retries out[i] == 1; a retry that leaked either the scratchpad (the
- * historical bug) or DRAM between attempts reports a larger value.
- */
-struct RetryProbeKernel : kc::KernelDef
-{
-    std::string name() const override { return "RetryProbe"; }
-
-    void
-    build(Kb &b) override
-    {
-        auto spin = b.paramI32("spin");
-        auto out = b.paramPtr("out", kc::Scalar::U32);
-        auto shm = b.shared("shm", kc::Scalar::U32, 64);
-
-        auto tid = b.var(b.threadIdx());
-        auto seen = b.var(b.load(b.index(shm, tid)));
-        b.atomicAdd(b.index(out, tid), seen + b.cu(1));
-        b.store(b.index(shm, tid), b.cu(0xdead));
-        b.barrier();
-        auto i = b.var(b.c(0));
-        auto sink = b.var(b.cu(0));
-        b.forRange(i, spin, b.c(1), [&] { sink += b.cu(1); });
-        // Never reached (the watchdog fires mid-spin); keeps the spin
-        // loop's accumulator live through the optimizer.
-        b.store(b.index(out, tid), sink);
-    }
-};
-
-TEST(LaunchPolicyRetry, AttemptsRestoreScratchpadAndDramExactly)
-{
-    const simt::SmConfig cfg = makeCfg(false, 1);
-    Device dev(cfg, Mode::Purecap);
-    RetryProbeKernel kernel;
-    nocl::LaunchConfig lcfg;
-    lcfg.blockDim = 64;
-    lcfg.gridDim = 1;
-    const nocl::Buffer out = dev.alloc(64 * 4);
-    const std::vector<Arg> args = {Arg::integer(1'000'000),
-                                   Arg::buffer(out)};
-
-    LaunchPolicy policy;
-    policy.maxCycles = 20'000; // fires mid-spin, well after the stores
-    policy.maxRetries = 2;
-    const RunResult res = dev.launchWithPolicy(kernel, lcfg, args, policy);
-
-    EXPECT_TRUE(res.trapped);
-    EXPECT_EQ(res.trapKind, simt::TrapKind::WatchdogTimeout);
-    EXPECT_EQ(res.retries, policy.maxRetries);
-    EXPECT_EQ(res.watchdogFires, policy.maxRetries + 1);
-
-    // Every retry started from zeroed scratchpad and pre-launch DRAM:
-    // each lane saw 0 and accumulated exactly once.
-    const std::vector<uint32_t> got = dev.read32(out);
-    ASSERT_EQ(got.size(), 64u);
-    for (size_t i = 0; i < got.size(); ++i)
-        EXPECT_EQ(got[i], 1u) << "lane " << i;
-}
-
 // ------------------------------------------ main-memory backing store
 
 constexpr uint32_t kFirstWord = simt::kDramBase;
@@ -484,37 +417,6 @@ TEST(MainMemoryBacking, FreshMemoryReadsZeroAndUntagged)
         EXPECT_FALSE(m.wordTag(a)) << std::hex << a;
     }
     EXPECT_FALSE(m.loadCap(kLastWord - 4).tag);
-}
-
-TEST(MainMemoryBacking, CopiesAreDeepAndIndependent)
-{
-    const simt::MainMemory orig = handBuiltMemory();
-    const uint64_t orig_hash = orig.contentHash();
-
-    simt::MainMemory copy(orig);
-    EXPECT_EQ(copy.contentHash(), orig_hash);
-    copy.store32(kFirstWord, 1);
-    copy.setWordTag(kLastWord, false);
-    EXPECT_EQ(orig.load32(kFirstWord), 0xdeadbeefu);
-    EXPECT_TRUE(orig.wordTag(kLastWord));
-    EXPECT_EQ(orig.contentHash(), orig_hash);
-
-    // Assignment over a dirty memory: nothing of the old content stays.
-    simt::MainMemory assigned;
-    assigned.store32(simt::kDramBase + 0x400000, 7);
-    assigned.setWordTag(simt::kDramBase + 0x400000, true);
-    assigned = orig;
-    EXPECT_EQ(assigned.contentHash(), orig_hash);
-    EXPECT_EQ(assigned.load32(simt::kDramBase + 0x400000), 0u);
-    EXPECT_FALSE(assigned.wordTag(simt::kDramBase + 0x400000));
-    assigned.store8(kLastWord, 9);
-    EXPECT_EQ(orig.contentHash(), orig_hash);
-    EXPECT_NE(assigned.contentHash(), orig_hash);
-
-    const simt::MainMemory &alias = assigned;
-    const uint64_t before_self = assigned.contentHash();
-    assigned = alias;
-    EXPECT_EQ(assigned.contentHash(), before_self);
 }
 
 TEST(MainMemoryBacking, LoadStateOverDirtyMemoryLeavesNoStaleState)

@@ -315,13 +315,15 @@ template <typename EmitFn>
 void
 expectTrapParity(EmitFn emit_program, unsigned expect_lane)
 {
-    simt::Sm reference(trapConfig(false));
+    simt::MainMemory reference_dram;
+    simt::Sm reference(trapConfig(false), reference_dram);
     const simt::TrapInfo ref = runTrapProgram(reference, emit_program);
     EXPECT_EQ(ref.kind, simt::TrapKind::BoundsViolation);
     EXPECT_EQ(ref.warp, 0u);
     EXPECT_EQ(ref.lane, expect_lane);
 
-    simt::Sm sm(trapConfig(true));
+    simt::MainMemory dram;
+    simt::Sm sm(trapConfig(true), dram);
     const simt::TrapInfo got = runTrapProgram(sm, emit_program);
     expectSameTrap(got, ref);
     EXPECT_EQ(sm.cycles(), reference.cycles());

@@ -234,7 +234,8 @@ runMemCase(const MemCase &mc, bool host_fast_path)
     cfg.numWarps = 2;
     cfg.numLanes = 8;
     cfg.hostFastPath = host_fast_path;
-    simt::Sm sm(cfg);
+    simt::MainMemory dram;
+    simt::Sm sm(cfg, dram);
 
     Assembler a;
     emitMemCase(a, mc);

@@ -2,8 +2,8 @@
  * @file
  * Multi-SM grid sharding tests.
  *
- *  - DRAM residency: building a 4-SM device must leave the SMs'
- *    demand-zero memories unbacked by host pages.
+ *  - DRAM residency: building a 4-SM device must leave its one
+ *    demand-zero memory unbacked by host pages.
  *  - MemShard / MemorySystem unit tests: overlay isolation, commit,
  *    conflict detection, and atomic mediation.
  *  - Architectural parity: every benchmark of the suite must produce
@@ -17,7 +17,8 @@
  *    every SM count, a small grid spreads over all SMs, and the
  *    generated code is unchanged wherever placement is the identity.
  *  - Conflict fallback: a kernel whose blocks race on one word must be
- *    detected and rerun serially, still deterministically.
+ *    detected and rerun serially, still deterministically, with every
+ *    SM restarted from a zeroed scratchpad on every launch path.
  *  - Barrier deadlock: surfaced as a structured "barrier-deadlock" trap
  *    (forced through a test seam -- the state is unreachable via the
  *    public API because barriers release on both arrival and warp exit).
@@ -81,9 +82,10 @@ residentBytes()
 
 TEST(Residency, FourSmDeviceConstructionStaysSmall)
 {
-    // Every SM owns a 64 MiB MainMemory, but demand-zero backing makes
-    // an unwritten one cost no resident pages. An eagerly zeroed store
-    // would grow the resident set by ~264 MiB here.
+    // The device maps one 64 MiB MainMemory that its four SMs borrow,
+    // and demand-zero backing makes it cost no resident pages until it
+    // is written. An eagerly zeroed store would grow the resident set
+    // by ~66 MiB here.
     const long before = residentBytes();
     if (before < 0)
         GTEST_SKIP() << "/proc/self/statm is not available";
@@ -127,8 +129,8 @@ TEST(MemShard, TagsFollowOverlay)
 
 TEST(MemorySystem, SingleShardCommitApplies)
 {
-    simt::MainMemory base;
-    simt::MemorySystem ms(base);
+    simt::MemorySystem ms;
+    simt::MainMemory &base = ms.base();
     ms.beginEpoch(1);
     ms.shard(0).store32(kA, 42);
     ms.shard(0).setWordTag(kB, true);
@@ -142,8 +144,8 @@ TEST(MemorySystem, SingleShardCommitApplies)
 
 TEST(MemorySystem, DisjointWritesCommitBoth)
 {
-    simt::MainMemory base;
-    simt::MemorySystem ms(base);
+    simt::MemorySystem ms;
+    simt::MainMemory &base = ms.base();
     ms.beginEpoch(2);
     ms.shard(0).store32(kA, 1);
     ms.shard(1).store32(kA + 4, 2); // same page, different word
@@ -159,9 +161,9 @@ TEST(MemorySystem, DisjointWritesCommitBoth)
 
 TEST(MemorySystem, ConflictingWritesCommitNothing)
 {
-    simt::MainMemory base;
+    simt::MemorySystem ms;
+    simt::MainMemory &base = ms.base();
     base.store32(kA, 7);
-    simt::MemorySystem ms(base);
     ms.beginEpoch(2);
     ms.shard(0).store32(kA, 1);
     ms.shard(0).store32(kB, 9);
@@ -177,8 +179,7 @@ TEST(MemorySystem, ConflictingWritesCommitNothing)
 
 TEST(MemorySystem, ReadOfWrittenWordConflicts)
 {
-    simt::MainMemory base;
-    simt::MemorySystem ms(base);
+    simt::MemorySystem ms;
     ms.beginEpoch(2);
     ms.shard(0).store32(kA, 1);
     (void)ms.shard(1).load32(kA);
@@ -189,9 +190,9 @@ TEST(MemorySystem, ReadOfWrittenWordConflicts)
 
 TEST(MemorySystem, SharedReadsAreFine)
 {
-    simt::MainMemory base;
+    simt::MemorySystem ms;
+    simt::MainMemory &base = ms.base();
     base.store32(kA, 5);
-    simt::MemorySystem ms(base);
     ms.beginEpoch(2);
     EXPECT_EQ(ms.shard(0).load32(kA), 5u);
     EXPECT_EQ(ms.shard(1).load32(kA), 5u);
@@ -203,9 +204,9 @@ TEST(MemorySystem, SharedReadsAreFine)
 
 TEST(MemorySystem, CommutativeAtomicsAreMediated)
 {
-    simt::MainMemory base;
+    simt::MemorySystem ms;
+    simt::MainMemory &base = ms.base();
     base.store32(kA, 100);
-    simt::MemorySystem ms(base);
     ms.beginEpoch(2);
     ms.shard(0).amo32(Op::AMOADD_W, kA, 10, false);
     ms.shard(0).amo32(Op::AMOADD_W, kA, 1, false);
@@ -220,8 +221,7 @@ TEST(MemorySystem, CommutativeAtomicsAreMediated)
 
 TEST(MemorySystem, ResultUsedAtomicConflicts)
 {
-    simt::MainMemory base;
-    simt::MemorySystem ms(base);
+    simt::MemorySystem ms;
     ms.beginEpoch(2);
     ms.shard(0).amo32(Op::AMOADD_W, kA, 1, true);
     ms.shard(1).amo32(Op::AMOADD_W, kA, 2, false);
@@ -232,8 +232,7 @@ TEST(MemorySystem, ResultUsedAtomicConflicts)
 
 TEST(MemorySystem, MixedAtomicKindsConflict)
 {
-    simt::MainMemory base;
-    simt::MemorySystem ms(base);
+    simt::MemorySystem ms;
     ms.beginEpoch(2);
     ms.shard(0).amo32(Op::AMOADD_W, kA, 1, false);
     ms.shard(1).amo32(Op::AMOXOR_W, kA, 2, false);
@@ -244,8 +243,7 @@ TEST(MemorySystem, MixedAtomicKindsConflict)
 
 TEST(MemorySystem, SwapConflicts)
 {
-    simt::MainMemory base;
-    simt::MemorySystem ms(base);
+    simt::MemorySystem ms;
     ms.beginEpoch(2);
     ms.shard(0).amo32(Op::AMOSWAP_W, kA, 1, false);
     ms.shard(1).amo32(Op::AMOSWAP_W, kA, 2, false);
@@ -256,9 +254,9 @@ TEST(MemorySystem, SwapConflicts)
 
 TEST(MemorySystem, SingleSmAtomicCommitsLocalValue)
 {
-    simt::MainMemory base;
+    simt::MemorySystem ms;
+    simt::MainMemory &base = ms.base();
     base.store32(kA, 10);
-    simt::MemorySystem ms(base);
     ms.beginEpoch(2);
     // Only shard 0 touches the word; even an order-sensitive swap with a
     // consumed result is fine (no cross-SM race to mediate).
@@ -680,6 +678,105 @@ TEST(MultiSmConflict, ConflictingWriteFallsBackDeterministically)
     EXPECT_EQ(v4, v1);
 }
 
+/** Every lane stores the scratchpad word it finds, then overwrites it
+ *  with 0xdead; every block plain-stores its index to out[0], so blocks
+ *  on different SMs conflict. */
+struct ScratchpadProbeKernel : kc::KernelDef
+{
+    std::string name() const override { return "ScratchpadProbe"; }
+
+    void
+    build(kc::Kb &b) override
+    {
+        auto out = b.paramPtr("out", kc::Scalar::U32);
+        auto seen = b.paramPtr("seen", kc::Scalar::U32);
+        auto shm = b.shared("shm", kc::Scalar::U32, 32);
+        auto tid = b.var(b.threadIdx());
+        seen[b.blockIdx() * b.blockDim() + tid] = b.load(b.index(shm, tid));
+        b.store(b.index(shm, tid), b.cu(0xdead));
+        out[0] = b.blockIdx();
+    }
+};
+
+/** One ScratchpadProbe block per SM of a 2-SM device. */
+struct ScratchpadProbe
+{
+    nocl::Device dev;
+    nocl::Buffer out;
+    nocl::Buffer seen;
+    nocl::LaunchConfig cfg;
+    ScratchpadProbeKernel kernel;
+
+    ScratchpadProbe() : dev(probeConfig(), Mode::Purecap)
+    {
+        out = dev.alloc(4);
+        seen = dev.alloc(64 * 4);
+        cfg.blockDim = 32;
+        cfg.gridDim = 2;
+    }
+
+    static simt::SmConfig
+    probeConfig()
+    {
+        simt::SmConfig sm_cfg = smConfigOf(Config::CheriOptimised, 2);
+        sm_cfg.numWarps = 1;
+        return sm_cfg;
+    }
+
+    std::vector<nocl::Arg>
+    args() const
+    {
+        return {nocl::Arg::buffer(out), nocl::Arg::buffer(seen)};
+    }
+
+    /** The serial fallback ran, the last block won, and all 64 lanes
+     *  found a zeroed scratchpad. */
+    void
+    expectExactFallback(const nocl::RunResult &res) const
+    {
+        EXPECT_TRUE(res.completed);
+        EXPECT_TRUE(res.mergeFallback);
+        EXPECT_EQ(dev.read32(out).at(0), 1u);
+        const std::vector<uint32_t> got = dev.read32(seen);
+        EXPECT_EQ(std::count(got.begin(), got.end(), 0u), 64)
+            << "lanes read what an earlier epoch left in the scratchpad";
+    }
+};
+
+TEST(MultiSmConflict, SerialFallbackStartsFromZeroedScratchpad)
+{
+    {
+        SCOPED_TRACE("plain launch");
+        ScratchpadProbe p;
+        p.expectExactFallback(p.dev.launch(p.kernel, p.cfg, p.args()));
+    }
+    {
+        SCOPED_TRACE("launch bounded by maxCycles");
+        ScratchpadProbe p;
+        nocl::LaunchPolicy policy;
+        policy.maxCycles = 1'000'000;
+        p.expectExactFallback(
+            p.dev.launch(p.kernel, p.cfg, p.args(), policy));
+    }
+    {
+        SCOPED_TRACE("stepped launch");
+        ScratchpadProbe p;
+        auto launch = p.dev.beginStepped(
+            p.dev.compileCached(p.kernel, p.cfg), p.cfg, p.args());
+        p.expectExactFallback(
+            launch->finish(nocl::LaunchPolicy{}.maxCycles));
+    }
+}
+
+TEST(MultiSmConflict, BackToBackLaunchesStartFromZeroedScratchpad)
+{
+    ScratchpadProbe p;
+    for (int i = 0; i < 2; ++i) {
+        SCOPED_TRACE("launch " + std::to_string(i));
+        p.expectExactFallback(p.dev.launch(p.kernel, p.cfg, p.args()));
+    }
+}
+
 // ============================================== barrier deadlock
 
 TEST(BarrierDeadlock, SurfacedAsStructuredTrap)
@@ -690,7 +787,8 @@ TEST(BarrierDeadlock, SurfacedAsStructuredTrap)
     simt::SmConfig cfg;
     cfg.numWarps = 2;
     cfg.numLanes = 8;
-    simt::Sm sm(cfg);
+    simt::MainMemory dram;
+    simt::Sm sm(cfg, dram);
 
     kc::Assembler a;
     a.emit(Op::SIMT_HALT, 0, 0, 0);

@@ -2,8 +2,9 @@
  * @file
  * Tests for the NoCL host runtime: device allocation (capability-aligned
  * alignment), data transfer helpers, argument-block marshalling, launch
- * geometry validation, multi-launch state isolation, and the special
- * capability registers.
+ * geometry validation, multi-launch state isolation, the special
+ * capability registers, and the shared-array capacity check that plain
+ * and stepped launches share.
  */
 
 #include <gtest/gtest.h>
@@ -237,6 +238,41 @@ TEST(NoclLaunch, GridLargerThanMachineIsSerialised)
         k, cfg, {Arg::integer(n), Arg::buffer(bi), Arg::buffer(bo)});
     ASSERT_TRUE(r.completed);
     EXPECT_EQ(dev.read32(bo), data);
+}
+
+/** 2 KiB of shared arrays per block: with 32-thread blocks the 64 block
+ *  slots of a 2048-thread SM need 128 KiB, twice the scratchpad. */
+struct OversizedSharedKernel : kc::KernelDef
+{
+    std::string name() const override { return "OversizedShared"; }
+
+    void
+    build(Kb &b) override
+    {
+        auto out = b.paramPtr("out", Scalar::U32);
+        auto shm = b.shared("shm", Scalar::U32, 512);
+        auto tid = b.var(b.threadIdx());
+        b.store(b.index(shm, tid), tid);
+        out[tid] = b.load(b.index(shm, tid));
+    }
+};
+
+TEST(NoclLaunchDeath, OversizedSharedArraysRefusedByEveryLaunch)
+{
+    // Plain and stepped launches share one validation step, so both
+    // refuse the kernel with the same message before touching memory.
+    Device dev(simt::SmConfig::cheriOptimised(), Mode::Purecap);
+    const Buffer out = dev.alloc(32 * 4);
+    OversizedSharedKernel k;
+    nocl::LaunchConfig cfg;
+    cfg.blockDim = 32;
+    const std::vector<Arg> args = {Arg::buffer(out)};
+    const char *refusal = "OversizedShared: shared arrays \\(2048 B x 64 "
+                          "block slots\\) exceed the scratchpad";
+    EXPECT_EXIT(dev.launch(k, cfg, args), testing::ExitedWithCode(1),
+                refusal);
+    EXPECT_EXIT(dev.beginStepped(dev.compileCached(k, cfg), cfg, args),
+                testing::ExitedWithCode(1), refusal);
 }
 
 } // namespace

@@ -60,7 +60,8 @@ TEST(Safety, AndPermDroppingStoreMakesStoresTrap)
     a.emit(Op::SW, 0, 7, 9, 0);    // store must trap
     a.emit(Op::SIMT_HALT, 0, 0, 0);
 
-    simt::Sm sm(tinyCheri());
+    simt::MainMemory dram;
+    simt::Sm sm(tinyCheri(), dram);
     runAsm(sm, a);
     EXPECT_TRUE(sm.trapped());
     EXPECT_EQ(sm.firstTrap().kind, simt::TrapKind::StorePermViolation);
@@ -76,7 +77,8 @@ TEST(Safety, SealedCapabilityCannotBeDereferenced)
     a.emitI(Op::LW, 9, 7, 0); // dereferencing a sealed cap traps
     a.emit(Op::SIMT_HALT, 0, 0, 0);
 
-    simt::Sm sm(tinyCheri());
+    simt::MainMemory dram;
+    simt::Sm sm(tinyCheri(), dram);
     runAsm(sm, a);
     EXPECT_TRUE(sm.trapped());
     EXPECT_EQ(sm.firstTrap().kind, simt::TrapKind::SealViolation);
@@ -96,7 +98,8 @@ TEST(Safety, SealedCapabilityResistsMutation)
     a.emit(Op::SW, 0, 10, 9, 0);
     a.emit(Op::SIMT_HALT, 0, 0, 0);
 
-    simt::Sm sm(tinyCheri());
+    simt::MainMemory dram;
+    simt::Sm sm(tinyCheri(), dram);
     runAsm(sm, a);
     EXPECT_FALSE(sm.trapped()) << sm.firstTrap().kind;
     EXPECT_EQ(sm.dram().load32(simt::kDramBase), 0u); // tag cleared
@@ -130,7 +133,8 @@ TEST(Safety, SentryCallAndReturn)
     a.emit(Op::SW, 0, 7, 10, 0); // mark that we returned
     a.emit(Op::SIMT_HALT, 0, 0, 0);
 
-    simt::Sm sm(tinyCheri());
+    simt::MainMemory dram;
+    simt::Sm sm(tinyCheri(), dram);
     runAsm(sm, a);
     EXPECT_FALSE(sm.trapped()) << sm.firstTrap().kind;
     EXPECT_EQ(sm.dram().load32(simt::kDramBase), 99u);
@@ -149,7 +153,8 @@ TEST(Safety, JumpThroughDataCapabilityTraps)
     a.emitI(Op::JALR, 0, 7, 0);
     a.emit(Op::SIMT_HALT, 0, 0, 0);
 
-    simt::Sm sm(tinyCheri());
+    simt::MainMemory dram;
+    simt::Sm sm(tinyCheri(), dram);
     runAsm(sm, a);
     EXPECT_TRUE(sm.trapped());
     EXPECT_EQ(sm.firstTrap().kind, simt::TrapKind::JumpPermViolation);

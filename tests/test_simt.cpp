@@ -488,7 +488,8 @@ TEST(SmExec, StoreHartidBaseline)
 {
     SmConfig cfg = SmConfig::baseline();
     cfg.numWarps = 8; // keep the test fast
-    Sm sm(cfg);
+    MainMemory dram;
+    Sm sm(cfg, dram);
     sm.loadProgram(storeHartidProgram());
     sm.launch(0, 1);
     ASSERT_TRUE(sm.run());
@@ -530,7 +531,8 @@ TEST(SmExec, DivergenceAndReconvergence)
 
     SmConfig cfg = SmConfig::baseline();
     cfg.numWarps = 2;
-    Sm sm(cfg);
+    MainMemory dram;
+    Sm sm(cfg, dram);
     sm.loadProgram(a.finalize());
     sm.launch(0, 1);
     ASSERT_TRUE(sm.run());
@@ -566,7 +568,8 @@ TEST(SmExec, LoopWithVariableTripCount)
 
     SmConfig cfg = SmConfig::baseline();
     cfg.numWarps = 1;
-    Sm sm(cfg);
+    MainMemory dram;
+    Sm sm(cfg, dram);
     sm.loadProgram(a.finalize());
     sm.launch(0, 1);
     ASSERT_TRUE(sm.run());
@@ -604,7 +607,8 @@ TEST(SmExec, BarrierAndScratchpad)
 
     SmConfig cfg = SmConfig::baseline();
     cfg.numWarps = 4;
-    Sm sm(cfg);
+    MainMemory dram;
+    Sm sm(cfg, dram);
     sm.loadProgram(a.finalize());
     sm.launch(0, cfg.numWarps); // all warps form one block
     ASSERT_TRUE(sm.run());
@@ -626,7 +630,8 @@ TEST(SmExec, AtomicAddAccumulates)
 
     SmConfig cfg = SmConfig::baseline();
     cfg.numWarps = 4;
-    Sm sm(cfg);
+    MainMemory dram;
+    Sm sm(cfg, dram);
     sm.loadProgram(a.finalize());
     sm.launch(0, 1);
     ASSERT_TRUE(sm.run());
@@ -656,7 +661,8 @@ TEST(SmExec, PurecapStoreInBounds)
 {
     SmConfig cfg = SmConfig::cheriOptimised();
     cfg.numWarps = 2;
-    Sm sm(cfg);
+    MainMemory dram;
+    Sm sm(cfg, dram);
     sm.loadProgram(purecapStoreProgram(4, 0));
     sm.setScr(isa::SCR_DDC, cap::rootCap());
     sm.launch(0, 1);
@@ -672,7 +678,8 @@ TEST(SmExec, PurecapOutOfBoundsStoreTraps)
 {
     SmConfig cfg = SmConfig::cheriOptimised();
     cfg.numWarps = 1;
-    Sm sm(cfg);
+    MainMemory dram;
+    Sm sm(cfg, dram);
     // Bounds of 4 bytes but store at offset +4: one byte past the end.
     sm.loadProgram(purecapStoreProgram(4, 4));
     sm.setScr(isa::SCR_DDC, cap::rootCap());
@@ -695,7 +702,8 @@ TEST(SmExec, PurecapUntaggedPointerTraps)
 
     SmConfig cfg = SmConfig::cheriOptimised();
     cfg.numWarps = 1;
-    Sm sm(cfg);
+    MainMemory dram;
+    Sm sm(cfg, dram);
     sm.loadProgram(a.finalize());
     sm.setScr(isa::SCR_DDC, cap::rootCap());
     sm.launch(0, 1);
@@ -724,7 +732,8 @@ TEST(SmExec, PurecapCapabilityLoadStoreRoundTrip)
     SmConfig cfg = SmConfig::cheriOptimised();
     cfg.numWarps = 1;
     cfg.numLanes = 1; // uniform addresses; single lane suffices
-    Sm sm(cfg);
+    MainMemory dram;
+    Sm sm(cfg, dram);
     sm.loadProgram(a.finalize());
     sm.setScr(isa::SCR_DDC, cap::rootCap());
     sm.launch(0, 1);
@@ -755,7 +764,8 @@ TEST(SmExec, CorruptedCapabilityInMemoryLosesTag)
     SmConfig cfg = SmConfig::cheriOptimised();
     cfg.numWarps = 1;
     cfg.numLanes = 1;
-    Sm sm(cfg);
+    MainMemory dram;
+    Sm sm(cfg, dram);
     sm.loadProgram(a.finalize());
     sm.setScr(isa::SCR_DDC, cap::rootCap());
     sm.launch(0, 1);
@@ -775,7 +785,8 @@ TEST(SmExec, CscPortStallCounted)
 
     SmConfig cfg = SmConfig::cheriOptimised();
     cfg.numWarps = 1;
-    Sm sm(cfg);
+    MainMemory dram;
+    Sm sm(cfg, dram);
     sm.loadProgram(a.finalize());
     sm.setScr(isa::SCR_DDC, cap::rootCap());
     sm.launch(0, 1);
@@ -785,7 +796,8 @@ TEST(SmExec, CscPortStallCounted)
     // The plain CHERI configuration (dual-port metadata SRF) pays none.
     SmConfig cfg2 = SmConfig::cheri();
     cfg2.numWarps = 1;
-    Sm sm2(cfg2);
+    MainMemory sm2_dram;
+    Sm sm2(cfg2, sm2_dram);
     sm2.loadProgram(a.finalize());
     sm2.setScr(isa::SCR_DDC, cap::rootCap());
     sm2.launch(0, 1);
@@ -810,7 +822,8 @@ TEST(SmExec, SfuOffloadServicesBoundsOps)
 
     SmConfig cfg = SmConfig::cheriOptimised();
     cfg.numWarps = 1;
-    Sm sm(cfg);
+    MainMemory dram;
+    Sm sm(cfg, dram);
     sm.loadProgram(a.finalize());
     sm.setScr(isa::SCR_DDC, cap::rootCap());
     sm.launch(0, 1);
@@ -825,7 +838,8 @@ TEST(SmExec, SfuOffloadServicesBoundsOps)
 
 TEST(SmScrDeath, SetScrRejectsOutOfRangeIndex)
 {
-    Sm sm(SmConfig::cheriOptimised());
+    MainMemory dram;
+    Sm sm(SmConfig::cheriOptimised(), dram);
     EXPECT_EXIT(sm.setScr(static_cast<isa::Scr>(isa::NUM_SCRS),
                           cap::rootCap()),
                 testing::ExitedWithCode(1), "out of range");
@@ -833,7 +847,8 @@ TEST(SmScrDeath, SetScrRejectsOutOfRangeIndex)
 
 TEST(SmScrDeath, ScrAccessorRejectsOutOfRangeIndex)
 {
-    Sm sm(SmConfig::cheriOptimised());
+    MainMemory dram;
+    Sm sm(SmConfig::cheriOptimised(), dram);
     EXPECT_EXIT((void)sm.scr(static_cast<isa::Scr>(31)),
                 testing::ExitedWithCode(1), "out of range");
 }
@@ -847,7 +862,8 @@ TEST(SmTrap, CspecialrwBadIndexTrapsInsteadOfCorrupting)
     a.emitI(Op::CSPECIALRW, 5, 0, 17); // only 0..NUM_SCRS-1 exist
     a.emit(Op::SIMT_HALT, 0, 0, 0);
 
-    Sm sm(SmConfig::cheriOptimised());
+    MainMemory dram;
+    Sm sm(SmConfig::cheriOptimised(), dram);
     sm.loadProgram(a.finalize());
     sm.setScr(isa::SCR_DDC, cap::rootCap());
     sm.launch(0, 1);

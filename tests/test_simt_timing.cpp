@@ -47,7 +47,8 @@ TEST(SmTiming, BarrelSchedulerReachesFullThroughput)
     // With many warps, one instruction issues almost every cycle.
     SmConfig cfg = SmConfig::baseline();
     cfg.numWarps = 16;
-    Sm sm(cfg);
+    MainMemory dram;
+    Sm sm(cfg, dram);
     const unsigned n = 200;
     const uint64_t cycles = runCycles(sm, aluProgram(n));
     const uint64_t instrs = sm.stats().get("instrs");
@@ -63,7 +64,8 @@ TEST(SmTiming, SingleWarpPaysPipelineDepth)
     // pipelineDepth cycles.
     SmConfig cfg = SmConfig::baseline();
     cfg.numWarps = 1;
-    Sm sm(cfg);
+    MainMemory dram;
+    Sm sm(cfg, dram);
     const unsigned n = 100;
     const uint64_t cycles = runCycles(sm, aluProgram(n));
     EXPECT_NEAR(static_cast<double>(cycles),
@@ -82,9 +84,11 @@ TEST(SmTiming, DividerLatencyVisible)
         div_prog.emitR(Op::DIVU, 5, 5, 6);
     div_prog.emit(Op::SIMT_HALT, 0, 0, 0);
 
-    Sm sm1(cfg);
+    MainMemory sm1_dram;
+    Sm sm1(cfg, sm1_dram);
     const uint64_t div_cycles = runCycles(sm1, div_prog.finalize());
-    Sm sm2(cfg);
+    MainMemory sm2_dram;
+    Sm sm2(cfg, sm2_dram);
     const uint64_t alu_cycles = runCycles(sm2, aluProgram(51));
 
     // Each divide costs divLatency extra cycles for a lone warp.
@@ -119,9 +123,11 @@ TEST(SmTiming, SfuSerialisesOverActiveLanes)
         lone.emit(Op::SIMT_HALT, 0, 0, 0);
     }
 
-    Sm sm1(cfg);
+    MainMemory sm1_dram;
+    Sm sm1(cfg, sm1_dram);
     const uint64_t full_cycles = runCycles(sm1, full.finalize());
-    Sm sm2(cfg);
+    MainMemory sm2_dram;
+    Sm sm2(cfg, sm2_dram);
     const uint64_t lone_cycles = runCycles(sm2, lone.finalize());
 
     EXPECT_GT(full_cycles, lone_cycles + 20 * (cfg.numLanes - 1) / 2);
@@ -147,9 +153,11 @@ TEST(SmTiming, ScratchpadConflictsSerialise)
         return a.finalize();
     };
 
-    Sm conflict_free(cfg);
+    MainMemory conflict_free_dram;
+    Sm conflict_free(cfg, conflict_free_dram);
     const uint64_t fast = runCycles(conflict_free, make(2)); // stride 1
-    Sm conflicted(cfg);
+    MainMemory conflicted_dram;
+    Sm conflicted(cfg, conflicted_dram);
     const uint64_t slow = runCycles(conflicted, make(7)); // stride 32
 
     // 50 accesses x ~31 extra serialisation cycles.
@@ -173,12 +181,14 @@ TEST(SmTiming, CapabilityAccessesAreTwoFlit)
         return a.finalize();
     };
 
-    Sm sm_lw(cfg);
+    MainMemory sm_lw_dram;
+    Sm sm_lw(cfg, sm_lw_dram);
     const uint64_t lw_slots = [&] {
         runCycles(sm_lw, make(false));
         return sm_lw.stats().get("issue_slots");
     }();
-    Sm sm_clc(cfg);
+    MainMemory sm_clc_dram;
+    Sm sm_clc(cfg, sm_clc_dram);
     const uint64_t clc_slots = [&] {
         runCycles(sm_clc, make(true));
         return sm_clc.stats().get("issue_slots");
@@ -192,7 +202,8 @@ TEST(SmTiming, StackCacheAbsorbsRepeatedSlotTraffic)
     // per warp, then hits.
     SmConfig cfg = SmConfig::cheriOptimised();
     cfg.numWarps = 4;
-    Sm sm(cfg);
+    MainMemory dram;
+    Sm sm(cfg, dram);
 
     Assembler a;
     a.emitI(Op::CSPECIALRW, 5, 0, isa::SCR_DDC);
@@ -220,7 +231,8 @@ TEST(SmTiming, DramBandwidthBoundsStreaming)
     // A pure streaming store loop cannot beat the DRAM channel rate.
     SmConfig cfg = SmConfig::baseline();
     cfg.numWarps = 16;
-    Sm sm(cfg);
+    MainMemory dram;
+    Sm sm(cfg, dram);
 
     Assembler a;
     a.emitI(Op::CSRRS, 5, 0, isa::CSR_HARTID);
@@ -253,7 +265,8 @@ TEST(SmTiming, DeterministicAcrossRuns)
     cfg.numWarps = 8;
     uint64_t first = 0;
     for (int run = 0; run < 3; ++run) {
-        Sm sm(cfg);
+        MainMemory dram;
+        Sm sm(cfg, dram);
         const uint64_t cycles = runCycles(sm, aluProgram(300));
         if (run == 0)
             first = cycles;
@@ -297,7 +310,8 @@ TEST(SmTiming, ZeroStackCacheLinesDisablesTheCache)
     SmConfig cfg = SmConfig::cheriOptimised();
     cfg.numWarps = 2;
     cfg.stackCacheLines = 0;
-    Sm sm(cfg);
+    MainMemory dram;
+    Sm sm(cfg, dram);
     runCycles(sm, stackSlotProgram(cfg, 10));
     EXPECT_EQ(sm.stats().get("stack_cache_hits"), 0u);
     EXPECT_EQ(sm.stats().get("stack_cache_misses"), 0u);
@@ -317,7 +331,8 @@ TEST(SmTiming, StackCacheLineBytesSetsSlotGranularity)
     SmConfig wide = SmConfig::cheriOptimised();
     wide.numWarps = 4;
     ASSERT_EQ(wide.stackCacheLineBytes, 512u);
-    Sm sm_wide(wide);
+    MainMemory sm_wide_dram;
+    Sm sm_wide(wide, sm_wide_dram);
     runCycles(sm_wide, stackSlotProgram(wide, n));
     EXPECT_EQ(sm_wide.stats().get("stack_cache_misses"), wide.numWarps);
     EXPECT_EQ(sm_wide.stats().get("stack_cache_hits"),
@@ -329,7 +344,8 @@ TEST(SmTiming, StackCacheLineBytesSetsSlotGranularity)
     // slots -- two cold misses per warp and smaller line fills.
     SmConfig narrow = wide;
     narrow.stackCacheLineBytes = 128;
-    Sm sm_narrow(narrow);
+    MainMemory sm_narrow_dram;
+    Sm sm_narrow(narrow, sm_narrow_dram);
     runCycles(sm_narrow, stackSlotProgram(narrow, n));
     EXPECT_EQ(sm_narrow.stats().get("stack_cache_misses"),
               2 * narrow.numWarps);
@@ -345,7 +361,8 @@ TEST(SmTimingDeath, UndersizedStackCacheLineIsFatal)
     // lanes does not.
     SmConfig cfg = SmConfig::cheriOptimised();
     cfg.stackCacheLineBytes = 64;
-    EXPECT_EXIT({ Sm sm(cfg); }, testing::ExitedWithCode(1),
+    MainMemory dram;
+    EXPECT_EXIT({ Sm sm(cfg, dram); }, testing::ExitedWithCode(1),
                 "stackCacheLineBytes");
 }
 

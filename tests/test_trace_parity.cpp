@@ -181,12 +181,14 @@ TEST(TraceParity, TrapForensicsDoNotPerturb)
 {
     for (bool fast : {false, true}) {
         SCOPED_TRACE(fast ? "accelerated" : "reference");
-        simt::Sm plain(trapConfig(fast));
+        simt::MainMemory plain_dram;
+        simt::Sm plain(trapConfig(fast), plain_dram);
         const simt::TrapInfo ref = runTrapProgram(plain);
         ASSERT_EQ(ref.kind, simt::TrapKind::BoundsViolation);
 
         Session session = makeSession();
-        simt::Sm traced(trapConfig(fast));
+        simt::MainMemory traced_dram;
+        simt::Sm traced(trapConfig(fast), traced_dram);
         traced.attachTrace(session.smBuffer(0));
         const simt::TrapInfo got = runTrapProgram(traced);
         traced.attachTrace(nullptr);
