@@ -135,7 +135,7 @@ KernelCache::clear()
 
 Device::Device(const simt::SmConfig &sm_cfg, kc::CompileOptions::Mode mode)
     : smCfg_(sm_cfg), mode_(mode),
-      memsys_(std::make_unique<simt::MemorySystem>())
+      memsys_(std::make_unique<simt::MemorySystem>(sm_cfg.numSms))
 {
     fatal_if(mode == kc::CompileOptions::Mode::Purecap && !sm_cfg.purecap,
              "pure-capability code requires a CHERI-enabled SM");
@@ -146,7 +146,7 @@ Device::Device(const simt::SmConfig &sm_cfg, kc::CompileOptions::Mode mode)
     for (unsigned k = 0; k < sm_cfg.numSms; ++k) {
         simt::SmConfig cfg = smCfg_;
         cfg.smId = k;
-        sms_.push_back(std::make_unique<simt::Sm>(cfg, dram()));
+        sms_.push_back(std::make_unique<simt::Sm>(cfg, memsys_->shard(k)));
     }
 
     kc::CompileOptions opts = compileOptions(LaunchConfig{});
@@ -391,22 +391,6 @@ Device::prepare(const kc::CompiledKernel &compiled, const LaunchConfig &cfg,
     return memory_faults;
 }
 
-void
-Device::openEpoch()
-{
-    memsys_->beginEpoch(numSms());
-    for (unsigned k = 0; k < numSms(); ++k)
-        sms_[k]->attachShard(&memsys_->shard(k));
-}
-
-void
-Device::closeEpoch()
-{
-    for (auto &sm : sms_)
-        sm->attachShard(nullptr);
-    memsys_->endEpoch();
-}
-
 std::vector<uint8_t>
 Device::runEpoch(const std::vector<simt::Sm::RunStatus> &status,
                  uint64_t max_cycles, unsigned warps_per_block,
@@ -443,31 +427,28 @@ Device::runEpoch(const std::vector<simt::Sm::RunStatus> &status,
     if (undo != nullptr)
         undo->snapshotTouchedPages();
     const simt::MemorySystem::MergeReport merge = memsys_->commitEpoch();
-    closeEpoch();
     if (!merge.conflict)
         return completed;
 
     // The conflicting epoch committed nothing, so the base still holds
     // the argument block and the applied fault. Rerun the SMs one at a
-    // time, each in a single-shard epoch (which cannot conflict), for
-    // exact sequential semantics.
+    // time, each on its own freshly reset shard and committed before
+    // the next starts (an epoch with one touched shard cannot
+    // conflict), for exact sequential semantics.
     res.mergeFallback = true;
     res.mergeFallbackReason = support::strprintf(
         "%s at 0x%08x", merge.reason, merge.conflictAddr);
     for (unsigned k = 0; k < ns; ++k) {
         simt::Sm &sm = *sms_[k];
-        memsys_->beginEpoch(1);
-        sm.attachShard(&memsys_->shard(0));
+        memsys_->beginEpoch();
         relaunch(sm, warps_per_block);
         completed[k] = sm.run(max_cycles) ? 1 : 0;
-        sm.attachShard(nullptr);
         if (devbuf != nullptr)
             devbuf->setNow(sm.cycles());
         if (undo != nullptr)
             undo->snapshotTouchedPages();
         const auto rep = memsys_->commitEpoch();
         panic_if(rep.conflict, "single-shard epoch conflicted");
-        memsys_->endEpoch();
     }
     return completed;
 }
@@ -568,23 +549,15 @@ Device::launchCompiled(
     }
 
     // ---- Run ----
-    //
-    // A single SM runs directly on DRAM: the packed memory path serves
-    // only an SM without a shard.
     RunResult res;
     res.kernel = compiled_ptr;
     const auto t0 = std::chrono::steady_clock::now();
-    std::vector<uint8_t> completed;
-    if (numSms() == 1) {
-        completed = {sms_[0]->run(policy.maxCycles)};
-    } else {
-        openEpoch();
-        completed = runEpoch(
-            std::vector<simt::Sm::RunStatus>(
-                numSms(), simt::Sm::RunStatus::CycleLimit),
-            policy.maxCycles, cfg.blockDim / smCfg_.numLanes, nullptr,
-            devbuf, res);
-    }
+    memsys_->beginEpoch();
+    const std::vector<uint8_t> completed = runEpoch(
+        std::vector<simt::Sm::RunStatus>(numSms(),
+                                         simt::Sm::RunStatus::CycleLimit),
+        policy.maxCycles, cfg.blockDim / smCfg_.numLanes, nullptr, devbuf,
+        res);
     collect(completed, memory_faults, elapsedNs(t0), res);
 
     // Close out the launch on the trace timeline: emit the launch span,
@@ -640,7 +613,7 @@ Device::beginStepped(
         memory_fault != nullptr ? *memory_fault : smCfg_.faultPlan,
         launch.get());
 
-    openEpoch();
+    memsys_->beginEpoch();
     launch->epochOpen_ = true;
     launch->status_.assign(numSms(), simt::Sm::RunStatus::CycleLimit);
     return launch;
@@ -701,7 +674,7 @@ Device::restoreStepped(const std::vector<uint8_t> &image,
     launch->warpsPerBlock_ = header.warpsPerBlock;
     launch->memoryFaults_ = header.memoryFaults;
 
-    openEpoch();
+    memsys_->beginEpoch();
     launch->epochOpen_ = true;
     launch->status_.assign(ns, simt::Sm::RunStatus::CycleLimit);
     for (unsigned k = 0; k < ns; ++k) {
@@ -725,12 +698,6 @@ Device::restoreStepped(const std::vector<uint8_t> &image,
     if (err != nullptr)
         *err = ckpt::Error{};
     return launch;
-}
-
-SteppedLaunch::~SteppedLaunch()
-{
-    if (epochOpen_)
-        dev_.closeEpoch();
 }
 
 void
@@ -862,8 +829,7 @@ SteppedLaunch::restoreBase()
     if (epochOpen_) {
         // Abandoning an unfinished launch: the epoch committed nothing,
         // so only the pages written at begin (argument block, fault
-        // word) need reverting.
-        dev_.closeEpoch();
+        // word) need reverting. The next launch resets the shards.
         epochOpen_ = false;
         finished_ = true;
     }

@@ -166,11 +166,10 @@ class Device;
  * (DESIGN.md section 13) and of fork-from-state fault campaigns.
  *
  * A stepped launch goes through the same prepare, run and collect steps
- * as a plain launch (Device::launchCompiled) and differs from it in two
- * ways. It always runs its SMs against copy-on-write MemShard overlays of
- * the base DRAM (even with one SM, where shard routing is
- * architecturally transparent), so the base memory stays untouched until
- * finish() commits the epoch. And it records a page-granular undo
+ * as a plain launch (Device::launchCompiled), so its SMs run against
+ * their copy-on-write MemShard overlays of the base DRAM and the base
+ * memory stays untouched until finish() commits the epoch. It differs
+ * from a plain launch in one way: it records a page-granular undo
  * snapshot of every base page before the launch writes it, which makes
  * restoreBase() an exact revert to the device's pre-launch memory state
  * -- the campaign runs thousands of fault sites as cheap deltas off one
@@ -190,7 +189,6 @@ class Device;
 class SteppedLaunch
 {
   public:
-    ~SteppedLaunch();
     SteppedLaunch(const SteppedLaunch &) = delete;
     SteppedLaunch &operator=(const SteppedLaunch &) = delete;
 
@@ -295,10 +293,10 @@ class KernelCache
  * A simulated device: SmConfig::numSms streaming multiprocessors sharing
  * one DRAM (plus host-side memory management). The persistent-threads
  * dispatch loop gives each SM an equal share of a launch's thread
- * blocks in contiguous chunks (DESIGN.md section 8); with more than one
- * SM each runs on its own host worker thread against a private
- * simt::MemShard, and the shards are merged deterministically when all
- * SMs finish (see simt/memsys.hpp).
+ * blocks in contiguous chunks (DESIGN.md section 8). Each SM runs
+ * against its own simt::MemShard, on its own host worker thread when
+ * there are several, and the shards are merged deterministically when
+ * all SMs finish (see simt/memsys.hpp).
  */
 class Device
 {
@@ -351,11 +349,11 @@ class Device
      * produced for this device's mode and for launch geometry matching
      * @p cfg (compileCached guarantees both).
      *
-     * Every launch starts from a zeroed scratchpad. A single-SM launch
-     * runs directly on DRAM; a multi-SM one runs each SM on its own host
-     * worker thread against a private shard and merges the shards. A
-     * cross-SM merge conflict commits nothing and reruns the SMs one at
-     * a time, each from its launch state (RunResult::mergeFallback).
+     * Every launch starts from a zeroed scratchpad. Each SM runs against
+     * its own shard (on its own host worker thread when there are
+     * several) and the shards are merged. A cross-SM merge conflict
+     * commits nothing and reruns the SMs one at a time, each from its
+     * launch state (RunResult::mergeFallback).
      */
     RunResult
     launchCompiled(const std::shared_ptr<const kc::CompiledKernel> &compiled,
@@ -446,18 +444,13 @@ class Device
                      const simt::FaultPlan &memory_fault,
                      SteppedLaunch *undo);
 
-    /** Open a launch epoch: one fresh shard per SM, attached. */
-    void openEpoch();
-
-    /** Detach every SM from its shard and drop the epoch. */
-    void closeEpoch();
-
     /**
-     * Run step of a sharded launch. Runs every SM whose @p status is
-     * still CycleLimit to @p max_cycles (on worker threads when there
-     * are several SMs) and commits the epoch. On a cross-SM conflict the
-     * epoch commits nothing; every SM then reruns from its launch state
-     * in a single-shard epoch of its own, one at a time, and
+     * Run step of every launch, inside the epoch the caller began. Runs
+     * every SM whose @p status is still CycleLimit to @p max_cycles (on
+     * worker threads when there are several SMs) and commits the epoch.
+     * On a cross-SM conflict the epoch commits nothing; every SM then
+     * reruns from its launch state on its own reset shard, one at a
+     * time, each committed before the next starts, and
      * @p res records the fallback. @p undo, when non-null, saves every
      * base page before each commit writes it; @p devbuf, when non-null,
      * receives the commit timestamps. Returns whether each SM completed.

@@ -168,7 +168,7 @@ envForcesScalar()
 // ---- Packed memory lanes: the portable scalar backend ----
 //
 // Byte assembly is written out little-endian exactly like
-// MainMemory::load32/store32, so these loops are bit-identical to the
+// MemShard::load32/store32, so these loops are bit-identical to the
 // per-lane loadValue/storeValue reference on any host endianness.
 
 inline const uint8_t *

@@ -95,12 +95,13 @@ bool fusionSelected();
 // ---- Packed memory lanes ----
 //
 // When Sm::executeWarp's affine DRAM fast path has proved a warp-wide
-// bounds/tag/alignment verdict, the remaining per-lane work is pure
-// data movement over MainMemory's flat little-endian backing store.
+// bounds/tag/alignment verdict and every lane falls in one 4 KiB page,
+// the remaining per-lane work is pure data movement over the SM's
+// private little-endian copy of that page (MemShard::pageData).
 // These handlers perform exactly that movement (AVX2 gather/blend when
 // selected, an explicit little-endian scalar loop otherwise), leaving
-// timing, tag maintenance and trap logic with the caller -- so the
-// functional result is bit-identical to the per-lane loadValue /
+// timing, word marks, tag maintenance and trap logic with the caller --
+// so the functional result is bit-identical to the per-lane loadValue /
 // storeValue loops by construction (DESIGN.md section 12).
 
 /** Operands of one packed memory lane loop (all pointers borrowed).
@@ -108,7 +109,7 @@ bool fusionSelected();
  *  in 32-bit arithmetic exactly like the scalar address loop. */
 struct MemCtx
 {
-    uint8_t *ram;          ///< DRAM backing store, biased to kDramBase
+    uint8_t *ram;          ///< the shard's private copy of one page
     const uint8_t *active; ///< one byte per lane, nonzero = active
     uint32_t *result;      ///< load destination; inactive lanes untouched
     const DataDesc *rs2;   ///< store source values

@@ -145,7 +145,7 @@ activeMask(const uint8_t *active, unsigned lane_base)
 }
 
 /** Scalar tails / sub-word lanes in this x86-only TU: unaligned host
- *  loads and stores of little-endian words match MainMemory's byte
+ *  loads and stores of little-endian words match MemShard's byte
  *  assembly bit-for-bit. */
 template <typename T>
 T
@@ -235,8 +235,8 @@ avx2MemHandler(Op op)
       case Op::LW:
         // Word gather: masked so inactive lanes keep their previous
         // result_ values (matching the reference loop, which never
-        // touches them). Byte-granular offsets (scale 1); DRAM offsets
-        // fit int32 because kDramSize < 2 GiB.
+        // touches them). Byte-granular offsets (scale 1); page offsets
+        // fit int32.
         return +[](const MemCtx &c) {
             unsigned lane = 0;
             for (; lane + 8 <= c.numLanes; lane += 8) {

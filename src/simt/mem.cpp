@@ -184,32 +184,10 @@ MainMemory::clearTagForStore(uint32_t addr, unsigned bytes)
         setWordTag(a, false);
 }
 
-const uint8_t *
-MainMemory::rawData(uint32_t addr) const
-{
-    return &data_[index(addr)];
-}
-
 uint8_t *
 MainMemory::rawData(uint32_t addr)
 {
     return &data_[index(addr)];
-}
-
-void
-MainMemory::clearTagsInRange(uint32_t addr, uint32_t bytes)
-{
-    const size_t first = index(addr) / 4;
-    const size_t last = index(addr + bytes - 1) / 4;
-    for (size_t e = first / 64; e <= last / 64; ++e) {
-        uint64_t mask = ~uint64_t{0};
-        if (e == first / 64)
-            mask &= ~uint64_t{0} << (first % 64);
-        if (e == last / 64)
-            mask &= ~uint64_t{0} >> (63 - last % 64);
-        if (tags_[e] & mask) // as in setWordTag: no write when clear
-            tags_[e] &= ~mask;
-    }
 }
 
 void

@@ -80,21 +80,11 @@ class MainMemory
 
     /**
      * Raw backing-store pointer for @p addr (bounds-checked like every
-     * other accessor). The backing store is a flat little-endian byte
-     * array, so multi-byte host loads/stores through this pointer are
-     * bit-identical to the load8/16/32 byte-assembly accessors -- the
-     * equivalence the packed memory engine relies on (DESIGN.md
-     * section 12). Tag maintenance stays with the caller.
+     * other accessor), for host-side bulk writes such as restoring a
+     * saved page. The backing store is a flat little-endian byte array.
+     * Tag maintenance stays with the caller.
      */
-    const uint8_t *rawData(uint32_t addr) const;
     uint8_t *rawData(uint32_t addr);
-
-    /**
-     * Clear every word tag covering [addr, addr+bytes) in one sweep --
-     * the same word set clearTagForStore visits, for callers that have
-     * proved the span is covered contiguously.
-     */
-    void clearTagsInRange(uint32_t addr, uint32_t bytes);
 
     /** Order-dependent hash of all bytes and word tags (parity tests). */
     uint64_t contentHash() const;

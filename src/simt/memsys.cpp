@@ -249,12 +249,45 @@ MemShard::amo32(isa::Op op, uint32_t addr, uint32_t operand,
 }
 
 void
-MemorySystem::beginEpoch(unsigned num_shards)
+MemShard::markWords(uint32_t first, uint32_t last, bool store)
 {
-    panic_if(!shards_.empty(), "epoch already in progress");
+    Page &p = page(first);
+    const uint32_t w0 = ((first - kDramBase) & (kPageBytes - 1)) >> 2;
+    const uint32_t w1 = ((last - kDramBase) & (kPageBytes - 1)) >> 2;
+    auto &set = store ? p.dirty : p.read;
+    for (uint32_t mw = w0 >> 6; mw <= w1 >> 6; ++mw) {
+        const uint32_t lo = mw == w0 >> 6 ? w0 & 63 : 0;
+        const uint32_t hi = mw == w1 >> 6 ? w1 & 63 : 63;
+        const uint64_t bits =
+            (~uint64_t{0} >> (63 - hi)) & (~uint64_t{0} << lo);
+        set[mw] |= bits;
+        if (store)
+            p.tag[mw] &= ~bits;
+    }
+}
+
+void
+MemShard::reset()
+{
+    for (const uint32_t pi : touched_)
+        map_[pi] = -1;
+    touched_.clear();
+    pages_.clear();
+    amoLog_.clear();
+}
+
+MemorySystem::MemorySystem(unsigned num_shards)
+{
     shards_.reserve(num_shards);
     for (unsigned i = 0; i < num_shards; ++i)
         shards_.push_back(std::make_unique<MemShard>(base_));
+}
+
+void
+MemorySystem::beginEpoch()
+{
+    for (auto &shard : shards_)
+        shard->reset();
 }
 
 MemorySystem::MergeReport

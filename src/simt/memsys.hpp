@@ -1,16 +1,16 @@
 /**
  * @file
- * Shared device-memory facade for multi-SM grid sharding.
+ * The device's memory system: its one MainMemory plus one copy-on-write
+ * MemShard per SM, and the deterministic merge of the shards.
  *
- * The memory system owns the device's one MainMemory, which every
- * simt::Sm borrows. With SmConfig::numSms > 1, the SMs run concurrently
- * on host worker threads and must share DRAM and its tag bits without
- * data races and without giving up determinism. MemorySystem provides
- * that: during a parallel launch epoch every SM is attached to a private
- * MemShard -- a page-based copy-on-write overlay of the (frozen) base
- * memory that records, per naturally aligned 32-bit word, whether the SM
- * read it, wrote it with a plain store, or updated it with an atomic
- * read-modify-write.
+ * A shard is the only functional memory an SM sees. It is a page-based
+ * copy-on-write overlay of the (frozen) base memory that records, per
+ * naturally aligned 32-bit word, whether the SM read it, wrote it with a
+ * plain store, or updated it with an atomic read-modify-write. With
+ * SmConfig::numSms > 1 the SMs run concurrently on host worker threads,
+ * and the shards let them share DRAM and its tag bits without data races
+ * and without giving up determinism; with one SM the shard is
+ * architecturally transparent.
  *
  * When every SM has finished, commitEpoch() merges the shards into the
  * base memory in SM index order -- a fixed, scheduler-independent order,
@@ -64,10 +64,10 @@ namespace simt
 uint32_t amoApply(isa::Op op, uint32_t old, uint32_t operand);
 
 /**
- * One SM's private copy-on-write view of the shared base memory during a
- * parallel launch epoch. Mirrors the MainMemory accessors the SM uses;
- * every access lands in a private overlay page (seeded from the base on
- * first touch), so concurrent SMs never race on shared state.
+ * One SM's private copy-on-write view of the shared base memory. Mirrors
+ * the MainMemory accessors the SM uses; every access lands in a private
+ * overlay page (seeded from the base on first touch), so concurrent SMs
+ * never race on shared state.
  */
 class MemShard
 {
@@ -103,6 +103,26 @@ class MemShard
     uint32_t amo32(isa::Op op, uint32_t addr, uint32_t operand,
                    bool result_used);
 
+    /**
+     * The private bytes of the 4 KiB page holding @p addr (seeded from
+     * the base on first touch). The packed memory lanes move data
+     * straight through it (DESIGN.md section 12) and then record the
+     * words they touched with markWords().
+     */
+    uint8_t *pageData(uint32_t addr) { return page(addr).data.data(); }
+
+    /**
+     * Record a packed access to every aligned word of [first, last],
+     * which must lie in one page: a load adds the words to the read set;
+     * a non-capability store adds them to the dirty set and clears their
+     * tags -- the marks the per-lane accessors leave.
+     */
+    void markWords(uint32_t first, uint32_t last, bool store);
+
+    /** Drop every private page, the atomic log and the page map: the
+     *  shard then reads like one freshly built over its base. */
+    void reset();
+
     /** Pages this shard has privatised (creation order), for tests and
      *  checkpoint accounting of mid-epoch snapshots. */
     size_t numTouchedPages() const { return touched_.size(); }
@@ -113,7 +133,7 @@ class MemShard
     /** Checkpoint serialization of the overlay: touched pages with
      *  their word marks plus the atomic-operation log, in creation
      *  order (simt/checkpoint.cpp). The base memory is serialized
-     *  separately; loadState requires a shard freshly built over an
+     *  separately; loadState requires a fresh (or reset) shard over an
      *  identical base. */
     void saveState(support::ByteWriter &w) const;
     bool loadState(support::ByteReader &r);
@@ -164,13 +184,15 @@ class MemShard
 };
 
 /**
- * The device's memory system: the authoritative base memory (owned here)
- * plus the per-SM shard views of a launch epoch and their deterministic
- * merge.
+ * The device's memory system: the authoritative base memory and one
+ * shard per SM, both owned here for the device's lifetime, plus the
+ * deterministic merge of a launch epoch.
  */
 class MemorySystem
 {
   public:
+    explicit MemorySystem(unsigned num_shards);
+
     /** Outcome of commitEpoch(). */
     struct MergeReport
     {
@@ -189,8 +211,9 @@ class MemorySystem
      *  reports every epoch commit / merge conflict into it. */
     void attachTrace(support::trace::Buffer *buf) { trace_ = buf; }
 
-    /** Build @p num_shards fresh shard views over the base memory. */
-    void beginEpoch(unsigned num_shards);
+    /** Start a launch epoch: reset every shard to a fresh view of the
+     *  base memory. */
+    void beginEpoch();
 
     MemShard &shard(unsigned i) { return *shards_.at(i); }
     unsigned numShards() const
@@ -205,9 +228,6 @@ class MemorySystem
      * expected to rerun the launch serially against the base.
      */
     MergeReport commitEpoch();
-
-    /** Drop the epoch's shards (after commit, or to abandon them). */
-    void endEpoch() { shards_.clear(); }
 
   private:
     /** Emit the epoch-commit / merge-conflict trace event. */

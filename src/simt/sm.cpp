@@ -136,8 +136,8 @@ opTraits(Op op)
 
 } // namespace
 
-Sm::Sm(const SmConfig &cfg, MainMemory &dram)
-    : cfg_(cfg), dram_(dram), scratchpad_(cfg_),
+Sm::Sm(const SmConfig &cfg, MemShard &mem)
+    : cfg_(cfg), mem_(mem), scratchpad_(cfg_),
       dramTimer_(cfg_.dramLatency, cfg_.dramBytesPerCycle),
       tagController_(cfg_, dramTimer_, stats_),
       stackCache_(cfg_.stackCacheLines, cfg_.stackCacheLineBytes,
@@ -502,9 +502,9 @@ Sm::loadValue(uint32_t addr, unsigned log_width, bool sign)
                   : (log_width == 1 ? scratchpad_.load16(addr)
                                     : scratchpad_.load32(addr));
     } else if (MainMemory::contains(addr)) {
-        raw = log_width == 0 ? memLoad8(addr)
-                             : (log_width == 1 ? memLoad16(addr)
-                                               : memLoad32(addr));
+        raw = log_width == 0 ? mem_.load8(addr)
+                             : (log_width == 1 ? mem_.load16(addr)
+                                               : mem_.load32(addr));
     } else if (addr >= kTcimBase && addr < kTcimBase + kTcimSize) {
         const size_t idx = (addr & ~3u) / 4;
         raw = idx < code_.size() ? code_[idx] : 0;
@@ -533,12 +533,12 @@ Sm::storeValue(uint32_t addr, unsigned log_width, uint32_t value)
         scratchpad_.clearTagForStore(addr, bytes);
     } else if (MainMemory::contains(addr)) {
         if (log_width == 0)
-            memStore8(addr, static_cast<uint8_t>(value));
+            mem_.store8(addr, static_cast<uint8_t>(value));
         else if (log_width == 1)
-            memStore16(addr, static_cast<uint16_t>(value));
+            mem_.store16(addr, static_cast<uint16_t>(value));
         else
-            memStore32(addr, value);
-        memClearTagForStore(addr, bytes);
+            mem_.store32(addr, value);
+        mem_.clearTagForStore(addr, bytes);
     } else {
         panic("store to unmapped address 0x%08x", addr);
     }
@@ -547,11 +547,11 @@ Sm::storeValue(uint32_t addr, unsigned log_width, uint32_t value)
 uint32_t
 Sm::atomicRmw(Op op, uint32_t addr, uint32_t operand, bool result_used)
 {
-    // DRAM atomics in a parallel epoch go through the shard's logged
-    // entry point so the epoch merge can mediate them deterministically.
-    // Scratchpad atomics stay local: the scratchpad is private per SM.
-    if (shard_ && MainMemory::contains(addr))
-        return shard_->amo32(op, addr, operand, result_used);
+    // DRAM atomics go through the shard's logged entry point so the
+    // epoch merge can mediate them deterministically. Scratchpad atomics
+    // stay local: the scratchpad is private per SM.
+    if (MainMemory::contains(addr))
+        return mem_.amo32(op, addr, operand, result_used);
     const uint32_t old = loadValue(addr, 2, false);
     storeValue(addr, 2, amoApply(op, old, operand));
     return old;
@@ -1507,19 +1507,46 @@ Sm::executeWarp(unsigned wid)
                 }
 
                 // ---- Packed memory lanes ----
-                // A fused-block plain load/store over unsharded DRAM
-                // moves its data through the packed lane handlers;
-                // timing, tag maintenance and trap logic already ran
-                // above, so memory and register state stay
+                // A fused-block plain load/store whose lanes all fall in
+                // one 4 KiB page moves its data through the packed lane
+                // handlers, straight over the shard's private copy of
+                // that page; timing and trap logic already ran above,
+                // and the word marks below are exactly the per-lane
+                // accessors', so memory, tag and register state stay
                 // bit-identical to the reference loops by construction
                 // (DESIGN.md section 12). The coverage stat counts
                 // these steps, so packed <= fastpath holds: an eligible
                 // access always retires via the fast path.
                 const engine::MemLoopFn mfn =
-                    shard_ == nullptr && all_dram && !is_cap_access &&
-                            rs1d.stride != 0
+                    all_dram && !is_cap_access && rs1d.stride != 0 &&
+                            (n_min ^ (n_max + bytes - 1)) <
+                                MemShard::kPageBytes
                         ? decoded_->memLoop[idx]
                         : nullptr;
+                const auto packed = [&](bool store) {
+                    const uint32_t page =
+                        n_min & ~(MemShard::kPageBytes - 1);
+                    mfn(engine::MemCtx{
+                        mem_.pageData(page), active_.data(),
+                        result_.data(), &rs2d, a0 - page,
+                        static_cast<int32_t>(rs1d.stride),
+                        cfg_.numLanes});
+                    // Accesses are aligned, so none straddles a word.
+                    // With no holes and |stride| <= 4 the lanes' words
+                    // form one run; otherwise mark lane by lane, since
+                    // a word no lane touched would make a false
+                    // cross-SM merge conflict.
+                    if (no_holes && rs1d.stride >= -4 && rs1d.stride <= 4) {
+                        mem_.markWords(n_min, n_max, store);
+                        return;
+                    }
+                    for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
+                        const uint32_t addr =
+                            a0 + static_cast<uint32_t>(rs1d.stride) * lane;
+                        if (active_[lane])
+                            mem_.markWords(addr, addr, store);
+                    }
+                };
                 if (mfn)
                     ++ctrPackedMem_;
 
@@ -1541,40 +1568,12 @@ Sm::executeWarp(unsigned wid)
                             if (all_shared)
                                 scratchpad_.storeCap(n_min, m);
                             else
-                                memStoreCap(n_min, m);
+                                mem_.storeCap(n_min, m);
                         } else {
                             storeValue(n_min, log_width, rs2d.at(lane));
                         }
                     } else if (mfn != nullptr) {
-                        const engine::MemCtx mc{
-                            dram_.rawData(kDramBase), active_.data(),
-                            result_.data(), &rs2d, a0 - kDramBase,
-                            static_cast<int32_t>(rs1d.stride),
-                            cfg_.numLanes};
-                        mfn(mc);
-                        // Tag maintenance, outside the handler: a
-                        // contiguous span clears exactly the word set
-                        // the per-lane clearTagForStore calls visit
-                        // (accesses are aligned, so none straddles a
-                        // word); gapped strides clear per lane.
-                        const int32_t st =
-                            static_cast<int32_t>(rs1d.stride);
-                        if (no_holes &&
-                            (st == static_cast<int32_t>(bytes) ||
-                             st == -static_cast<int32_t>(bytes))) {
-                            dram_.clearTagsInRange(n_min,
-                                                   n_max - n_min + bytes);
-                        } else {
-                            for (unsigned lane = 0;
-                                 lane < cfg_.numLanes; ++lane) {
-                                if (active_[lane])
-                                    dram_.clearTagForStore(
-                                        a0 + static_cast<uint32_t>(
-                                                 rs1d.stride) *
-                                                 lane,
-                                        bytes);
-                            }
-                        }
+                        packed(true);
                     } else {
                         for (unsigned lane = 0; lane < cfg_.numLanes;
                              ++lane) {
@@ -1594,7 +1593,7 @@ Sm::executeWarp(unsigned wid)
                                 if (all_shared)
                                     scratchpad_.storeCap(addr, m);
                                 else
-                                    memStoreCap(addr, m);
+                                    mem_.storeCap(addr, m);
                             } else {
                                 storeValue(addr, log_width,
                                            rs2d.at(lane));
@@ -1606,7 +1605,7 @@ Sm::executeWarp(unsigned wid)
                     if (op == Op::CLC) {
                         const cap::CapMem m =
                             all_shared ? scratchpad_.loadCap(n_min)
-                                       : memLoadCap(n_min);
+                                       : mem_.loadCap(n_min);
                         CapPipe loaded = cap::fromMem(m);
                         if (cfg_.purecap &&
                             !(c0.perms & cap::PERM_LOAD_CAP))
@@ -1625,12 +1624,7 @@ Sm::executeWarp(unsigned wid)
                         res_stride = 0;
                     }
                 } else if (mfn != nullptr) {
-                    const engine::MemCtx mc{
-                        dram_.rawData(kDramBase), active_.data(),
-                        result_.data(), &rs2d, a0 - kDramBase,
-                        static_cast<int32_t>(rs1d.stride),
-                        cfg_.numLanes};
-                    mfn(mc);
+                    packed(false);
                 } else {
                     for (unsigned lane = 0; lane < cfg_.numLanes;
                          ++lane) {
@@ -1643,7 +1637,7 @@ Sm::executeWarp(unsigned wid)
                             resultMetaDirty_ = true;
                             const cap::CapMem m =
                                 all_shared ? scratchpad_.loadCap(addr)
-                                           : memLoadCap(addr);
+                                           : mem_.loadCap(addr);
                             CapPipe loaded = cap::fromMem(m);
                             if (cfg_.purecap &&
                                 !(c0.perms & cap::PERM_LOAD_CAP))
@@ -1922,7 +1916,7 @@ Sm::executeWarp(unsigned wid)
             } else if (op == Op::CLC) {
                 const cap::CapMem m = in_shared
                                           ? scratchpad_.loadCap(addr)
-                                          : memLoadCap(addr);
+                                          : mem_.loadCap(addr);
                 CapPipe loaded = cap::fromMem(m);
                 // Loading via a capability without LOAD_CAP strips tags.
                 if (cfg_.purecap &&
@@ -1938,7 +1932,7 @@ Sm::executeWarp(unsigned wid)
                 if (in_shared)
                     scratchpad_.storeCap(addr, m);
                 else
-                    memStoreCap(addr, m);
+                    mem_.storeCap(addr, m);
             } else if (is_store) {
                 storeValue(addr, log_width, rs2Data_[lane]);
             } else {

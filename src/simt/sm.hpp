@@ -92,21 +92,13 @@ std::string formatTrapRecord(const TrapInfo &t, const std::string &kernel,
 class Sm
 {
   public:
-    /** An SM over @p dram, which the caller owns and keeps alive for
-     *  the SM's lifetime (a device's SMs all borrow its one DRAM). */
-    Sm(const SmConfig &cfg, MainMemory &dram);
+    /** An SM over @p mem, its functional memory, which the caller owns
+     *  and keeps alive for the SM's lifetime (a device gives each SM
+     *  its own shard of the one DRAM). Timing models (DRAM timer,
+     *  caches) are the SM's own. */
+    Sm(const SmConfig &cfg, MemShard &mem);
 
     const SmConfig &config() const { return cfg_; }
-
-    MainMemory &dram() { return dram_; }
-
-    /**
-     * Attach (or detach, with nullptr) a MemShard: while attached, all
-     * functional DRAM traffic goes through the shard instead of the
-     * borrowed MainMemory. Used by nocl::Device for parallel multi-SM
-     * launch epochs; timing models (DRAM timer, caches) are unaffected.
-     */
-    void attachShard(MemShard *shard) { shard_ = shard; }
 
     /**
      * Attach (or detach, with nullptr) a trace buffer and optional
@@ -318,65 +310,13 @@ class Sm
 
     void releaseBarrierIfReady(unsigned block);
 
-    // Functional DRAM accessors: route through the attached MemShard
-    // during a parallel multi-SM epoch, else straight to dram_. The
-    // shard_ test is a single well-predicted branch so the numSms == 1
-    // hot path is unchanged.
-    uint8_t
-    memLoad8(uint32_t addr)
-    {
-        return shard_ ? shard_->load8(addr) : dram_.load8(addr);
-    }
-    uint16_t
-    memLoad16(uint32_t addr)
-    {
-        return shard_ ? shard_->load16(addr) : dram_.load16(addr);
-    }
-    uint32_t
-    memLoad32(uint32_t addr)
-    {
-        return shard_ ? shard_->load32(addr) : dram_.load32(addr);
-    }
-    void
-    memStore8(uint32_t addr, uint8_t v)
-    {
-        shard_ ? shard_->store8(addr, v) : dram_.store8(addr, v);
-    }
-    void
-    memStore16(uint32_t addr, uint16_t v)
-    {
-        shard_ ? shard_->store16(addr, v) : dram_.store16(addr, v);
-    }
-    void
-    memStore32(uint32_t addr, uint32_t v)
-    {
-        shard_ ? shard_->store32(addr, v) : dram_.store32(addr, v);
-    }
-    cap::CapMem
-    memLoadCap(uint32_t addr)
-    {
-        return shard_ ? shard_->loadCap(addr) : dram_.loadCap(addr);
-    }
-    void
-    memStoreCap(uint32_t addr, const cap::CapMem &v)
-    {
-        shard_ ? shard_->storeCap(addr, v) : dram_.storeCap(addr, v);
-    }
-    void
-    memClearTagForStore(uint32_t addr, unsigned bytes)
-    {
-        shard_ ? shard_->clearTagForStore(addr, bytes)
-               : dram_.clearTagForStore(addr, bytes);
-    }
-
     // Test seam for states unreachable through the public API (e.g. the
     // barrier-deadlock detector); defined by test translation units only.
     friend struct SmTestAccess;
 
     const SmConfig cfg_;
     support::StatSet stats_;
-    MainMemory &dram_;
-    MemShard *shard_ = nullptr;
+    MemShard &mem_;
 
     // Observational trace sink and per-PC profile histogram (both
     // nullptr unless a trace session is attached; see attachTrace()).

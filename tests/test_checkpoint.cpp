@@ -404,7 +404,8 @@ handBuiltMemory()
     const uint32_t run = simt::kDramBase + 0x20000 + 4 * 60;
     for (uint32_t a = run; a < run + 4 * 200; a += 4)
         m.setWordTag(a, true);
-    m.clearTagsInRange(run + 4 * 3, 4 * 130);
+    for (uint32_t a = run + 4 * 3; a < run + 4 * 133; a += 4)
+        m.setWordTag(a, false);
     m.clearTagForStore(run + 4 * 199 + 1, 2);
     return m;
 }

@@ -162,7 +162,7 @@ runOnce(const std::string &bench_name, Config c, bool host_fast_path)
     o.run = dev.launch(*p.kernel, p.cfg, p.args);
     o.verified = p.verify(dev);
     o.trap = dev.sm().firstTrap();
-    o.dramHash = dev.sm().dram().contentHash();
+    o.dramHash = dev.dram().contentHash();
     o.scratchpadHash = dev.sm().scratchpad().contentHash();
     return o;
 }
@@ -315,19 +315,21 @@ template <typename EmitFn>
 void
 expectTrapParity(EmitFn emit_program, unsigned expect_lane)
 {
-    simt::MainMemory reference_dram;
-    simt::Sm reference(trapConfig(false), reference_dram);
+    simt::MemorySystem reference_mem(1);
+    simt::Sm reference(trapConfig(false), reference_mem.shard(0));
     const simt::TrapInfo ref = runTrapProgram(reference, emit_program);
     EXPECT_EQ(ref.kind, simt::TrapKind::BoundsViolation);
     EXPECT_EQ(ref.warp, 0u);
     EXPECT_EQ(ref.lane, expect_lane);
 
-    simt::MainMemory dram;
-    simt::Sm sm(trapConfig(true), dram);
+    simt::MemorySystem mem(1);
+    simt::Sm sm(trapConfig(true), mem.shard(0));
     const simt::TrapInfo got = runTrapProgram(sm, emit_program);
     expectSameTrap(got, ref);
     EXPECT_EQ(sm.cycles(), reference.cycles());
-    EXPECT_EQ(sm.dram().contentHash(), reference.dram().contentHash());
+    mem.commitEpoch();
+    reference_mem.commitEpoch();
+    EXPECT_EQ(mem.base().contentHash(), reference_mem.base().contentHash());
     expectSameStats(sm.stats(), reference.stats());
 }
 

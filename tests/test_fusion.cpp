@@ -15,8 +15,14 @@
  *    negative stride and under a partial warp must produce the same
  *    first trap (warp, lane, pc, address, kind), cycle count, modelled
  *    counters and memory image as the reference (per-lane) engine;
+ *    -- through 1-SM plain, 2-SM plain and 1-SM stepped launches, so on
+ *    every path the packed lanes run over shard pages, and across a
+ *    page boundary, where they give way to the per-lane loop;
  *  - the same boundary behaviour holds through the nocl launch layer at
- *    1, 2 and 4 SMs under both engines.
+ *    1, 2 and 4 SMs under both engines;
+ *  - multi-SM and stepped launches take the packed lanes, and their
+ *    word marks are exact: two SMs storing interleaved words of one
+ *    page commit without a merge fallback.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +34,7 @@
 #include <vector>
 
 #include "kc/asm.hpp"
+#include "kernels/suite.hpp"
 #include "nocl/nocl.hpp"
 #include "simt/engine.hpp"
 #include "simt/sm.hpp"
@@ -127,7 +134,10 @@ TEST(FusionCache, ForceScalarDisablesFusion)
 // capability window over DRAM, per-lane addresses formed by CINCOFFSET
 // immediately before the access (so the pair fuses and the packed
 // memory handler is eligible), and boundary geometry chosen per case.
-// Both engines must produce identical architectural outcomes.
+// Each SM gets its own window, 8 KiB past the previous SM's, and
+// SM-local thread ids, so every SM sees the same geometry. Both engines
+// must produce identical architectural outcomes under every launch
+// kind.
 
 struct MemCase
 {
@@ -138,51 +148,114 @@ struct MemCase
     bool negative;   ///< lane offsets descend from 28 instead of rising
     int partial;     ///< 0 = full warp, 1 = odd lanes only, 2 = even only
     simt::TrapKind expect; ///< expected first-trap kind (None = clean)
+    uint32_t at;     ///< window offset from kDramBase
 };
 
 const MemCase kMemCases[] = {
     {"affine_store_in_bounds", Op::SW, 64, 0, false, 0,
-     simt::TrapKind::None},
+     simt::TrapKind::None, 0},
     {"affine_load_in_bounds", Op::LW, 64, 0, false, 0,
-     simt::TrapKind::None},
+     simt::TrapKind::None, 0},
     {"store_at_top", Op::SB, 64, 4, false, 0,
-     simt::TrapKind::BoundsViolation},
+     simt::TrapKind::BoundsViolation, 0},
     {"load_past_top", Op::LW, 64, 4, false, 0,
-     simt::TrapKind::BoundsViolation},
+     simt::TrapKind::BoundsViolation, 0},
     {"store_straddles_top_aligned", Op::SW, 62, 0, false, 0,
-     simt::TrapKind::BoundsViolation},
+     simt::TrapKind::BoundsViolation, 0},
     {"store_at_base_minus_one", Op::SB, 64, -1, false, 0,
-     simt::TrapKind::BoundsViolation},
+     simt::TrapKind::BoundsViolation, 0},
     {"load_at_base_minus_one", Op::LBU, 64, -1, false, 0,
-     simt::TrapKind::BoundsViolation},
+     simt::TrapKind::BoundsViolation, 0},
     {"store_misaligned_word", Op::SW, 64, 2, false, 0,
-     simt::TrapKind::MisalignedAccess},
+     simt::TrapKind::MisalignedAccess, 0},
     {"store_negative_stride_under_base", Op::SW, 64, 0, true, 0,
-     simt::TrapKind::BoundsViolation},
+     simt::TrapKind::BoundsViolation, 0},
     {"partial_odd_boundary_lane_active", Op::LW, 64, 4, false, 1,
-     simt::TrapKind::BoundsViolation},
+     simt::TrapKind::BoundsViolation, 0},
     {"partial_even_boundary_lane_inactive", Op::LW, 64, 4, false, 2,
-     simt::TrapKind::None},
+     simt::TrapKind::None, 0},
+    // Warp 0's lanes straddle a page boundary (per-lane loop), warp 1's
+    // lie in the next page (packed lanes).
+    {"store_straddles_page", Op::SW, 64, 0, false, 0,
+     simt::TrapKind::None, 0xff0},
 };
+
+/** How a boundary case is launched. */
+enum class Launch
+{
+    Plain1,  ///< plain launch, one SM
+    Plain2,  ///< plain launch, two SMs
+    Stepped1 ///< stepped launch, one SM
+};
+
+struct MemRun
+{
+    MemCase mc;
+    Launch launch;
+};
+
+std::vector<MemRun>
+memRuns()
+{
+    std::vector<MemRun> runs;
+    for (const Launch l : {Launch::Plain1, Launch::Plain2, Launch::Stepped1})
+        for (const MemCase &mc : kMemCases)
+            runs.push_back(MemRun{mc, l});
+    return runs;
+}
+
+/** The case name, suffixed by the launch kind unless it is a 1-SM
+ *  plain launch. */
+std::string
+runName(const MemRun &r)
+{
+    static const char *const kSuffix[] = {"", "_sms2", "_stepped"};
+    return r.mc.name + std::string(kSuffix[static_cast<int>(r.launch)]);
+}
 
 /** gtest prints a parameter into the ctest name; without this it would
  *  dump MemCase's bytes, including the name pointer, which differ
  *  between build types and checkout paths. */
 void
-PrintTo(const MemCase &mc, std::ostream *os)
+PrintTo(const MemRun &r, std::ostream *os)
 {
-    *os << mc.name;
+    *os << runName(r);
+}
+
+/** Load @p addr into @p rd: LUI, then ADDI for the low 12 bits. */
+void
+emitAddr(Assembler &a, uint8_t rd, uint32_t addr)
+{
+    const uint32_t hi = (addr + 0x800) & ~0xfffu;
+    a.emitI(Op::LUI, rd, 0, static_cast<int32_t>(hi));
+    if (addr != hi)
+        a.emitI(Op::ADDI, rd, rd, static_cast<int32_t>(addr - hi));
+}
+
+/** r9 = SM-local thread id (affine), r11 = the SM's first global
+ *  thread id (uniform). */
+void
+emitThreadIds(Assembler &a)
+{
+    a.emitI(Op::CSRRS, 9, 0, isa::CSR_WARPID);
+    a.emitI(Op::SLLI, 9, 9, 3); // 8 lanes per warp
+    a.emitI(Op::CSRRS, 10, 0, isa::CSR_LANEID);
+    a.emitR(Op::ADD, 9, 9, 10);
+    a.emitI(Op::CSRRS, 11, 0, isa::CSR_HARTID);
+    a.emitR(Op::SUB, 11, 11, 9);
 }
 
 void
 emitMemCase(Assembler &a, const MemCase &mc)
 {
+    emitThreadIds(a);
+    a.emitI(Op::SLLI, 11, 11, 9); // 16 threads per SM: 8 KiB per SM
     a.emitI(Op::CSPECIALRW, 5, 0, isa::SCR_DDC);
-    a.emitI(Op::LUI, 6, 0, static_cast<int32_t>(simt::kDramBase));
+    emitAddr(a, 6, simt::kDramBase + mc.at);
+    a.emitR(Op::ADD, 6, 6, 11);
     a.emitR(Op::CSETADDR, 7, 5, 6);
     a.emitI(Op::ADDI, 8, 0, static_cast<int32_t>(mc.window));
     a.emitR(Op::CSETBOUNDS, 7, 7, 8);
-    a.emitI(Op::CSRRS, 9, 0, isa::CSR_HARTID);
     a.emitI(Op::SLLI, 9, 9, 2); // thread id * 4
     if (mc.negative) {
         a.emitI(Op::ADDI, 11, 0, 28);
@@ -227,43 +300,66 @@ struct MemOutcome
     std::map<std::string, uint64_t> stats;
 };
 
-MemOutcome
-runMemCase(const MemCase &mc, bool host_fast_path)
+/** A device of @p sms SMs with 2 warps of 8 lanes each. */
+simt::SmConfig
+tinyCheri(unsigned sms, bool host_fast_path = true)
 {
     simt::SmConfig cfg = simt::SmConfig::cheriOptimised();
     cfg.numWarps = 2;
     cfg.numLanes = 8;
+    cfg.numSms = sms;
     cfg.hostFastPath = host_fast_path;
-    simt::MainMemory dram;
-    simt::Sm sm(cfg, dram);
+    return cfg;
+}
 
+/** Launch a hand-assembled program as one 16-thread block per SM. */
+nocl::RunResult
+launchAssembled(nocl::Device &dev, Assembler &a, bool stepped)
+{
+    auto kernel = std::make_shared<kc::CompiledKernel>();
+    kernel->name = "assembled";
+    kernel->code = a.finalize();
+    nocl::LaunchConfig lc;
+    lc.blockDim = 16;
+    if (stepped)
+        return dev.beginStepped(kernel, lc, {})
+            ->finish(nocl::LaunchPolicy{}.maxCycles);
+    return dev.launchCompiled(kernel, lc, {});
+}
+
+MemOutcome
+runMemCase(const MemRun &run, bool host_fast_path)
+{
+    nocl::Device dev(
+        tinyCheri(run.launch == Launch::Plain2 ? 2 : 1, host_fast_path),
+        Mode::Purecap);
     Assembler a;
-    emitMemCase(a, mc);
-    sm.loadProgram(a.finalize());
-    sm.setScr(isa::SCR_DDC, cap::rootCap());
-    sm.launch(0, 2); // 16 threads: warp 1 reaches past the window
+    emitMemCase(a, run.mc);
+    // 16 threads per SM: warp 1 reaches past the window.
+    const nocl::RunResult r =
+        launchAssembled(dev, a, run.launch == Launch::Stepped1);
 
     MemOutcome o;
-    o.ok = sm.run();
-    o.trapped = sm.trapped();
-    o.trap = sm.firstTrap();
-    o.cycles = sm.stats().get("cycles");
-    o.dramHash = sm.dram().contentHash();
-    for (const auto &[name, value] : sm.stats().all())
+    o.ok = r.completed;
+    o.trapped = r.trapped;
+    o.trap = r.trapInfo;
+    o.cycles = r.cycles;
+    o.dramHash = dev.dram().contentHash();
+    for (const auto &[name, value] : r.stats.all())
         if (name.rfind("simhost_", 0) != 0)
             o.stats.emplace(name, value);
     return o;
 }
 
-class PackedMemBoundary : public ::testing::TestWithParam<MemCase>
+class PackedMemBoundary : public ::testing::TestWithParam<MemRun>
 {
 };
 
 TEST_P(PackedMemBoundary, TrapParityAcrossEngines)
 {
-    const MemCase &mc = GetParam();
-    const MemOutcome ref = runMemCase(mc, false);
-    const MemOutcome got = runMemCase(mc, true);
+    const MemCase &mc = GetParam().mc;
+    const MemOutcome ref = runMemCase(GetParam(), false);
+    const MemOutcome got = runMemCase(GetParam(), true);
 
     EXPECT_EQ(ref.trapped, mc.expect != simt::TrapKind::None);
     if (ref.trapped) {
@@ -284,10 +380,71 @@ TEST_P(PackedMemBoundary, TrapParityAcrossEngines)
 }
 
 INSTANTIATE_TEST_SUITE_P(Boundaries, PackedMemBoundary,
-                         ::testing::ValuesIn(kMemCases),
+                         ::testing::ValuesIn(memRuns()),
                          [](const auto &info) {
-                             return std::string(info.param.name);
+                             return runName(info.param);
                          });
+
+// ---- Packed lanes through shard pages ----
+
+/** simhost_packed_mem_instrs of a completed, verified Small VecAdd. */
+uint64_t
+vecAddPackedSteps(unsigned sms, bool stepped)
+{
+    simt::SmConfig cfg = simt::SmConfig::cheriOptimised();
+    cfg.numSms = sms;
+    nocl::Device dev(cfg, Mode::Purecap);
+    auto bench = kernels::makeBenchmark("VecAdd");
+    const kernels::Prepared p = bench->prepare(dev, kernels::Size::Small);
+    const auto compiled = dev.compileCached(*p.kernel, p.cfg);
+    const nocl::RunResult r =
+        stepped ? dev.beginStepped(compiled, p.cfg, p.args)
+                      ->finish(nocl::LaunchPolicy{}.maxCycles)
+                : dev.launchCompiled(compiled, p.cfg, p.args);
+    EXPECT_TRUE(r.completed);
+    EXPECT_TRUE(p.verify(dev));
+    return r.stats.get("simhost_packed_mem_instrs");
+}
+
+TEST(PackedMemShards, MultiSmAndSteppedLaunchesTakePackedLanes)
+{
+    // Every SM runs on its shard, so the packed lanes serve multi-SM
+    // and stepped launches too. Only the env leg turns them off (no
+    // fusion, so no packed handler is installed).
+    EXPECT_EQ(vecAddPackedSteps(2, false) > 0, !forcedScalar());
+    EXPECT_EQ(vecAddPackedSteps(1, true) > 0, !forcedScalar());
+}
+
+TEST(PackedMemShards, InterleavedStride8StoresCommitWithoutFallback)
+{
+    // SM 0 stores the even words and SM 1 the odd words of one page,
+    // with stride 8 through packed lanes. Marking a lane span as one
+    // run of words would claim the other SM's words: a false cross-SM
+    // conflict and a serial rerun.
+    constexpr uint32_t kPage = simt::kDramBase + 0x4000;
+    nocl::Device dev(tinyCheri(2), Mode::Purecap);
+    Assembler a;
+    emitThreadIds(a);
+    a.emitI(Op::SRLI, 11, 11, 2); // SM 1 starts one word in
+    a.emitI(Op::SLLI, 9, 9, 3);   // 8 bytes per thread
+    a.emitR(Op::ADD, 9, 9, 11);
+    a.emitI(Op::ADDI, 12, 9, 1); // stored value: offset + 1
+    a.emitI(Op::CSPECIALRW, 5, 0, isa::SCR_DDC);
+    emitAddr(a, 6, kPage);
+    a.emitR(Op::CSETADDR, 7, 5, 6);
+    a.emitR(Op::CINCOFFSET, 7, 7, 9); // fuses with the store
+    a.emit(Op::SW, 0, 7, 12, 0);
+    a.emit(Op::SIMT_HALT, 0, 0, 0);
+    const nocl::RunResult r = launchAssembled(dev, a, false);
+
+    ASSERT_TRUE(r.completed);
+    EXPECT_FALSE(r.trapped);
+    EXPECT_FALSE(r.mergeFallback) << r.mergeFallbackReason;
+    EXPECT_EQ(r.stats.get("simhost_packed_mem_instrs") > 0,
+              !forcedScalar());
+    for (uint32_t w = 0; w < 32; ++w)
+        EXPECT_EQ(dev.dram().load32(kPage + 4 * w), 4 * w + 1) << w;
+}
 
 // ---- Multi-SM boundary parity through the launch layer ----
 //

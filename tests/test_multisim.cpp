@@ -4,8 +4,8 @@
  *
  *  - DRAM residency: building a 4-SM device must leave its one
  *    demand-zero memory unbacked by host pages.
- *  - MemShard / MemorySystem unit tests: overlay isolation, commit,
- *    conflict detection, and atomic mediation.
+ *  - MemShard / MemorySystem unit tests: overlay isolation, reset to a
+ *    fresh view, commit, conflict detection, and atomic mediation.
  *  - Architectural parity: every benchmark of the suite must produce
  *    identical verification results, trap outcomes and output buffers at
  *    1, 2 and 4 SMs, and be deterministic across repeated multi-SM runs
@@ -39,6 +39,7 @@
 #include "nocl/nocl.hpp"
 #include "simt/memsys.hpp"
 #include "simt/sm.hpp"
+#include "support/serialize.hpp"
 
 namespace simt
 {
@@ -127,15 +128,52 @@ TEST(MemShard, TagsFollowOverlay)
     EXPECT_TRUE(base.wordTag(kA));
 }
 
+TEST(MemShard, ResetReadsChangedBaseLikeFresh)
+{
+    simt::MemorySystem ms(1);
+    simt::MainMemory &base = ms.base();
+    simt::MemShard &shard = ms.shard(0);
+    base.store32(kA, 1);
+    EXPECT_EQ(shard.load32(kA), 1u);
+    shard.store32(kB, 2);
+    shard.amo32(Op::AMOADD_W, kB + 4, 3, false);
+    ASSERT_FALSE(ms.commitEpoch().conflict);
+
+    // The base changes behind the epoch's stale private pages; a reset
+    // must drop them, the page map and the atomic log.
+    base.store32(kA, 5);
+    base.setWordTag(kB + 8, true);
+    ms.beginEpoch();
+    EXPECT_EQ(shard.numTouchedPages(), 0u);
+    EXPECT_EQ(ms.commitEpoch().pagesTouched, 0u);
+
+    simt::MemShard fresh(base);
+    for (const uint32_t a : {kA, kB, kB + 4, kB + 8}) {
+        EXPECT_EQ(shard.load32(a), fresh.load32(a)) << std::hex << a;
+        EXPECT_EQ(shard.wordTag(a), fresh.wordTag(a)) << std::hex << a;
+    }
+    EXPECT_EQ(shard.load32(kA), 5u);
+    EXPECT_TRUE(shard.wordTag(kB + 8));
+    support::ByteWriter after_reset, from_fresh;
+    shard.saveState(after_reset);
+    fresh.saveState(from_fresh);
+    EXPECT_EQ(after_reset.data(), from_fresh.data());
+
+    // A checkpointed overlay restores into a reset shard.
+    ms.beginEpoch();
+    support::ByteReader r(after_reset.data().data(), after_reset.size());
+    ASSERT_TRUE(shard.loadState(r)) << r.error();
+    EXPECT_EQ(shard.numTouchedPages(), fresh.numTouchedPages());
+    EXPECT_EQ(shard.load32(kA), 5u);
+}
+
 TEST(MemorySystem, SingleShardCommitApplies)
 {
-    simt::MemorySystem ms;
+    simt::MemorySystem ms(1);
     simt::MainMemory &base = ms.base();
-    ms.beginEpoch(1);
     ms.shard(0).store32(kA, 42);
     ms.shard(0).setWordTag(kB, true);
     const auto rep = ms.commitEpoch();
-    ms.endEpoch();
 
     EXPECT_FALSE(rep.conflict);
     EXPECT_EQ(base.load32(kA), 42u);
@@ -144,14 +182,12 @@ TEST(MemorySystem, SingleShardCommitApplies)
 
 TEST(MemorySystem, DisjointWritesCommitBoth)
 {
-    simt::MemorySystem ms;
+    simt::MemorySystem ms(2);
     simt::MainMemory &base = ms.base();
-    ms.beginEpoch(2);
     ms.shard(0).store32(kA, 1);
     ms.shard(1).store32(kA + 4, 2); // same page, different word
     ms.shard(1).store32(kB, 3);
     const auto rep = ms.commitEpoch();
-    ms.endEpoch();
 
     EXPECT_FALSE(rep.conflict);
     EXPECT_EQ(base.load32(kA), 1u);
@@ -161,15 +197,13 @@ TEST(MemorySystem, DisjointWritesCommitBoth)
 
 TEST(MemorySystem, ConflictingWritesCommitNothing)
 {
-    simt::MemorySystem ms;
+    simt::MemorySystem ms(2);
     simt::MainMemory &base = ms.base();
     base.store32(kA, 7);
-    ms.beginEpoch(2);
     ms.shard(0).store32(kA, 1);
     ms.shard(0).store32(kB, 9);
     ms.shard(1).store32(kA, 2);
     const auto rep = ms.commitEpoch();
-    ms.endEpoch();
 
     EXPECT_TRUE(rep.conflict);
     EXPECT_EQ(rep.conflictAddr, kA);
@@ -179,40 +213,34 @@ TEST(MemorySystem, ConflictingWritesCommitNothing)
 
 TEST(MemorySystem, ReadOfWrittenWordConflicts)
 {
-    simt::MemorySystem ms;
-    ms.beginEpoch(2);
+    simt::MemorySystem ms(2);
     ms.shard(0).store32(kA, 1);
     (void)ms.shard(1).load32(kA);
     const auto rep = ms.commitEpoch();
-    ms.endEpoch();
     EXPECT_TRUE(rep.conflict);
 }
 
 TEST(MemorySystem, SharedReadsAreFine)
 {
-    simt::MemorySystem ms;
+    simt::MemorySystem ms(2);
     simt::MainMemory &base = ms.base();
     base.store32(kA, 5);
-    ms.beginEpoch(2);
     EXPECT_EQ(ms.shard(0).load32(kA), 5u);
     EXPECT_EQ(ms.shard(1).load32(kA), 5u);
     ms.shard(0).store32(kB, 1);
     const auto rep = ms.commitEpoch();
-    ms.endEpoch();
     EXPECT_FALSE(rep.conflict);
 }
 
 TEST(MemorySystem, CommutativeAtomicsAreMediated)
 {
-    simt::MemorySystem ms;
+    simt::MemorySystem ms(2);
     simt::MainMemory &base = ms.base();
     base.store32(kA, 100);
-    ms.beginEpoch(2);
     ms.shard(0).amo32(Op::AMOADD_W, kA, 10, false);
     ms.shard(0).amo32(Op::AMOADD_W, kA, 1, false);
     ms.shard(1).amo32(Op::AMOADD_W, kA, 200, false);
     const auto rep = ms.commitEpoch();
-    ms.endEpoch();
 
     EXPECT_FALSE(rep.conflict);
     EXPECT_EQ(rep.amosMediated, 3u);
@@ -221,49 +249,41 @@ TEST(MemorySystem, CommutativeAtomicsAreMediated)
 
 TEST(MemorySystem, ResultUsedAtomicConflicts)
 {
-    simt::MemorySystem ms;
-    ms.beginEpoch(2);
+    simt::MemorySystem ms(2);
     ms.shard(0).amo32(Op::AMOADD_W, kA, 1, true);
     ms.shard(1).amo32(Op::AMOADD_W, kA, 2, false);
     const auto rep = ms.commitEpoch();
-    ms.endEpoch();
     EXPECT_TRUE(rep.conflict);
 }
 
 TEST(MemorySystem, MixedAtomicKindsConflict)
 {
-    simt::MemorySystem ms;
-    ms.beginEpoch(2);
+    simt::MemorySystem ms(2);
     ms.shard(0).amo32(Op::AMOADD_W, kA, 1, false);
     ms.shard(1).amo32(Op::AMOXOR_W, kA, 2, false);
     const auto rep = ms.commitEpoch();
-    ms.endEpoch();
     EXPECT_TRUE(rep.conflict);
 }
 
 TEST(MemorySystem, SwapConflicts)
 {
-    simt::MemorySystem ms;
-    ms.beginEpoch(2);
+    simt::MemorySystem ms(2);
     ms.shard(0).amo32(Op::AMOSWAP_W, kA, 1, false);
     ms.shard(1).amo32(Op::AMOSWAP_W, kA, 2, false);
     const auto rep = ms.commitEpoch();
-    ms.endEpoch();
     EXPECT_TRUE(rep.conflict);
 }
 
 TEST(MemorySystem, SingleSmAtomicCommitsLocalValue)
 {
-    simt::MemorySystem ms;
+    simt::MemorySystem ms(2);
     simt::MainMemory &base = ms.base();
     base.store32(kA, 10);
-    ms.beginEpoch(2);
     // Only shard 0 touches the word; even an order-sensitive swap with a
     // consumed result is fine (no cross-SM race to mediate).
     EXPECT_EQ(ms.shard(0).amo32(Op::AMOSWAP_W, kA, 77, true), 10u);
     ms.shard(1).store32(kB, 1);
     const auto rep = ms.commitEpoch();
-    ms.endEpoch();
     EXPECT_FALSE(rep.conflict);
     EXPECT_EQ(base.load32(kA), 77u);
 }
@@ -788,7 +808,8 @@ TEST(BarrierDeadlock, SurfacedAsStructuredTrap)
     cfg.numWarps = 2;
     cfg.numLanes = 8;
     simt::MainMemory dram;
-    simt::Sm sm(cfg, dram);
+    simt::MemShard mem(dram);
+    simt::Sm sm(cfg, mem);
 
     kc::Assembler a;
     a.emit(Op::SIMT_HALT, 0, 0, 0);

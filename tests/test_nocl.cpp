@@ -141,7 +141,7 @@ TEST(NoclLaunch, ArgumentBlockHoldsTaggedCapabilities)
     const kc::ParamSlot &slot = r.kernel->params[1];
     ASSERT_TRUE(slot.isPtr);
     const cap::CapMem mem =
-        dev.sm().dram().loadCap(kc::argBlockAddress() + slot.offset);
+        dev.dram().loadCap(kc::argBlockAddress() + slot.offset);
     EXPECT_TRUE(mem.tag);
     const cap::CapPipe c = cap::fromMem(mem);
     EXPECT_EQ(cap::getBase(c), bi.addr);
@@ -163,10 +163,10 @@ TEST(NoclLaunch, BaselineArgumentBlockIsUntagged)
         k, cfg, {Arg::integer(n), Arg::buffer(bi), Arg::buffer(bo)});
     ASSERT_TRUE(r.completed);
     const kc::ParamSlot &slot = r.kernel->params[1];
-    EXPECT_EQ(dev.sm().dram().load32(kc::argBlockAddress() + slot.offset),
+    EXPECT_EQ(dev.dram().load32(kc::argBlockAddress() + slot.offset),
               bi.addr);
     EXPECT_FALSE(
-        dev.sm().dram().wordTag(kc::argBlockAddress() + slot.offset));
+        dev.dram().wordTag(kc::argBlockAddress() + slot.offset));
 }
 
 TEST(NoclLaunch, RepeatedLaunchesAreIsolated)

@@ -61,7 +61,8 @@ TEST(Safety, AndPermDroppingStoreMakesStoresTrap)
     a.emit(Op::SIMT_HALT, 0, 0, 0);
 
     simt::MainMemory dram;
-    simt::Sm sm(tinyCheri(), dram);
+    simt::MemShard mem(dram);
+    simt::Sm sm(tinyCheri(), mem);
     runAsm(sm, a);
     EXPECT_TRUE(sm.trapped());
     EXPECT_EQ(sm.firstTrap().kind, simt::TrapKind::StorePermViolation);
@@ -78,7 +79,8 @@ TEST(Safety, SealedCapabilityCannotBeDereferenced)
     a.emit(Op::SIMT_HALT, 0, 0, 0);
 
     simt::MainMemory dram;
-    simt::Sm sm(tinyCheri(), dram);
+    simt::MemShard mem(dram);
+    simt::Sm sm(tinyCheri(), mem);
     runAsm(sm, a);
     EXPECT_TRUE(sm.trapped());
     EXPECT_EQ(sm.firstTrap().kind, simt::TrapKind::SealViolation);
@@ -99,10 +101,11 @@ TEST(Safety, SealedCapabilityResistsMutation)
     a.emit(Op::SIMT_HALT, 0, 0, 0);
 
     simt::MainMemory dram;
-    simt::Sm sm(tinyCheri(), dram);
+    simt::MemShard mem(dram);
+    simt::Sm sm(tinyCheri(), mem);
     runAsm(sm, a);
     EXPECT_FALSE(sm.trapped()) << sm.firstTrap().kind;
-    EXPECT_EQ(sm.dram().load32(simt::kDramBase), 0u); // tag cleared
+    EXPECT_EQ(mem.load32(simt::kDramBase), 0u); // tag cleared
 }
 
 TEST(Safety, SentryCallAndReturn)
@@ -134,11 +137,12 @@ TEST(Safety, SentryCallAndReturn)
     a.emit(Op::SIMT_HALT, 0, 0, 0);
 
     simt::MainMemory dram;
-    simt::Sm sm(tinyCheri(), dram);
+    simt::MemShard mem(dram);
+    simt::Sm sm(tinyCheri(), mem);
     runAsm(sm, a);
     EXPECT_FALSE(sm.trapped()) << sm.firstTrap().kind;
-    EXPECT_EQ(sm.dram().load32(simt::kDramBase), 99u);
-    EXPECT_EQ(sm.dram().load32(simt::kDramBase + 4), 42u);
+    EXPECT_EQ(mem.load32(simt::kDramBase), 99u);
+    EXPECT_EQ(mem.load32(simt::kDramBase + 4), 42u);
 }
 
 TEST(Safety, JumpThroughDataCapabilityTraps)
@@ -154,7 +158,8 @@ TEST(Safety, JumpThroughDataCapabilityTraps)
     a.emit(Op::SIMT_HALT, 0, 0, 0);
 
     simt::MainMemory dram;
-    simt::Sm sm(tinyCheri(), dram);
+    simt::MemShard mem(dram);
+    simt::Sm sm(tinyCheri(), mem);
     runAsm(sm, a);
     EXPECT_TRUE(sm.trapped());
     EXPECT_EQ(sm.firstTrap().kind, simt::TrapKind::JumpPermViolation);

@@ -489,14 +489,15 @@ TEST(SmExec, StoreHartidBaseline)
     SmConfig cfg = SmConfig::baseline();
     cfg.numWarps = 8; // keep the test fast
     MainMemory dram;
-    Sm sm(cfg, dram);
+    MemShard mem(dram);
+    Sm sm(cfg, mem);
     sm.loadProgram(storeHartidProgram());
     sm.launch(0, 1);
     ASSERT_TRUE(sm.run());
     EXPECT_FALSE(sm.trapped());
 
     for (unsigned t = 0; t < cfg.numThreads(); ++t)
-        EXPECT_EQ(sm.dram().load32(kDramBase + 4 * t), t);
+        EXPECT_EQ(mem.load32(kDramBase + 4 * t), t);
 
     // Unit-stride stores coalesce: 8 lanes' 4-byte stores per 32-byte
     // segment -> numThreads*4/32 transactions.
@@ -532,14 +533,15 @@ TEST(SmExec, DivergenceAndReconvergence)
     SmConfig cfg = SmConfig::baseline();
     cfg.numWarps = 2;
     MainMemory dram;
-    Sm sm(cfg, dram);
+    MemShard mem(dram);
+    Sm sm(cfg, mem);
     sm.loadProgram(a.finalize());
     sm.launch(0, 1);
     ASSERT_TRUE(sm.run());
 
     for (unsigned t = 0; t < cfg.numThreads(); ++t) {
         const uint32_t expect = t % 2 ? t + 100 : t + 200;
-        EXPECT_EQ(sm.dram().load32(kDramBase + 4 * t), expect) << t;
+        EXPECT_EQ(mem.load32(kDramBase + 4 * t), expect) << t;
     }
 }
 
@@ -569,14 +571,15 @@ TEST(SmExec, LoopWithVariableTripCount)
     SmConfig cfg = SmConfig::baseline();
     cfg.numWarps = 1;
     MainMemory dram;
-    Sm sm(cfg, dram);
+    MemShard mem(dram);
+    Sm sm(cfg, mem);
     sm.loadProgram(a.finalize());
     sm.launch(0, 1);
     ASSERT_TRUE(sm.run());
 
     for (unsigned lane = 0; lane < cfg.numLanes; ++lane) {
         const uint32_t n = lane + 1;
-        EXPECT_EQ(sm.dram().load32(kDramBase + 4 * lane), n * (n + 1) / 2);
+        EXPECT_EQ(mem.load32(kDramBase + 4 * lane), n * (n + 1) / 2);
     }
 }
 
@@ -608,14 +611,15 @@ TEST(SmExec, BarrierAndScratchpad)
     SmConfig cfg = SmConfig::baseline();
     cfg.numWarps = 4;
     MainMemory dram;
-    Sm sm(cfg, dram);
+    MemShard mem(dram);
+    Sm sm(cfg, mem);
     sm.loadProgram(a.finalize());
     sm.launch(0, cfg.numWarps); // all warps form one block
     ASSERT_TRUE(sm.run());
 
     const unsigned n = cfg.numThreads();
     for (unsigned t = 0; t < n; ++t)
-        EXPECT_EQ(sm.dram().load32(kDramBase + 4 * t), (t + 1) % n);
+        EXPECT_EQ(mem.load32(kDramBase + 4 * t), (t + 1) % n);
     EXPECT_GE(sm.stats().get("barriers_released"), 1u);
 }
 
@@ -631,11 +635,12 @@ TEST(SmExec, AtomicAddAccumulates)
     SmConfig cfg = SmConfig::baseline();
     cfg.numWarps = 4;
     MainMemory dram;
-    Sm sm(cfg, dram);
+    MemShard mem(dram);
+    Sm sm(cfg, mem);
     sm.loadProgram(a.finalize());
     sm.launch(0, 1);
     ASSERT_TRUE(sm.run());
-    EXPECT_EQ(sm.dram().load32(kDramBase), cfg.numThreads());
+    EXPECT_EQ(mem.load32(kDramBase), cfg.numThreads());
 }
 
 // Pure-capability execution: derive a buffer capability from DDC, store
@@ -662,14 +667,15 @@ TEST(SmExec, PurecapStoreInBounds)
     SmConfig cfg = SmConfig::cheriOptimised();
     cfg.numWarps = 2;
     MainMemory dram;
-    Sm sm(cfg, dram);
+    MemShard mem(dram);
+    Sm sm(cfg, mem);
     sm.loadProgram(purecapStoreProgram(4, 0));
     sm.setScr(isa::SCR_DDC, cap::rootCap());
     sm.launch(0, 1);
     ASSERT_TRUE(sm.run());
     EXPECT_FALSE(sm.trapped());
     for (unsigned t = 0; t < cfg.numThreads(); ++t)
-        EXPECT_EQ(sm.dram().load32(kDramBase + 4 * t), t);
+        EXPECT_EQ(mem.load32(kDramBase + 4 * t), t);
     EXPECT_GT(sm.stats().get("op_csetboundsimm"), 0u);
     EXPECT_GT(sm.stats().get("op_csw"), 0u);
 }
@@ -679,7 +685,8 @@ TEST(SmExec, PurecapOutOfBoundsStoreTraps)
     SmConfig cfg = SmConfig::cheriOptimised();
     cfg.numWarps = 1;
     MainMemory dram;
-    Sm sm(cfg, dram);
+    MemShard mem(dram);
+    Sm sm(cfg, mem);
     // Bounds of 4 bytes but store at offset +4: one byte past the end.
     sm.loadProgram(purecapStoreProgram(4, 4));
     sm.setScr(isa::SCR_DDC, cap::rootCap());
@@ -703,7 +710,8 @@ TEST(SmExec, PurecapUntaggedPointerTraps)
     SmConfig cfg = SmConfig::cheriOptimised();
     cfg.numWarps = 1;
     MainMemory dram;
-    Sm sm(cfg, dram);
+    MemShard mem(dram);
+    Sm sm(cfg, mem);
     sm.loadProgram(a.finalize());
     sm.setScr(isa::SCR_DDC, cap::rootCap());
     sm.launch(0, 1);
@@ -711,7 +719,7 @@ TEST(SmExec, PurecapUntaggedPointerTraps)
     EXPECT_TRUE(sm.trapped());
     EXPECT_EQ(sm.firstTrap().kind, TrapKind::TagViolation);
     // The forged store must not have modified memory.
-    EXPECT_EQ(sm.dram().load32(kDramBase), 0u);
+    EXPECT_EQ(mem.load32(kDramBase), 0u);
 }
 
 TEST(SmExec, PurecapCapabilityLoadStoreRoundTrip)
@@ -733,15 +741,16 @@ TEST(SmExec, PurecapCapabilityLoadStoreRoundTrip)
     cfg.numWarps = 1;
     cfg.numLanes = 1; // uniform addresses; single lane suffices
     MainMemory dram;
-    Sm sm(cfg, dram);
+    MemShard mem(dram);
+    Sm sm(cfg, mem);
     sm.loadProgram(a.finalize());
     sm.setScr(isa::SCR_DDC, cap::rootCap());
     sm.launch(0, 1);
     ASSERT_TRUE(sm.run());
     EXPECT_FALSE(sm.trapped()) << sm.firstTrap().kind;
-    EXPECT_EQ(sm.dram().load32(kDramBase + 64), 77u);
+    EXPECT_EQ(mem.load32(kDramBase + 64), 77u);
     // The stored capability in memory carries its tag.
-    EXPECT_TRUE(sm.dram().loadCap(kDramBase).tag);
+    EXPECT_TRUE(mem.loadCap(kDramBase).tag);
 }
 
 TEST(SmExec, CorruptedCapabilityInMemoryLosesTag)
@@ -765,7 +774,8 @@ TEST(SmExec, CorruptedCapabilityInMemoryLosesTag)
     cfg.numWarps = 1;
     cfg.numLanes = 1;
     MainMemory dram;
-    Sm sm(cfg, dram);
+    MemShard mem(dram);
+    Sm sm(cfg, mem);
     sm.loadProgram(a.finalize());
     sm.setScr(isa::SCR_DDC, cap::rootCap());
     sm.launch(0, 1);
@@ -786,7 +796,8 @@ TEST(SmExec, CscPortStallCounted)
     SmConfig cfg = SmConfig::cheriOptimised();
     cfg.numWarps = 1;
     MainMemory dram;
-    Sm sm(cfg, dram);
+    MemShard mem(dram);
+    Sm sm(cfg, mem);
     sm.loadProgram(a.finalize());
     sm.setScr(isa::SCR_DDC, cap::rootCap());
     sm.launch(0, 1);
@@ -797,7 +808,8 @@ TEST(SmExec, CscPortStallCounted)
     SmConfig cfg2 = SmConfig::cheri();
     cfg2.numWarps = 1;
     MainMemory sm2_dram;
-    Sm sm2(cfg2, sm2_dram);
+    MemShard sm2_mem(sm2_dram);
+    Sm sm2(cfg2, sm2_mem);
     sm2.loadProgram(a.finalize());
     sm2.setScr(isa::SCR_DDC, cap::rootCap());
     sm2.launch(0, 1);
@@ -823,14 +835,15 @@ TEST(SmExec, SfuOffloadServicesBoundsOps)
     SmConfig cfg = SmConfig::cheriOptimised();
     cfg.numWarps = 1;
     MainMemory dram;
-    Sm sm(cfg, dram);
+    MemShard mem(dram);
+    Sm sm(cfg, mem);
     sm.loadProgram(a.finalize());
     sm.setScr(isa::SCR_DDC, cap::rootCap());
     sm.launch(0, 1);
     ASSERT_TRUE(sm.run());
     EXPECT_FALSE(sm.trapped()) << sm.firstTrap().kind;
-    EXPECT_EQ(sm.dram().load32(kDramBase), 256u);
-    EXPECT_EQ(sm.dram().load32(kDramBase + 4), kDramBase);
+    EXPECT_EQ(mem.load32(kDramBase), 256u);
+    EXPECT_EQ(mem.load32(kDramBase + 4), kDramBase);
     EXPECT_GT(sm.stats().get("sfu_cheri_ops"), 0u);
 }
 
@@ -839,7 +852,8 @@ TEST(SmExec, SfuOffloadServicesBoundsOps)
 TEST(SmScrDeath, SetScrRejectsOutOfRangeIndex)
 {
     MainMemory dram;
-    Sm sm(SmConfig::cheriOptimised(), dram);
+    MemShard mem(dram);
+    Sm sm(SmConfig::cheriOptimised(), mem);
     EXPECT_EXIT(sm.setScr(static_cast<isa::Scr>(isa::NUM_SCRS),
                           cap::rootCap()),
                 testing::ExitedWithCode(1), "out of range");
@@ -848,7 +862,8 @@ TEST(SmScrDeath, SetScrRejectsOutOfRangeIndex)
 TEST(SmScrDeath, ScrAccessorRejectsOutOfRangeIndex)
 {
     MainMemory dram;
-    Sm sm(SmConfig::cheriOptimised(), dram);
+    MemShard mem(dram);
+    Sm sm(SmConfig::cheriOptimised(), mem);
     EXPECT_EXIT((void)sm.scr(static_cast<isa::Scr>(31)),
                 testing::ExitedWithCode(1), "out of range");
 }
@@ -863,7 +878,8 @@ TEST(SmTrap, CspecialrwBadIndexTrapsInsteadOfCorrupting)
     a.emit(Op::SIMT_HALT, 0, 0, 0);
 
     MainMemory dram;
-    Sm sm(SmConfig::cheriOptimised(), dram);
+    MemShard mem(dram);
+    Sm sm(SmConfig::cheriOptimised(), mem);
     sm.loadProgram(a.finalize());
     sm.setScr(isa::SCR_DDC, cap::rootCap());
     sm.launch(0, 1);

@@ -48,7 +48,8 @@ TEST(SmTiming, BarrelSchedulerReachesFullThroughput)
     SmConfig cfg = SmConfig::baseline();
     cfg.numWarps = 16;
     MainMemory dram;
-    Sm sm(cfg, dram);
+    MemShard mem(dram);
+    Sm sm(cfg, mem);
     const unsigned n = 200;
     const uint64_t cycles = runCycles(sm, aluProgram(n));
     const uint64_t instrs = sm.stats().get("instrs");
@@ -65,7 +66,8 @@ TEST(SmTiming, SingleWarpPaysPipelineDepth)
     SmConfig cfg = SmConfig::baseline();
     cfg.numWarps = 1;
     MainMemory dram;
-    Sm sm(cfg, dram);
+    MemShard mem(dram);
+    Sm sm(cfg, mem);
     const unsigned n = 100;
     const uint64_t cycles = runCycles(sm, aluProgram(n));
     EXPECT_NEAR(static_cast<double>(cycles),
@@ -85,10 +87,12 @@ TEST(SmTiming, DividerLatencyVisible)
     div_prog.emit(Op::SIMT_HALT, 0, 0, 0);
 
     MainMemory sm1_dram;
-    Sm sm1(cfg, sm1_dram);
+    MemShard sm1_mem(sm1_dram);
+    Sm sm1(cfg, sm1_mem);
     const uint64_t div_cycles = runCycles(sm1, div_prog.finalize());
     MainMemory sm2_dram;
-    Sm sm2(cfg, sm2_dram);
+    MemShard sm2_mem(sm2_dram);
+    Sm sm2(cfg, sm2_mem);
     const uint64_t alu_cycles = runCycles(sm2, aluProgram(51));
 
     // Each divide costs divLatency extra cycles for a lone warp.
@@ -124,10 +128,12 @@ TEST(SmTiming, SfuSerialisesOverActiveLanes)
     }
 
     MainMemory sm1_dram;
-    Sm sm1(cfg, sm1_dram);
+    MemShard sm1_mem(sm1_dram);
+    Sm sm1(cfg, sm1_mem);
     const uint64_t full_cycles = runCycles(sm1, full.finalize());
     MainMemory sm2_dram;
-    Sm sm2(cfg, sm2_dram);
+    MemShard sm2_mem(sm2_dram);
+    Sm sm2(cfg, sm2_mem);
     const uint64_t lone_cycles = runCycles(sm2, lone.finalize());
 
     EXPECT_GT(full_cycles, lone_cycles + 20 * (cfg.numLanes - 1) / 2);
@@ -154,10 +160,12 @@ TEST(SmTiming, ScratchpadConflictsSerialise)
     };
 
     MainMemory conflict_free_dram;
-    Sm conflict_free(cfg, conflict_free_dram);
+    MemShard conflict_free_mem(conflict_free_dram);
+    Sm conflict_free(cfg, conflict_free_mem);
     const uint64_t fast = runCycles(conflict_free, make(2)); // stride 1
     MainMemory conflicted_dram;
-    Sm conflicted(cfg, conflicted_dram);
+    MemShard conflicted_mem(conflicted_dram);
+    Sm conflicted(cfg, conflicted_mem);
     const uint64_t slow = runCycles(conflicted, make(7)); // stride 32
 
     // 50 accesses x ~31 extra serialisation cycles.
@@ -182,13 +190,15 @@ TEST(SmTiming, CapabilityAccessesAreTwoFlit)
     };
 
     MainMemory sm_lw_dram;
-    Sm sm_lw(cfg, sm_lw_dram);
+    MemShard sm_lw_mem(sm_lw_dram);
+    Sm sm_lw(cfg, sm_lw_mem);
     const uint64_t lw_slots = [&] {
         runCycles(sm_lw, make(false));
         return sm_lw.stats().get("issue_slots");
     }();
     MainMemory sm_clc_dram;
-    Sm sm_clc(cfg, sm_clc_dram);
+    MemShard sm_clc_mem(sm_clc_dram);
+    Sm sm_clc(cfg, sm_clc_mem);
     const uint64_t clc_slots = [&] {
         runCycles(sm_clc, make(true));
         return sm_clc.stats().get("issue_slots");
@@ -203,7 +213,8 @@ TEST(SmTiming, StackCacheAbsorbsRepeatedSlotTraffic)
     SmConfig cfg = SmConfig::cheriOptimised();
     cfg.numWarps = 4;
     MainMemory dram;
-    Sm sm(cfg, dram);
+    MemShard mem(dram);
+    Sm sm(cfg, mem);
 
     Assembler a;
     a.emitI(Op::CSPECIALRW, 5, 0, isa::SCR_DDC);
@@ -232,7 +243,8 @@ TEST(SmTiming, DramBandwidthBoundsStreaming)
     SmConfig cfg = SmConfig::baseline();
     cfg.numWarps = 16;
     MainMemory dram;
-    Sm sm(cfg, dram);
+    MemShard mem(dram);
+    Sm sm(cfg, mem);
 
     Assembler a;
     a.emitI(Op::CSRRS, 5, 0, isa::CSR_HARTID);
@@ -266,7 +278,8 @@ TEST(SmTiming, DeterministicAcrossRuns)
     uint64_t first = 0;
     for (int run = 0; run < 3; ++run) {
         MainMemory dram;
-        Sm sm(cfg, dram);
+        MemShard mem(dram);
+        Sm sm(cfg, mem);
         const uint64_t cycles = runCycles(sm, aluProgram(300));
         if (run == 0)
             first = cycles;
@@ -311,7 +324,8 @@ TEST(SmTiming, ZeroStackCacheLinesDisablesTheCache)
     cfg.numWarps = 2;
     cfg.stackCacheLines = 0;
     MainMemory dram;
-    Sm sm(cfg, dram);
+    MemShard mem(dram);
+    Sm sm(cfg, mem);
     runCycles(sm, stackSlotProgram(cfg, 10));
     EXPECT_EQ(sm.stats().get("stack_cache_hits"), 0u);
     EXPECT_EQ(sm.stats().get("stack_cache_misses"), 0u);
@@ -332,7 +346,8 @@ TEST(SmTiming, StackCacheLineBytesSetsSlotGranularity)
     wide.numWarps = 4;
     ASSERT_EQ(wide.stackCacheLineBytes, 512u);
     MainMemory sm_wide_dram;
-    Sm sm_wide(wide, sm_wide_dram);
+    MemShard sm_wide_mem(sm_wide_dram);
+    Sm sm_wide(wide, sm_wide_mem);
     runCycles(sm_wide, stackSlotProgram(wide, n));
     EXPECT_EQ(sm_wide.stats().get("stack_cache_misses"), wide.numWarps);
     EXPECT_EQ(sm_wide.stats().get("stack_cache_hits"),
@@ -345,7 +360,8 @@ TEST(SmTiming, StackCacheLineBytesSetsSlotGranularity)
     SmConfig narrow = wide;
     narrow.stackCacheLineBytes = 128;
     MainMemory sm_narrow_dram;
-    Sm sm_narrow(narrow, sm_narrow_dram);
+    MemShard sm_narrow_mem(sm_narrow_dram);
+    Sm sm_narrow(narrow, sm_narrow_mem);
     runCycles(sm_narrow, stackSlotProgram(narrow, n));
     EXPECT_EQ(sm_narrow.stats().get("stack_cache_misses"),
               2 * narrow.numWarps);
@@ -362,7 +378,8 @@ TEST(SmTimingDeath, UndersizedStackCacheLineIsFatal)
     SmConfig cfg = SmConfig::cheriOptimised();
     cfg.stackCacheLineBytes = 64;
     MainMemory dram;
-    EXPECT_EXIT({ Sm sm(cfg, dram); }, testing::ExitedWithCode(1),
+    MemShard mem(dram);
+    EXPECT_EXIT({ Sm sm(cfg, mem); }, testing::ExitedWithCode(1),
                 "stackCacheLineBytes");
 }
 

@@ -181,14 +181,14 @@ TEST(TraceParity, TrapForensicsDoNotPerturb)
 {
     for (bool fast : {false, true}) {
         SCOPED_TRACE(fast ? "accelerated" : "reference");
-        simt::MainMemory plain_dram;
-        simt::Sm plain(trapConfig(fast), plain_dram);
+        simt::MemorySystem plain_mem(1);
+        simt::Sm plain(trapConfig(fast), plain_mem.shard(0));
         const simt::TrapInfo ref = runTrapProgram(plain);
         ASSERT_EQ(ref.kind, simt::TrapKind::BoundsViolation);
 
         Session session = makeSession();
-        simt::MainMemory traced_dram;
-        simt::Sm traced(trapConfig(fast), traced_dram);
+        simt::MemorySystem traced_mem(1);
+        simt::Sm traced(trapConfig(fast), traced_mem.shard(0));
         traced.attachTrace(session.smBuffer(0));
         const simt::TrapInfo got = runTrapProgram(traced);
         traced.attachTrace(nullptr);
@@ -199,7 +199,10 @@ TEST(TraceParity, TrapForensicsDoNotPerturb)
         EXPECT_EQ(got.warp, ref.warp);
         EXPECT_EQ(got.lane, ref.lane);
         EXPECT_EQ(traced.cycles(), plain.cycles());
-        EXPECT_EQ(traced.dram().contentHash(), plain.dram().contentHash());
+        traced_mem.commitEpoch();
+        plain_mem.commitEpoch();
+        EXPECT_EQ(traced_mem.base().contentHash(),
+                  plain_mem.base().contentHash());
 
         // The trap record itself must carry the forensic context.
         EXPECT_TRUE(got.hasInstr);
