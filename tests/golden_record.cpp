@@ -7,7 +7,13 @@
  * For the baseline, cheri and cheriOptimised presets x the 14
  * benchmarks at Size::Small on 1 SM, plus cheriOptimised at 2 and 4
  * SMs, one fresh device per point runs the kernel with the default
- * engine and records:
+ * engine. The suite traps nowhere at this size, so trap points follow:
+ * baseline, cheri and cheriOptimised at 1 SM and cheriOptimised at 4
+ * SMs rerun a few kernels with a launch-time memory fault on the
+ * kernel's first pointer-argument slot (the slot the fault campaign
+ * strikes), chosen to raise tag, bounds, misaligned and unmapped-access
+ * traps through both the affine and the per-lane memory checks. Each
+ * point records:
  *
  *  - cycles (and each SM's own cycle count);
  *  - every modelled stat (everything but the host-only simhost_*);
@@ -30,6 +36,7 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
@@ -37,9 +44,11 @@
 #include <string>
 #include <vector>
 
+#include "kc/codegen.hpp"
 #include "kernels/suite.hpp"
 #include "nocl/nocl.hpp"
 #include "simt/config.hpp"
+#include "simt/faultinject.hpp"
 
 namespace
 {
@@ -85,19 +94,85 @@ line(std::string &out, const char *fmt, ...)
     out += '\n';
 }
 
-/** One point's record block. */
-std::string
-recordPoint(const Preset &p, kernels::Benchmark &bench)
+/** A launch-time memory fault on the first pointer-argument slot. */
+struct SlotFault
+{
+    const char *name;
+    simt::FaultSite site;
+    unsigned offset; ///< byte offset into the slot (4: capability metadata)
+    unsigned bit;
+};
+
+std::vector<SlotFault>
+slotFaults(bool purecap)
+{
+    using simt::FaultSite;
+    if (!purecap) {
+        return {
+            {"misaligned", FaultSite::DramWordFlip, 0, 1},
+            {"unmapped", FaultSite::DramWordFlip, 0, 27},
+        };
+    }
+    return {
+        {"tag", FaultSite::TagClear, 0, 0},
+        {"bounds", FaultSite::DramWordFlip, 4, 2},
+        {"misaligned", FaultSite::DramWordFlip, 0, 1},
+    };
+}
+
+/** The presets that get trap points, and the kernels they run. */
+std::vector<Preset>
+trapPresets()
+{
+    std::vector<Preset> out;
+    for (const Preset &p : presets())
+        if (p.sms != 2)
+            out.push_back(p);
+    return out;
+}
+
+const char *const kTrapBenches[] = {"VecAdd", "Histogram"};
+
+/** The DRAM address of @p bench's first pointer-argument slot, from a
+ *  fault-free compile on @p p's device. */
+uint32_t
+firstPtrSlot(const Preset &p, kernels::Benchmark &bench)
 {
     simt::SmConfig cfg = p.cfg;
     cfg.numSms = p.sms;
+    nocl::Device dev(cfg, p.mode);
+    kernels::Prepared prep = bench.prepare(dev, kernels::Size::Small);
+    for (const kc::ParamSlot &slot :
+         dev.compileCached(*prep.kernel, prep.cfg)->params) {
+        if (slot.isPtr)
+            return kc::argBlockAddress() + slot.offset;
+    }
+    std::fprintf(stderr, "golden_record: %s has no pointer argument\n",
+                 bench.name().c_str());
+    std::exit(2);
+}
+
+/** One point's record block; @p fault names the point's slot fault. */
+std::string
+recordPoint(const Preset &p, kernels::Benchmark &bench,
+            const simt::FaultPlan &plan = simt::FaultPlan{},
+            const char *fault = nullptr)
+{
+    simt::SmConfig cfg = p.cfg;
+    cfg.numSms = p.sms;
+    cfg.faultPlan = plan;
     nocl::Device dev(cfg, p.mode);
     kernels::Prepared prep = bench.prepare(dev, kernels::Size::Small);
     const nocl::RunResult run = dev.launch(*prep.kernel, prep.cfg, prep.args);
     const bool verified = prep.verify(dev);
 
     std::string out;
-    line(out, "point %s/%s sms=%u", p.name, bench.name().c_str(), p.sms);
+    if (fault != nullptr)
+        line(out, "point %s/%s/%s sms=%u", p.name, bench.name().c_str(),
+             fault, p.sms);
+    else
+        line(out, "point %s/%s sms=%u", p.name, bench.name().c_str(),
+             p.sms);
     line(out, "  cycles %" PRIu64, run.cycles);
     for (size_t i = 0; i < run.smCycles.size(); ++i)
         line(out, "  sm%zu_cycles %" PRIu64, i, run.smCycles[i]);
@@ -140,6 +215,19 @@ recordAll()
     for (const Preset &p : presets()) {
         for (const auto &bench : kernels::makeSuite())
             out += recordPoint(p, *bench);
+    }
+    for (const Preset &p : trapPresets()) {
+        for (const char *name : kTrapBenches) {
+            const auto bench = kernels::makeBenchmark(name);
+            const uint32_t slot = firstPtrSlot(p, *bench);
+            for (const SlotFault &f : slotFaults(p.mode == Mode::Purecap)) {
+                simt::FaultPlan plan;
+                plan.site = f.site;
+                plan.addr = slot + f.offset;
+                plan.bit = f.bit;
+                out += recordPoint(p, *bench, plan, f.name);
+            }
+        }
     }
     return out;
 }

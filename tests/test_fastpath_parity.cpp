@@ -23,7 +23,7 @@
  * per-lane capability metadata); dedicated trap tests cover partial-warp
  * faults where only some lanes of a warp go out of bounds, including a
  * fault raised inside a divergent block after handler-dispatched ALU
- * work.
+ * work, and baseline affine accesses whose every lane is misaligned.
  */
 
 #include <gtest/gtest.h>
@@ -232,17 +232,21 @@ INSTANTIATE_TEST_SUITE_P(
                configName(std::get<1>(info.param));
     });
 
-// ---- Partial-warp trap parity ----
+// ---- Trap parity ----
 //
 // Hand-assembled purecap programs where per-lane addresses walk out of a
-// 64-byte window mid-warp, so only some lanes fault. The accelerated
-// engine must commit exactly the same first trap (warp, lane, pc,
-// address, kind) and the same counters as the reference engine.
+// 64-byte window mid-warp, so only some lanes fault, and baseline
+// programs whose affine lane addresses are all misaligned, so every lane
+// takes the containment trap. The accelerated engine must commit exactly
+// the same first trap (warp, lane, pc, address, kind), cycles, memory
+// and counters as the reference engine.
+
+using Preset = simt::SmConfig (*)();
 
 simt::SmConfig
-trapConfig(bool host_fast_path)
+trapConfig(Preset preset, bool host_fast_path)
 {
-    simt::SmConfig cfg = simt::SmConfig::cheriOptimised();
+    simt::SmConfig cfg = preset();
     cfg.numWarps = 2;
     cfg.numLanes = 8;
     cfg.hostFastPath = host_fast_path;
@@ -297,6 +301,24 @@ emitDivergentTrapProgram(Assembler &a)
     a.emit(Op::SIMT_HALT, 0, 0, 0);
 }
 
+/** Baseline variant: lane addresses are kDramBase + 4 * thread id, an
+ *  affine warp whose every lane is 2 bytes off word alignment once the
+ *  access adds its offset. No capability check applies, so each lane
+ *  takes the misaligned-access containment trap. */
+void
+emitMisalignedProgram(Assembler &a, Op access)
+{
+    a.emitI(Op::LUI, 3, 0, static_cast<int32_t>(simt::kDramBase));
+    a.emitI(Op::CSRRS, 9, 0, isa::CSR_HARTID);
+    a.emitI(Op::SLLI, 9, 9, 2);
+    a.emitR(Op::ADD, 3, 3, 9);
+    if (access == Op::LW)
+        a.emitI(Op::LW, 4, 3, 2);
+    else
+        a.emit(Op::SW, 0, 3, 9, 2);
+    a.emit(Op::SIMT_HALT, 0, 0, 0);
+}
+
 template <typename EmitFn>
 simt::TrapInfo
 runTrapProgram(simt::Sm &sm, EmitFn emit_program)
@@ -313,17 +335,18 @@ runTrapProgram(simt::Sm &sm, EmitFn emit_program)
 
 template <typename EmitFn>
 void
-expectTrapParity(EmitFn emit_program, unsigned expect_lane)
+expectTrapParity(Preset preset, EmitFn emit_program,
+                 simt::TrapKind expect_kind, unsigned expect_lane)
 {
     simt::MemorySystem reference_mem(1);
-    simt::Sm reference(trapConfig(false), reference_mem.shard(0));
+    simt::Sm reference(trapConfig(preset, false), reference_mem.shard(0));
     const simt::TrapInfo ref = runTrapProgram(reference, emit_program);
-    EXPECT_EQ(ref.kind, simt::TrapKind::BoundsViolation);
+    EXPECT_EQ(ref.kind, expect_kind);
     EXPECT_EQ(ref.warp, 0u);
     EXPECT_EQ(ref.lane, expect_lane);
 
     simt::MemorySystem mem(1);
-    simt::Sm sm(trapConfig(true), mem.shard(0));
+    simt::Sm sm(trapConfig(preset, true), mem.shard(0));
     const simt::TrapInfo got = runTrapProgram(sm, emit_program);
     expectSameTrap(got, ref);
     EXPECT_EQ(sm.cycles(), reference.cycles());
@@ -336,21 +359,40 @@ expectTrapParity(EmitFn emit_program, unsigned expect_lane)
 TEST(EngineTrapParity, PartialWarpLoadFault)
 {
     expectTrapParity(
+        simt::SmConfig::cheriOptimised,
         [](Assembler &a) { emitStridedTrapProgram(a, Op::LW); },
-        /*expect_lane=*/4);
+        simt::TrapKind::BoundsViolation, /*expect_lane=*/4);
 }
 
 TEST(EngineTrapParity, PartialWarpStoreFault)
 {
     expectTrapParity(
+        simt::SmConfig::cheriOptimised,
         [](Assembler &a) { emitStridedTrapProgram(a, Op::SW); },
-        /*expect_lane=*/4);
+        simt::TrapKind::BoundsViolation, /*expect_lane=*/4);
 }
 
 TEST(EngineTrapParity, MidBlockDivergentFault)
 {
-    expectTrapParity([](Assembler &a) { emitDivergentTrapProgram(a); },
-                     /*expect_lane=*/5);
+    expectTrapParity(simt::SmConfig::cheriOptimised,
+                     [](Assembler &a) { emitDivergentTrapProgram(a); },
+                     simt::TrapKind::BoundsViolation, /*expect_lane=*/5);
+}
+
+TEST(EngineTrapParity, BaselineMisalignedAffineLoad)
+{
+    expectTrapParity(
+        simt::SmConfig::baseline,
+        [](Assembler &a) { emitMisalignedProgram(a, Op::LW); },
+        simt::TrapKind::MisalignedAccess, /*expect_lane=*/0);
+}
+
+TEST(EngineTrapParity, BaselineMisalignedAffineStore)
+{
+    expectTrapParity(
+        simt::SmConfig::baseline,
+        [](Assembler &a) { emitMisalignedProgram(a, Op::SW); },
+        simt::TrapKind::MisalignedAccess, /*expect_lane=*/0);
 }
 
 } // namespace
