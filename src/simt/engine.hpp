@@ -94,10 +94,11 @@ bool fusionSelected();
 
 // ---- Packed memory lanes ----
 //
-// When Sm::executeWarp's affine DRAM fast path has proved a warp-wide
-// bounds/tag/alignment verdict and every lane falls in one 4 KiB page,
-// the remaining per-lane work is pure data movement over the SM's
-// private little-endian copy of that page (MemShard::pageData).
+// When Sm::memAffine (the accelerated memory step) has proved a
+// warp-wide bounds/tag/alignment verdict and every lane falls in one
+// 4 KiB DRAM page, the remaining per-lane work is pure data movement
+// over the SM's private little-endian copy of that page
+// (MemShard::pageData).
 // These handlers perform exactly that movement (AVX2 gather/blend when
 // selected, an explicit little-endian scalar loop otherwise), leaving
 // timing, word marks, tag maintenance and trap logic with the caller --
