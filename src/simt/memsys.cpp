@@ -132,6 +132,7 @@ MemShard::store8(uint32_t addr, uint8_t value)
     Page &p = page(addr);
     const uint32_t off = (addr - kDramBase) & (kPageBytes - 1);
     mark(p.dirty, off);
+    unmark(p.tag, off);
     p.data[off] = value;
 }
 
@@ -147,6 +148,8 @@ MemShard::store16(uint32_t addr, uint16_t value)
     const uint32_t off = (addr - kDramBase) & (kPageBytes - 1);
     mark(p.dirty, off);
     mark(p.dirty, off + 1);
+    unmark(p.tag, off);
+    unmark(p.tag, off + 1);
     p.data[off] = static_cast<uint8_t>(value);
     p.data[off + 1] = static_cast<uint8_t>(value >> 8);
 }
@@ -165,6 +168,8 @@ MemShard::store32(uint32_t addr, uint32_t value)
     const uint32_t off = (addr - kDramBase) & (kPageBytes - 1);
     mark(p.dirty, off);
     mark(p.dirty, off + 3);
+    unmark(p.tag, off);
+    unmark(p.tag, off + 3);
     p.data[off] = static_cast<uint8_t>(value);
     p.data[off + 1] = static_cast<uint8_t>(value >> 8);
     p.data[off + 2] = static_cast<uint8_t>(value >> 16);
@@ -212,15 +217,6 @@ MemShard::storeCap(uint32_t addr, const cap::CapMem &value)
     store32(addr + 4, static_cast<uint32_t>(value.bits >> 32));
     setWordTag(addr, value.tag);
     setWordTag(addr + 4, value.tag);
-}
-
-void
-MemShard::clearTagForStore(uint32_t addr, unsigned bytes)
-{
-    const uint32_t first = addr & ~3u;
-    const uint32_t last = (addr + bytes - 1) & ~3u;
-    for (uint32_t a = first; a <= last; a += 4)
-        setWordTag(a, false);
 }
 
 uint32_t

@@ -83,6 +83,8 @@ class MemShard
     uint8_t load8(uint32_t addr);
     uint16_t load16(uint32_t addr);
     uint32_t load32(uint32_t addr);
+    /** Plain (non-capability) stores: each also clears the tag of every
+     *  word it covers, in the page it already holds (Section 3.4). */
     void store8(uint32_t addr, uint8_t value);
     void store16(uint32_t addr, uint16_t value);
     void store32(uint32_t addr, uint32_t value);
@@ -91,7 +93,6 @@ class MemShard
     void setWordTag(uint32_t addr, bool tag);
     cap::CapMem loadCap(uint32_t addr);
     void storeCap(uint32_t addr, const cap::CapMem &value);
-    void clearTagForStore(uint32_t addr, unsigned bytes);
 
     /**
      * Atomic read-modify-write of the aligned word at @p addr. Tracked
@@ -166,6 +167,13 @@ class MemShard
     {
         const uint32_t wi = offset_in_page >> 2;
         m[wi >> 6] |= uint64_t{1} << (wi & 63);
+    }
+
+    static void
+    unmark(std::array<uint64_t, kMaskWords> &m, uint32_t offset_in_page)
+    {
+        const uint32_t wi = offset_in_page >> 2;
+        m[wi >> 6] &= ~(uint64_t{1} << (wi & 63));
     }
 
     static bool

@@ -123,7 +123,7 @@ TEST(MemShard, TagsFollowOverlay)
     simt::MemShard shard(base);
 
     EXPECT_TRUE(shard.wordTag(kA));
-    shard.clearTagForStore(kA, 4);
+    shard.store32(kA, 0);
     EXPECT_FALSE(shard.wordTag(kA));
     EXPECT_TRUE(base.wordTag(kA));
 }
