@@ -142,6 +142,9 @@ Device::Device(const simt::SmConfig &sm_cfg, kc::CompileOptions::Mode mode)
     fatal_if(mode != kc::CompileOptions::Mode::Purecap && sm_cfg.purecap,
              "a CHERI SM runs pure-capability code");
     fatal_if(sm_cfg.numSms == 0, "a device needs at least one SM");
+    fatal_if(sm_cfg.numLanes == 0 || sm_cfg.numLanes > simt::kMaxLanes,
+             "numLanes (%u) must be 1..%u", sm_cfg.numLanes,
+             simt::kMaxLanes);
     fatal_if(sm_cfg.smId != 0, "Device assigns SM ids itself");
     for (unsigned k = 0; k < sm_cfg.numSms; ++k) {
         simt::SmConfig cfg = smCfg_;

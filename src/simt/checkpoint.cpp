@@ -77,23 +77,32 @@ getCapPipe(ByteReader &r)
     return c;
 }
 
+/** A lane mask as its lane count and one 0/1 byte per lane. */
 void
-putLaneMask(ByteWriter &w, const LaneMask &m)
+putLaneMask(ByteWriter &w, LaneMask m, unsigned lanes)
 {
-    w.u32(static_cast<uint32_t>(m.size()));
-    w.bytes(m.data(), m.size());
+    w.u32(lanes);
+    for (unsigned i = 0; i < lanes; ++i)
+        w.u8((m >> i) & 1);
 }
 
 bool
-getLaneMask(ByteReader &r, LaneMask &m, size_t expect)
+getLaneMask(ByteReader &r, LaneMask &m, unsigned expect)
 {
-    const uint32_t n = r.u32();
-    if (n != expect) {
+    if (r.u32() != expect) {
         r.failWith("lane mask size mismatch");
         return false;
     }
-    m.resize(n);
-    return r.bytes(m.data(), n);
+    m = 0;
+    for (unsigned i = 0; i < expect; ++i) {
+        const uint8_t bit = r.u8();
+        if (bit > 1) {
+            r.failWith("lane mask byte is neither 0 nor 1");
+            return false;
+        }
+        m |= LaneMask{bit} << i;
+    }
+    return !r.failed();
 }
 
 void
@@ -527,9 +536,14 @@ RegFileSystem::saveState(ByteWriter &w) const
     put_entries(dataEntries_);
     put_entries(metaEntries_);
 
+    const auto put_lanes = [&](const LaneArray<uint64_t> &v) {
+        w.u32(cfg_.numLanes);
+        for (unsigned i = 0; i < cfg_.numLanes; ++i)
+            w.u64(v[i]);
+    };
     w.u32(static_cast<uint32_t>(slots_.size()));
     for (const auto &s : slots_)
-        putU64Vec(w, s);
+        put_lanes(s);
     w.u32(static_cast<uint32_t>(slotInfo_.size()));
     for (const SlotInfo &si : slotInfo_) {
         w.b(si.isMeta);
@@ -542,15 +556,17 @@ RegFileSystem::saveState(ByteWriter &w) const
     w.u32(dataSlotsUsed_);
     w.u32(metaSlotsUsed_);
 
-    w.u32(static_cast<uint32_t>(flatMeta_.size()));
-    for (const CapMeta &m : flatMeta_) {
-        w.u32(m.meta);
-        w.b(m.tag);
+    w.u32(static_cast<uint32_t>(flatMeta_.size() * cfg_.numLanes));
+    for (const LaneArray<CapMeta> &reg : flatMeta_) {
+        for (unsigned i = 0; i < cfg_.numLanes; ++i) {
+            w.u32(reg[i].meta);
+            w.b(reg[i].tag);
+        }
     }
 
     w.u32(static_cast<uint32_t>(spillStore_.size()));
     for (const auto &s : spillStore_)
-        putU64Vec(w, s);
+        put_lanes(s);
     putI32Vec(w, freeSpillIds_);
 
     w.u32(dataVecCount_);
@@ -581,18 +597,30 @@ RegFileSystem::loadState(ByteReader &r)
     };
     if (!get_entries(dataEntries_) || !get_entries(metaEntries_))
         return false;
+    // A saved VRF vector is its lane count plus one u64 per lane.
+    const uint64_t vec_bytes = 4 + 8 * uint64_t{cfg_.numLanes};
+    const auto get_lanes = [&](LaneArray<uint64_t> &v) {
+        if (r.u32() != cfg_.numLanes) {
+            r.failWith("VRF vector lane count mismatch");
+            return false;
+        }
+        v = {};
+        for (unsigned i = 0; i < cfg_.numLanes; ++i)
+            v[i] = r.u64();
+        return !r.failed();
+    };
 
     // The slot and slot-info tables grow on demand during a run, so a
     // restore rebuilds them at the saved size (a fresh device and one
     // that already ran a kernel both restore correctly).
     const uint32_t num_slots = r.u32();
-    if (num_slots > (1u << 24)) {
+    if (num_slots * vec_bytes > r.remaining()) {
         r.failWith("VRF slot table implausibly large");
         return false;
     }
     slots_.assign(num_slots, {});
     for (auto &s : slots_) {
-        if (!getU64Vec(r, s))
+        if (!get_lanes(s))
             return false;
     }
     const uint32_t num_info = r.u32();
@@ -614,19 +642,25 @@ RegFileSystem::loadState(ByteReader &r)
     metaSlotsUsed_ = r.u32();
 
     const uint32_t num_flat = r.u32();
-    if (num_flat != flatMeta_.size()) {
+    if (num_flat != flatMeta_.size() * cfg_.numLanes) {
         r.failWith("flat metadata table mismatch");
         return false;
     }
-    for (CapMeta &m : flatMeta_) {
-        m.meta = r.u32();
-        m.tag = r.b();
+    for (LaneArray<CapMeta> &reg : flatMeta_) {
+        for (unsigned i = 0; i < cfg_.numLanes; ++i) {
+            reg[i].meta = r.u32();
+            reg[i].tag = r.b();
+        }
     }
 
     const uint32_t num_spill = r.u32();
+    if (num_spill * vec_bytes > r.remaining()) {
+        r.failWith("VRF spill store implausibly large");
+        return false;
+    }
     spillStore_.resize(num_spill);
     for (auto &s : spillStore_) {
-        if (!getU64Vec(r, s))
+        if (!get_lanes(s))
             return false;
     }
     if (!getI32Vec(r, freeSpillIds_))
@@ -768,15 +802,16 @@ Sm::saveState(ByteWriter &w) const
         putCapPipe(w, scr);
 
     w.u32(static_cast<uint32_t>(warps_.size()));
+    const unsigned lanes = cfg_.numLanes;
     for (const Warp &warp : warps_) {
-        w.u32(static_cast<uint32_t>(warp.pc.size()));
-        for (uint32_t pc : warp.pc)
-            w.u32(pc);
-        for (uint32_t nest : warp.nest)
-            w.u32(nest);
-        putLaneMask(w, warp.halted);
-        for (const auto &pcc : warp.pcc)
-            putCapPipe(w, pcc);
+        w.u32(lanes);
+        for (unsigned i = 0; i < lanes; ++i)
+            w.u32(warp.pc[i]);
+        for (unsigned i = 0; i < lanes; ++i)
+            w.u32(warp.nest[i]);
+        putLaneMask(w, warp.halted, lanes);
+        for (unsigned i = 0; i < lanes; ++i)
+            putCapPipe(w, warp.pcc[i]);
         w.u64(warp.readyAt);
         w.b(warp.atBarrier);
         w.u32(warp.liveThreads);
@@ -858,20 +893,26 @@ Sm::loadState(ByteReader &r)
             r.failWith("lane count mismatch");
             return false;
         }
-        warp.pc.resize(lanes);
-        warp.nest.resize(lanes);
-        warp.pcc.resize(lanes);
-        for (uint32_t &pc : warp.pc)
-            pc = r.u32();
-        for (uint32_t &nest : warp.nest)
-            nest = r.u32();
+        for (unsigned i = 0; i < lanes; ++i)
+            warp.pc[i] = r.u32();
+        for (unsigned i = 0; i < lanes; ++i)
+            warp.nest[i] = r.u32();
         if (!getLaneMask(r, warp.halted, lanes))
             return false;
-        for (auto &pcc : warp.pcc)
-            pcc = getCapPipe(r);
+        for (unsigned i = 0; i < lanes; ++i)
+            warp.pcc[i] = getCapPipe(r);
         warp.readyAt = r.u64();
         warp.atBarrier = r.b();
         warp.liveThreads = r.u32();
+        // The full-warp shortcuts trust this count, so it must be the
+        // number of lanes not halted.
+        if (warp.liveThreads !=
+            static_cast<unsigned>(
+                std::popcount(lowLanes(lanes) & ~warp.halted))) {
+            r.failWith("warp live-thread count disagrees with its halted "
+                       "lanes");
+            return false;
+        }
         warp.regular = r.b();
         warp.pccUniform = r.b();
         warp.fetchCap = getCapPipe(r);
@@ -944,14 +985,15 @@ Sm::archStateHash() const
     w.u64(sfuBusyUntil_);
     for (const auto &scr : scrs_)
         putCapPipe(w, scr);
+    const unsigned lanes = cfg_.numLanes;
     for (const Warp &warp : warps_) {
-        for (uint32_t pc : warp.pc)
-            w.u32(pc);
-        for (uint32_t nest : warp.nest)
-            w.u32(nest);
-        putLaneMask(w, warp.halted);
-        for (const auto &pcc : warp.pcc)
-            putCapPipe(w, pcc);
+        for (unsigned i = 0; i < lanes; ++i)
+            w.u32(warp.pc[i]);
+        for (unsigned i = 0; i < lanes; ++i)
+            w.u32(warp.nest[i]);
+        putLaneMask(w, warp.halted, lanes);
+        for (unsigned i = 0; i < lanes; ++i)
+            putCapPipe(w, warp.pcc[i]);
         w.u64(warp.readyAt);
         w.b(warp.atBarrier);
         w.u32(warp.liveThreads);

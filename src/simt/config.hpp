@@ -20,20 +20,67 @@
 #ifndef CHERI_SIMT_SIMT_CONFIG_HPP_
 #define CHERI_SIMT_SIMT_CONFIG_HPP_
 
+#include <array>
+#include <bit>
 #include <cstdint>
-#include <vector>
 
 #include "simt/faultinject.hpp"
 
 namespace simt
 {
 
+/** Lanes a warp can hold: SmConfig::numLanes is 1..kMaxLanes. */
+constexpr unsigned kMaxLanes = 32;
+
 /**
- * Per-lane boolean mask (active lanes, halted threads, store tags).
- * One byte per lane: std::vector<bool>'s proxy bit addressing is a
- * measurable cost in the simulator's per-lane loops.
+ * Per-lane boolean mask (active lanes, halted threads, write masks, the
+ * NVO null mask): bit i is lane i, so a whole warp is one word and
+ * full-warp tests, popcounts and leader picks are single instructions.
+ * Bits at and above numLanes are always clear.
  */
-using LaneMask = std::vector<uint8_t>;
+using LaneMask = uint32_t;
+
+/**
+ * One value per lane of a warp, fixed width so the lane loops have a
+ * compile-time trip count. Lanes at and above numLanes hold no state.
+ */
+template <typename T>
+using LaneArray = std::array<T, kMaxLanes>;
+
+/** The mask of lanes 0..n-1 (n <= kMaxLanes). */
+constexpr LaneMask
+lowLanes(unsigned n)
+{
+    return n >= kMaxLanes ? ~LaneMask{0} : (LaneMask{1} << n) - 1;
+}
+
+/**
+ * kLaneBit[i] is lane i's bit. A fixed-width lane loop tests a mask
+ * through it as laneWord(m, i), which the compiler vectorises; a shift
+ * by the lane index it does not.
+ */
+inline constexpr LaneArray<LaneMask> kLaneBit = [] {
+    LaneArray<LaneMask> bits{};
+    for (unsigned i = 0; i < kMaxLanes; ++i)
+        bits[i] = LaneMask{1} << i;
+    return bits;
+}();
+
+/** All ones when lane @p i is in @p m, else zero. */
+constexpr uint32_t
+laneWord(LaneMask m, unsigned i)
+{
+    return -static_cast<uint32_t>((m & kLaneBit[i]) != 0);
+}
+
+/** Call @p f(lane) for each lane of @p m, lowest first. */
+template <typename F>
+void
+forLanes(LaneMask m, F &&f)
+{
+    for (; m != 0; m &= m - 1)
+        f(static_cast<unsigned>(std::countr_zero(m)));
+}
 
 /** Simulated physical memory map. */
 constexpr uint32_t kTcimBase = 0x00000000;   ///< instruction memory

@@ -50,10 +50,9 @@ scalarLoop(const AluCtx &c, F f)
 {
     const DataDesc &r1 = *c.rs1;
     const DataDesc &r2 = *c.rs2;
-    for (unsigned lane = 0; lane < c.numLanes; ++lane) {
-        if (c.active[lane])
-            c.result[lane] = f(r1.at(lane), r2.at(lane), c.imm);
-    }
+    forLanes(c.active, [&](unsigned lane) {
+        c.result[lane] = f(r1.at(lane), r2.at(lane), c.imm);
+    });
 }
 
 #define SCALAR_HANDLER(expr)                                              \
@@ -189,20 +188,17 @@ template <typename F>
 void
 scalarMemLoadLoop(const MemCtx &c, F f)
 {
-    for (unsigned lane = 0; lane < c.numLanes; ++lane) {
-        if (c.active[lane])
-            c.result[lane] = f(lanePtr(c, lane));
-    }
+    forLanes(c.active,
+             [&](unsigned lane) { c.result[lane] = f(lanePtr(c, lane)); });
 }
 
 template <typename F>
 void
 scalarMemStoreLoop(const MemCtx &c, F f)
 {
-    for (unsigned lane = 0; lane < c.numLanes; ++lane) {
-        if (c.active[lane])
-            f(lanePtrMut(c, lane), c.rs2->at(lane));
-    }
+    forLanes(c.active, [&](unsigned lane) {
+        f(lanePtrMut(c, lane), c.rs2->at(lane));
+    });
 }
 
 #define MEM_LOAD_HANDLER(expr)                                            \

@@ -45,10 +45,9 @@ struct AluCtx
 {
     const DataDesc *rs1;
     const DataDesc *rs2;
-    const uint8_t *active; ///< one byte per lane, nonzero = active
-    uint32_t *result;      ///< per-lane results; inactive lanes untouched
+    LaneMask active;  ///< the lanes to execute (bit i = lane i)
+    uint32_t *result; ///< kMaxLanes results; inactive lanes untouched
     int32_t imm;
-    unsigned numLanes;
 };
 
 /** A resolved lane-loop handler ("threaded code" dispatch target). */
@@ -110,13 +109,12 @@ bool fusionSelected();
  *  in 32-bit arithmetic exactly like the scalar address loop. */
 struct MemCtx
 {
-    uint8_t *ram;          ///< the shard's private copy of one page
-    const uint8_t *active; ///< one byte per lane, nonzero = active
-    uint32_t *result;      ///< load destination; inactive lanes untouched
-    const DataDesc *rs2;   ///< store source values
-    uint32_t addr0;        ///< lane-0 byte offset from @p ram
-    int32_t stride;        ///< per-lane byte stride
-    unsigned numLanes;
+    uint8_t *ram;        ///< the shard's private copy of one page
+    LaneMask active;     ///< the lanes to access (bit i = lane i)
+    uint32_t *result;    ///< load destination; inactive lanes untouched
+    const DataDesc *rs2; ///< store source values
+    uint32_t addr0;      ///< lane-0 byte offset from @p ram
+    int32_t stride;      ///< per-lane byte stride
 };
 
 /** A resolved packed memory lane-loop handler. */

@@ -1,8 +1,8 @@
 /**
  * @file
- * AVX2 packed lane ALU: each handler executes a whole warp's lanes in
- * 8-lane blocks over packed 32-bit registers, with a scalar tail for
- * lane counts that are not a multiple of 8.
+ * AVX2 packed lane ALU: each handler executes a warp's fixed-width
+ * lane arrays in 8-lane blocks over packed 32-bit registers, skipping
+ * blocks with no active lane.
  *
  * Bit-identity argument (DESIGN.md section 10): the covered set is
  * restricted to two's-complement integer ops whose AVX2 instruction
@@ -58,20 +58,27 @@ loadOperand(const DataDesc &d, unsigned lane_base)
         _mm256_mullo_epi32(_mm256_set1_epi32(d.stride), idx));
 }
 
+/** The lanes of @p active in the block at @p lane_base as all-ones
+ *  32-bit elements. */
+__m256i
+activeMask(LaneMask active, unsigned lane_base)
+{
+    const __m256i bits = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+    const __m256i block =
+        _mm256_set1_epi32(static_cast<int>(active >> lane_base));
+    return _mm256_cmpeq_epi32(_mm256_and_si256(block, bits), bits);
+}
+
 /** Store 8 results, preserving inactive lanes' previous values. */
 void
-blendStore(uint32_t *result, const uint8_t *active, unsigned lane_base,
+blendStore(uint32_t *result, LaneMask active, unsigned lane_base,
            __m256i vals)
 {
-    const __m128i a8 = _mm_loadl_epi64(
-        reinterpret_cast<const __m128i *>(active + lane_base));
-    const __m256i a32 = _mm256_cvtepu8_epi32(a8);
-    const __m256i mask =
-        _mm256_cmpgt_epi32(a32, _mm256_setzero_si256());
     const __m256i old = _mm256_loadu_si256(
         reinterpret_cast<const __m256i *>(result + lane_base));
     _mm256_storeu_si256(reinterpret_cast<__m256i *>(result + lane_base),
-                        _mm256_blendv_epi8(old, vals, mask));
+                        _mm256_blendv_epi8(old, vals,
+                                           activeMask(active, lane_base)));
 }
 
 /** A full-mask compare becomes the scalar paths' 0/1 result. */
@@ -96,31 +103,22 @@ maskShiftCount(__m256i b)
 }
 
 /**
- * Run @p vf over 8-lane blocks and @p sf over the scalar tail. @p vf
- * receives (a, b, vimm, imm); @p sf the scalar (a, b, imm), with
- * expressions matching Sm::executeAluLane.
+ * Run @p vf over the 8-lane blocks holding an active lane. @p vf
+ * receives (a, b, vimm, imm), with expressions matching
+ * Sm::executeAluLane.
  */
-template <typename VF, typename SF>
+template <typename VF>
 void
-packedLoop(const AluCtx &c, VF vf, SF sf)
+packedLoop(const AluCtx &c, VF vf)
 {
     const __m256i vimm = _mm256_set1_epi32(c.imm);
-    unsigned lane = 0;
-    for (; lane + 8 <= c.numLanes; lane += 8) {
+    for (unsigned lane = 0; lane < kMaxLanes; lane += 8) {
+        if (((c.active >> lane) & 0xff) == 0)
+            continue;
         const __m256i a = loadOperand(*c.rs1, lane);
         const __m256i b = loadOperand(*c.rs2, lane);
         blendStore(c.result, c.active, lane, vf(a, b, vimm, c.imm));
     }
-    for (; lane < c.numLanes; ++lane) {
-        if (c.active[lane])
-            c.result[lane] = sf(c.rs1->at(lane), c.rs2->at(lane), c.imm);
-    }
-}
-
-int32_t
-s(uint32_t v)
-{
-    return static_cast<int32_t>(v);
 }
 
 /** 8 lanes' byte offsets from ctx.ram (32-bit wraparound arithmetic,
@@ -135,16 +133,15 @@ laneOffsets(const MemCtx &c, unsigned lane_base)
         _mm256_mullo_epi32(_mm256_set1_epi32(c.stride), idx));
 }
 
-__m256i
-activeMask(const uint8_t *active, unsigned lane_base)
+/** One lane's bytes in ctx.ram (32-bit wraparound offset arithmetic,
+ *  like laneOffsets). */
+uint8_t *
+at(const MemCtx &c, unsigned lane)
 {
-    const __m128i a8 = _mm_loadl_epi64(
-        reinterpret_cast<const __m128i *>(active + lane_base));
-    const __m256i a32 = _mm256_cvtepu8_epi32(a8);
-    return _mm256_cmpgt_epi32(a32, _mm256_setzero_si256());
+    return c.ram + (c.addr0 + static_cast<uint32_t>(c.stride) * lane);
 }
 
-/** Scalar tails / sub-word lanes in this x86-only TU: unaligned host
+/** Partial blocks and sub-word lanes in this x86-only TU: unaligned host
  *  loads and stores of little-endian words match MemShard's byte
  *  assembly bit-for-bit. */
 template <typename T>
@@ -168,60 +165,39 @@ storeHost(uint8_t *p, T v)
 AluLoopFn
 avx2AluHandler(Op op)
 {
-#define PACKED_CASE(opname, vexpr, sexpr)                                \
+#define PACKED_CASE(opname, vexpr)                                       \
     case Op::opname:                                                     \
         return +[](const AluCtx &c) {                                    \
-            packedLoop(                                                  \
-                c,                                                       \
-                [](__m256i a, __m256i b, __m256i vimm, int32_t imm) {    \
-                    (void)a; (void)b; (void)vimm; (void)imm;             \
-                    return (vexpr);                                      \
-                },                                                       \
-                [](uint32_t a, uint32_t b, int32_t imm) -> uint32_t {    \
-                    (void)a; (void)b; (void)imm;                         \
-                    return (sexpr);                                      \
-                });                                                      \
+            packedLoop(c, [](__m256i a, __m256i b, __m256i vimm,         \
+                             int32_t imm) {                              \
+                (void)a; (void)b; (void)vimm; (void)imm;                 \
+                return (vexpr);                                          \
+            });                                                          \
         }
 
     switch (op) {
-        PACKED_CASE(ADDI, _mm256_add_epi32(a, vimm),
-                    a + static_cast<uint32_t>(imm));
-        PACKED_CASE(SLTI, cmpToBool(_mm256_cmpgt_epi32(vimm, a)),
-                    s(a) < imm ? 1u : 0u);
-        PACKED_CASE(SLTIU,
-                    cmpToBool(_mm256_cmpgt_epi32(flipSign(vimm),
-                                                 flipSign(a))),
-                    a < static_cast<uint32_t>(imm) ? 1u : 0u);
-        PACKED_CASE(XORI, _mm256_xor_si256(a, vimm),
-                    a ^ static_cast<uint32_t>(imm));
-        PACKED_CASE(ORI, _mm256_or_si256(a, vimm),
-                    a | static_cast<uint32_t>(imm));
-        PACKED_CASE(ANDI, _mm256_and_si256(a, vimm),
-                    a & static_cast<uint32_t>(imm));
-        PACKED_CASE(SLLI, _mm256_slli_epi32(a, imm & 31),
-                    a << (imm & 31));
-        PACKED_CASE(SRLI, _mm256_srli_epi32(a, imm & 31),
-                    a >> (imm & 31));
-        PACKED_CASE(SRAI, _mm256_srai_epi32(a, imm & 31),
-                    static_cast<uint32_t>(s(a) >> (imm & 31)));
-        PACKED_CASE(ADD, _mm256_add_epi32(a, b), a + b);
-        PACKED_CASE(SUB, _mm256_sub_epi32(a, b), a - b);
-        PACKED_CASE(SLL, _mm256_sllv_epi32(a, maskShiftCount(b)),
-                    a << (b & 31));
-        PACKED_CASE(SLT, cmpToBool(_mm256_cmpgt_epi32(b, a)),
-                    s(a) < s(b) ? 1u : 0u);
+        PACKED_CASE(ADDI, _mm256_add_epi32(a, vimm));
+        PACKED_CASE(SLTI, cmpToBool(_mm256_cmpgt_epi32(vimm, a)));
+        PACKED_CASE(SLTIU, cmpToBool(_mm256_cmpgt_epi32(flipSign(vimm),
+                                                        flipSign(a))));
+        PACKED_CASE(XORI, _mm256_xor_si256(a, vimm));
+        PACKED_CASE(ORI, _mm256_or_si256(a, vimm));
+        PACKED_CASE(ANDI, _mm256_and_si256(a, vimm));
+        PACKED_CASE(SLLI, _mm256_slli_epi32(a, imm & 31));
+        PACKED_CASE(SRLI, _mm256_srli_epi32(a, imm & 31));
+        PACKED_CASE(SRAI, _mm256_srai_epi32(a, imm & 31));
+        PACKED_CASE(ADD, _mm256_add_epi32(a, b));
+        PACKED_CASE(SUB, _mm256_sub_epi32(a, b));
+        PACKED_CASE(SLL, _mm256_sllv_epi32(a, maskShiftCount(b)));
+        PACKED_CASE(SLT, cmpToBool(_mm256_cmpgt_epi32(b, a)));
         PACKED_CASE(SLTU,
-                    cmpToBool(_mm256_cmpgt_epi32(flipSign(b),
-                                                 flipSign(a))),
-                    a < b ? 1u : 0u);
-        PACKED_CASE(XOR, _mm256_xor_si256(a, b), a ^ b);
-        PACKED_CASE(SRL, _mm256_srlv_epi32(a, maskShiftCount(b)),
-                    a >> (b & 31));
-        PACKED_CASE(SRA, _mm256_srav_epi32(a, maskShiftCount(b)),
-                    static_cast<uint32_t>(s(a) >> (b & 31)));
-        PACKED_CASE(OR, _mm256_or_si256(a, b), a | b);
-        PACKED_CASE(AND, _mm256_and_si256(a, b), a & b);
-        PACKED_CASE(MUL, _mm256_mullo_epi32(a, b), a * b);
+                    cmpToBool(_mm256_cmpgt_epi32(flipSign(b), flipSign(a))));
+        PACKED_CASE(XOR, _mm256_xor_si256(a, b));
+        PACKED_CASE(SRL, _mm256_srlv_epi32(a, maskShiftCount(b)));
+        PACKED_CASE(SRA, _mm256_srav_epi32(a, maskShiftCount(b)));
+        PACKED_CASE(OR, _mm256_or_si256(a, b));
+        PACKED_CASE(AND, _mm256_and_si256(a, b));
+        PACKED_CASE(MUL, _mm256_mullo_epi32(a, b));
       default:
         return nullptr;
     }
@@ -238,119 +214,77 @@ avx2MemHandler(Op op)
         // touches them). Byte-granular offsets (scale 1); page offsets
         // fit int32.
         return +[](const MemCtx &c) {
-            unsigned lane = 0;
-            for (; lane + 8 <= c.numLanes; lane += 8) {
-                const __m256i off = laneOffsets(c, lane);
-                const __m256i mask = activeMask(c.active, lane);
+            for (unsigned lane = 0; lane < kMaxLanes; lane += 8) {
+                if (((c.active >> lane) & 0xff) == 0)
+                    continue;
                 const __m256i old = _mm256_loadu_si256(
                     reinterpret_cast<const __m256i *>(c.result + lane));
                 const __m256i vals = _mm256_mask_i32gather_epi32(
-                    old, reinterpret_cast<const int *>(c.ram), off, mask,
-                    1);
+                    old, reinterpret_cast<const int *>(c.ram),
+                    laneOffsets(c, lane), activeMask(c.active, lane), 1);
                 _mm256_storeu_si256(
                     reinterpret_cast<__m256i *>(c.result + lane), vals);
-            }
-            for (; lane < c.numLanes; ++lane) {
-                if (c.active[lane])
-                    c.result[lane] = loadHost<uint32_t>(
-                        c.ram + (c.addr0 +
-                                 static_cast<uint32_t>(c.stride) * lane));
             }
         };
       case Op::LHU:
         return +[](const MemCtx &c) {
-            for (unsigned lane = 0; lane < c.numLanes; ++lane) {
-                if (c.active[lane])
-                    c.result[lane] = loadHost<uint16_t>(
-                        c.ram + (c.addr0 +
-                                 static_cast<uint32_t>(c.stride) * lane));
-            }
+            forLanes(c.active, [&](unsigned lane) {
+                c.result[lane] = loadHost<uint16_t>(at(c, lane));
+            });
         };
       case Op::LH:
         return +[](const MemCtx &c) {
-            for (unsigned lane = 0; lane < c.numLanes; ++lane) {
-                if (c.active[lane])
-                    c.result[lane] = static_cast<uint32_t>(
-                        static_cast<int32_t>(
-                            static_cast<int16_t>(loadHost<uint16_t>(
-                                c.ram +
-                                (c.addr0 +
-                                 static_cast<uint32_t>(c.stride) *
-                                     lane)))));
-            }
+            forLanes(c.active, [&](unsigned lane) {
+                c.result[lane] = static_cast<uint32_t>(static_cast<int32_t>(
+                    static_cast<int16_t>(loadHost<uint16_t>(at(c, lane)))));
+            });
         };
       case Op::LBU:
         return +[](const MemCtx &c) {
-            for (unsigned lane = 0; lane < c.numLanes; ++lane) {
-                if (c.active[lane])
-                    c.result[lane] =
-                        c.ram[c.addr0 +
-                              static_cast<uint32_t>(c.stride) * lane];
-            }
+            forLanes(c.active,
+                     [&](unsigned lane) { c.result[lane] = *at(c, lane); });
         };
       case Op::LB:
         return +[](const MemCtx &c) {
-            for (unsigned lane = 0; lane < c.numLanes; ++lane) {
-                if (c.active[lane])
-                    c.result[lane] = static_cast<uint32_t>(
-                        static_cast<int32_t>(static_cast<int8_t>(
-                            c.ram[c.addr0 +
-                                  static_cast<uint32_t>(c.stride) *
-                                      lane])));
-            }
+            forLanes(c.active, [&](unsigned lane) {
+                c.result[lane] = static_cast<uint32_t>(
+                    static_cast<int32_t>(static_cast<int8_t>(*at(c, lane))));
+            });
         };
       case Op::SW:
         // Contiguous warp stores (the overwhelmingly common stride-4
         // case) move 8 words at a time when the whole 8-lane group is
         // active. A group with inactive lanes stays scalar: the bounds
         // proof only covers active lanes' addresses, so a full-span
-        // read-modify-write could touch unproven bytes.
+        // read-modify-write could touch unproven bytes. The lanes'
+        // words are distinct, so the order of the stores is immaterial.
         return +[](const MemCtx &c) {
-            unsigned lane = 0;
-            if (c.stride == 4) {
-                for (; lane + 8 <= c.numLanes; lane += 8) {
-                    const __m256i mask = activeMask(c.active, lane);
-                    if (_mm256_movemask_epi8(mask) == -1) {
-                        _mm256_storeu_si256(
-                            reinterpret_cast<__m256i *>(
-                                c.ram + (c.addr0 + 4u * lane)),
-                            loadOperand(*c.rs2, lane));
-                    } else {
-                        for (unsigned l = lane; l < lane + 8; ++l) {
-                            if (c.active[l])
-                                storeHost<uint32_t>(
-                                    c.ram + (c.addr0 + 4u * l),
-                                    c.rs2->at(l));
-                        }
-                    }
-                }
+            LaneMask scalar = c.active;
+            for (unsigned lane = 0; c.stride == 4 && lane < kMaxLanes;
+                 lane += 8) {
+                if (((c.active >> lane) & 0xff) != 0xff)
+                    continue;
+                _mm256_storeu_si256(
+                    reinterpret_cast<__m256i *>(at(c, lane)),
+                    loadOperand(*c.rs2, lane));
+                scalar &= ~(LaneMask{0xff} << lane);
             }
-            for (; lane < c.numLanes; ++lane) {
-                if (c.active[lane])
-                    storeHost<uint32_t>(
-                        c.ram + (c.addr0 +
-                                 static_cast<uint32_t>(c.stride) * lane),
-                        c.rs2->at(lane));
-            }
+            forLanes(scalar, [&](unsigned lane) {
+                storeHost<uint32_t>(at(c, lane), c.rs2->at(lane));
+            });
         };
       case Op::SH:
         return +[](const MemCtx &c) {
-            for (unsigned lane = 0; lane < c.numLanes; ++lane) {
-                if (c.active[lane])
-                    storeHost<uint16_t>(
-                        c.ram + (c.addr0 +
-                                 static_cast<uint32_t>(c.stride) * lane),
-                        static_cast<uint16_t>(c.rs2->at(lane)));
-            }
+            forLanes(c.active, [&](unsigned lane) {
+                storeHost<uint16_t>(at(c, lane),
+                                    static_cast<uint16_t>(c.rs2->at(lane)));
+            });
         };
       case Op::SB:
         return +[](const MemCtx &c) {
-            for (unsigned lane = 0; lane < c.numLanes; ++lane) {
-                if (c.active[lane])
-                    c.ram[c.addr0 +
-                          static_cast<uint32_t>(c.stride) * lane] =
-                        static_cast<uint8_t>(c.rs2->at(lane));
-            }
+            forLanes(c.active, [&](unsigned lane) {
+                *at(c, lane) = static_cast<uint8_t>(c.rs2->at(lane));
+            });
         };
       default:
         return nullptr;

@@ -251,14 +251,11 @@ MainMemory::dataHash(uint32_t addr, uint32_t bytes, uint32_t exclude_addr,
 }
 
 std::vector<MemTransaction>
-Coalescer::coalesce(const std::vector<uint32_t> &addrs,
-                    const LaneMask &active,
+Coalescer::coalesce(const LaneArray<uint32_t> &addrs, LaneMask active,
                     unsigned access_bytes) const
 {
     std::vector<MemTransaction> txns;
-    for (size_t lane = 0; lane < addrs.size(); ++lane) {
-        if (!active[lane])
-            continue;
+    forLanes(active, [&](unsigned lane) {
         // An access may straddle a segment boundary; cover both segments.
         const uint32_t first = addrs[lane] & ~(segmentBytes_ - 1);
         const uint32_t last =
@@ -276,7 +273,7 @@ Coalescer::coalesce(const std::vector<uint32_t> &addrs,
             if (seg == last)
                 break;
         }
-    }
+    });
     std::sort(txns.begin(), txns.end(),
               [](const MemTransaction &a, const MemTransaction &b) {
                   return a.segment < b.segment;

@@ -204,8 +204,8 @@ class Coalescer
      * @param accessBytes bytes accessed per lane
      */
     std::vector<MemTransaction>
-    coalesce(const std::vector<uint32_t> &addrs,
-             const LaneMask &active, unsigned access_bytes) const;
+    coalesce(const LaneArray<uint32_t> &addrs, LaneMask active,
+             unsigned access_bytes) const;
 
   private:
     unsigned segmentBytes_;

@@ -1,6 +1,7 @@
 #include "simt/regfile.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "support/bits.hpp"
@@ -25,28 +26,54 @@ unpackMeta(uint64_t v)
     return CapMeta{static_cast<uint32_t>(v), ((v >> 32) & 1) != 0};
 }
 
-/** Does a data vector compress to base+stride with an 8-bit stride? */
+/** Does the first @p n lanes' data compress to base+stride with an
+ *  8-bit stride? (Equal steps between neighbours is the closed form.) */
 bool
-compressData(const std::vector<uint32_t> &vals, uint32_t &base,
+compressData(const LaneArray<uint32_t> &vals, unsigned n, uint32_t &base,
              int32_t &stride)
 {
     base = vals[0];
-    stride = vals.size() > 1
-                 ? static_cast<int32_t>(vals[1] - vals[0])
-                 : 0;
+    stride = n > 1 ? static_cast<int32_t>(vals[1] - vals[0]) : 0;
     if (stride < -128 || stride > 127)
         return false;
-    for (size_t i = 1; i < vals.size(); ++i) {
-        if (vals[i] - vals[i - 1] != static_cast<uint32_t>(stride))
-            return false;
-    }
-    return true;
+    uint32_t diff = 0;
+    for (unsigned i = 0; i < kMaxLanes; ++i)
+        diff |= (vals[i] ^ (base + static_cast<uint32_t>(stride) * i)) &
+                -static_cast<uint32_t>(i < n);
+    return diff == 0;
+}
+
+/** The lanes of @p vals equal to @p v. */
+LaneMask
+lanesEqual(const LaneArray<CapMeta> &vals, const CapMeta &v)
+{
+    const uint64_t pv = packMeta(v);
+    LaneMask m = 0;
+    for (unsigned i = 0; i < kMaxLanes; ++i)
+        m |= LaneMask{packMeta(vals[i]) == pv} << i;
+    return m;
+}
+
+/** Lanes of @p mask take @p src, the rest keep @p dst. */
+void
+blend(LaneArray<uint32_t> &dst, const LaneArray<uint32_t> &src,
+      LaneMask mask)
+{
+    for (unsigned i = 0; i < kMaxLanes; ++i)
+        dst[i] = (dst[i] & ~laneWord(mask, i)) | (src[i] & laneWord(mask, i));
+}
+
+void
+blend(LaneArray<CapMeta> &dst, const LaneArray<CapMeta> &src,
+      LaneMask mask)
+{
+    forLanes(mask, [&](unsigned i) { dst[i] = src[i]; });
 }
 
 } // namespace
 
 RegFileSystem::RegFileSystem(const SmConfig &cfg, support::StatSet &stats)
-    : cfg_(cfg), stats_(stats),
+    : cfg_(cfg), allLanes_(lowLanes(cfg.numLanes)), stats_(stats),
       statDataSpills_(stats.handle("vrf_data_spills")),
       statMetaSpills_(stats.handle("vrf_meta_spills")),
       statDataReloads_(stats.handle("vrf_data_reloads")),
@@ -60,7 +87,7 @@ RegFileSystem::RegFileSystem(const SmConfig &cfg, support::StatSet &stats)
     if (cfg_.purecap) {
         metaEntries_.resize(entries);
         if (!cfg_.metaCompressed) {
-            flatMeta_.resize(static_cast<size_t>(entries) * cfg_.numLanes);
+            flatMeta_.resize(entries);
             for (auto &e : metaEntries_)
                 e.kind = Kind::Flat;
         }
@@ -88,7 +115,7 @@ RegFileSystem::reset()
             if (!cfg_.metaCompressed)
                 e.kind = Kind::Flat;
         }
-        std::fill(flatMeta_.begin(), flatMeta_.end(), CapMeta{});
+        std::fill(flatMeta_.begin(), flatMeta_.end(), LaneArray<CapMeta>{});
     }
     slots_.clear();
     slotInfo_.clear();
@@ -133,7 +160,7 @@ RegFileSystem::allocSlot(bool for_meta, RfAccess &acc)
         freeSlots_.pop_back();
     } else {
         slot = static_cast<int>(slots_.size());
-        slots_.emplace_back(cfg_.numLanes, 0);
+        slots_.emplace_back();
         slotInfo_.emplace_back();
     }
     ++usedSlots_;
@@ -210,9 +237,8 @@ RegFileSystem::spillVictim(bool for_meta, RfAccess &acc)
 }
 
 void
-RegFileSystem::expandData(const Entry &e, std::vector<uint32_t> &out) const
+RegFileSystem::expandData(const Entry &e, LaneArray<uint32_t> &out) const
 {
-    out.resize(cfg_.numLanes);
     switch (e.kind) {
       case Kind::Scalar: {
         // Same closed-form expansion as a descriptor read's
@@ -220,45 +246,44 @@ RegFileSystem::expandData(const Entry &e, std::vector<uint32_t> &out) const
         DataDesc d;
         d.base = e.base;
         d.stride = e.stride;
-        d.materialiseTo(out.data(), cfg_.numLanes);
+        d.materialiseTo(out);
         break;
       }
       case Kind::Vector:
-        for (unsigned i = 0; i < cfg_.numLanes; ++i)
-            out[i] = static_cast<uint32_t>(slots_[e.slot][i]);
+      case Kind::Spilled: {
+        const LaneArray<uint64_t> &v = e.kind == Kind::Vector
+                                           ? slots_[e.slot]
+                                           : spillStore_[e.spillId];
+        for (unsigned i = 0; i < kMaxLanes; ++i)
+            out[i] = static_cast<uint32_t>(v[i]);
         break;
-      case Kind::Spilled:
-        for (unsigned i = 0; i < cfg_.numLanes; ++i)
-            out[i] = static_cast<uint32_t>(spillStore_[e.spillId][i]);
-        break;
+      }
       default:
         panic("bad data entry kind");
     }
 }
 
 void
-RegFileSystem::expandMeta(const Entry &e, std::vector<CapMeta> &out) const
+RegFileSystem::expandMeta(const Entry &e, LaneArray<CapMeta> &out) const
 {
-    out.resize(cfg_.numLanes);
     switch (e.kind) {
       case Kind::Scalar:
-        for (unsigned i = 0; i < cfg_.numLanes; ++i)
-            out[i] = CapMeta{e.base, e.tag};
+      case Kind::PartialNull: {
+        const CapMeta value{e.base, e.tag};
+        const LaneMask nulls = e.kind == Kind::Scalar ? 0 : e.nullMask;
+        for (unsigned i = 0; i < kMaxLanes; ++i)
+            out[i] = (nulls >> i) & 1 ? CapMeta{} : value;
         break;
-      case Kind::PartialNull:
-        for (unsigned i = 0; i < cfg_.numLanes; ++i) {
-            out[i] = (e.nullMask >> i) & 1 ? CapMeta{}
-                                           : CapMeta{e.base, e.tag};
-        }
-        break;
+      }
       case Kind::Vector:
-        for (unsigned i = 0; i < cfg_.numLanes; ++i)
-            out[i] = unpackMeta(slots_[e.slot][i]);
+      case Kind::Spilled: {
+        const LaneArray<uint64_t> &v = e.kind == Kind::Vector
+                                           ? slots_[e.slot]
+                                           : spillStore_[e.spillId];
+        for (unsigned i = 0; i < kMaxLanes; ++i)
+            out[i] = unpackMeta(v[i]);
         break;
-      case Kind::Spilled:
-        for (unsigned i = 0; i < cfg_.numLanes; ++i)
-            out[i] = unpackMeta(spillStore_[e.spillId][i]);
-        break;
+      }
       default:
         panic("bad meta entry kind");
     }
@@ -304,7 +329,7 @@ RegFileSystem::unspillMeta(Entry &e, unsigned warp, unsigned reg,
 
 void
 RegFileSystem::readData(unsigned warp, unsigned reg,
-                        std::vector<uint32_t> &out, RfAccess &acc)
+                        LaneArray<uint32_t> &out, RfAccess &acc)
 {
     Entry &e = dataEntries_[entryIndex(warp, reg)];
     if (e.kind == Kind::Spilled)
@@ -318,45 +343,40 @@ RegFileSystem::readData(unsigned warp, unsigned reg,
 
 void
 RegFileSystem::writeData(unsigned warp, unsigned reg,
-                         const std::vector<uint32_t> &vals,
-                         const LaneMask &mask, RfAccess &acc)
+                         const LaneArray<uint32_t> &vals, LaneMask mask,
+                         RfAccess &acc)
 {
     if (reg == 0)
         return; // x0 is hardwired to zero
 
-    const std::vector<uint32_t> *src = &vals;
+    const LaneArray<uint32_t> *src = &vals;
+    LaneArray<uint32_t> faulty;
     if (injector_ && injector_->stuckLaneActive()) {
         const unsigned lane = injector_->plan().lane % cfg_.numLanes;
-        if (mask[lane]) {
-            faultDataScratch_ = vals;
-            injector_->corruptLaneValue(faultDataScratch_[lane]);
-            src = &faultDataScratch_;
+        if ((mask >> lane) & 1) {
+            faulty = vals;
+            injector_->corruptLaneValue(faulty[lane]);
+            src = &faulty;
         }
     }
 
     Entry &e = dataEntries_[entryIndex(warp, reg)];
 
-    bool full_mask = true;
-    for (unsigned i = 0; i < cfg_.numLanes; ++i)
-        full_mask = full_mask && mask[i];
-
     // Merge through a pointer: the full-mask write (the common case)
     // uses the caller's buffer directly instead of copying it.
-    const std::vector<uint32_t> *merged = src;
-    if (!full_mask) {
+    LaneArray<uint32_t> merge;
+    const LaneArray<uint32_t> *merged = src;
+    if (mask != allLanes_) {
         if (e.kind == Kind::Spilled)
             unspillData(e, warp, reg, acc);
-        expandData(e, mergeDataScratch_);
-        for (unsigned i = 0; i < cfg_.numLanes; ++i) {
-            if (mask[i])
-                mergeDataScratch_[i] = (*src)[i];
-        }
-        merged = &mergeDataScratch_;
+        expandData(e, merge);
+        blend(merge, *src, mask);
+        merged = &merge;
     }
 
     uint32_t base;
     int32_t stride;
-    if (compressData(*merged, base, stride)) {
+    if (compressData(*merged, cfg_.numLanes, base, stride)) {
         if (e.kind == Kind::Vector) {
             freeSlot(e.slot, false);
             --dataVecCount_;
@@ -378,21 +398,18 @@ RegFileSystem::writeData(unsigned warp, unsigned reg,
     }
     slotInfo_[e.slot].lastUse = ++useClock_;
     acc.dataFromVrf = true;
-    for (unsigned i = 0; i < cfg_.numLanes; ++i)
-        slots_[e.slot][i] = (*merged)[i];
+    LaneArray<uint64_t> &slot = slots_[e.slot];
+    for (unsigned i = 0; i < kMaxLanes; ++i)
+        slot[i] = (*merged)[i];
 }
 
 void
 RegFileSystem::readMeta(unsigned warp, unsigned reg,
-                        std::vector<CapMeta> &out, RfAccess &acc)
+                        LaneArray<CapMeta> &out, RfAccess &acc)
 {
     panic_if(!cfg_.purecap, "metadata access without purecap");
     if (!cfg_.metaCompressed) {
-        out.resize(cfg_.numLanes);
-        const size_t base =
-            static_cast<size_t>(entryIndex(warp, reg)) * cfg_.numLanes;
-        for (unsigned i = 0; i < cfg_.numLanes; ++i)
-            out[i] = flatMeta_[base + i];
+        out = flatMeta_[entryIndex(warp, reg)];
         return;
     }
     Entry &e = metaEntries_[entryIndex(warp, reg)];
@@ -407,41 +424,34 @@ RegFileSystem::readMeta(unsigned warp, unsigned reg,
 
 void
 RegFileSystem::writeMeta(unsigned warp, unsigned reg,
-                         const std::vector<CapMeta> &vals,
-                         const LaneMask &mask, RfAccess &acc)
+                         const LaneArray<CapMeta> &vals, LaneMask mask,
+                         RfAccess &acc)
 {
     panic_if(!cfg_.purecap, "metadata access without purecap");
     if (reg == 0)
         return;
 
-    const std::vector<CapMeta> *src = &vals;
+    const LaneArray<CapMeta> *src = &vals;
+    LaneArray<CapMeta> faulty;
     if (injector_ && injector_->shouldCorruptMetaWrite(warp, reg)) {
-        faultMetaScratch_ = vals;
-        injector_->corruptMeta(
-            faultMetaScratch_[injector_->plan().lane % cfg_.numLanes]);
-        src = &faultMetaScratch_;
+        faulty = vals;
+        injector_->corruptMeta(faulty[injector_->plan().lane % cfg_.numLanes]);
+        src = &faulty;
     }
 
     bool any_nonnull = false;
-    for (unsigned i = 0; i < cfg_.numLanes; ++i) {
-        if (mask[i] && !(*src)[i].isNull()) {
-            panic_if(reg >= cfg_.metaRegsTracked,
-                     "capability written to x%u, beyond the metadata "
-                     "SRF's %u tracked registers",
-                     reg, cfg_.metaRegsTracked);
-            capRegMask_ |= uint32_t{1} << reg;
-            any_nonnull = true;
-            break;
-        }
+    for (LaneMask m = mask; m != 0 && !any_nonnull; m &= m - 1)
+        any_nonnull = !(*src)[std::countr_zero(m)].isNull();
+    if (any_nonnull) {
+        panic_if(reg >= cfg_.metaRegsTracked,
+                 "capability written to x%u, beyond the metadata "
+                 "SRF's %u tracked registers",
+                 reg, cfg_.metaRegsTracked);
+        capRegMask_ |= uint32_t{1} << reg;
     }
 
     if (!cfg_.metaCompressed) {
-        const size_t base =
-            static_cast<size_t>(entryIndex(warp, reg)) * cfg_.numLanes;
-        for (unsigned i = 0; i < cfg_.numLanes; ++i) {
-            if (mask[i])
-                flatMeta_[base + i] = (*src)[i];
-        }
+        blend(flatMeta_[entryIndex(warp, reg)], *src, mask);
         return;
     }
 
@@ -455,32 +465,22 @@ RegFileSystem::writeMeta(unsigned warp, unsigned reg,
     if (!any_nonnull && e.kind == Kind::Scalar && !e.tag && e.base == 0)
         return;
 
-    bool full_mask = true;
-    for (unsigned i = 0; i < cfg_.numLanes; ++i)
-        full_mask = full_mask && mask[i];
-
     // Merge through a pointer: the full-mask write (the common case)
     // uses the caller's buffer directly instead of copying it.
-    const std::vector<CapMeta> *mergedp = src;
-    if (!full_mask) {
+    LaneArray<CapMeta> merge;
+    const LaneArray<CapMeta> *mergedp = src;
+    if (mask != allLanes_) {
         if (e.kind == Kind::Spilled)
             unspillMeta(e, warp, reg, acc);
-        expandMeta(e, mergeMetaScratch_);
-        for (unsigned i = 0; i < cfg_.numLanes; ++i) {
-            if (mask[i])
-                mergeMetaScratch_[i] = (*src)[i];
-        }
-        mergedp = &mergeMetaScratch_;
+        expandMeta(e, merge);
+        blend(merge, *src, mask);
+        mergedp = &merge;
     }
-    const std::vector<CapMeta> &merged = *mergedp;
+    const LaneArray<CapMeta> &merged = *mergedp;
 
     // Classify: uniform; else (with NVO) one non-null value plus nulls;
     // else a general vector.
-    bool uniform = true;
-    for (unsigned i = 1; i < cfg_.numLanes; ++i)
-        uniform = uniform && merged[i] == merged[0];
-
-    if (uniform) {
+    if ((lanesEqual(merged, merged[0]) & allLanes_) == allLanes_) {
         if (e.kind == Kind::Vector) {
             freeSlot(e.slot, true);
             --metaVecCount_;
@@ -494,22 +494,11 @@ RegFileSystem::writeMeta(unsigned warp, unsigned reg,
     }
 
     if (cfg_.nvo) {
-        CapMeta value{};
-        bool have_value = false;
-        bool partial_null = true;
-        uint32_t null_mask = 0;
-        for (unsigned i = 0; i < cfg_.numLanes; ++i) {
-            if (merged[i].isNull()) {
-                null_mask |= uint32_t{1} << i;
-            } else if (!have_value) {
-                value = merged[i];
-                have_value = true;
-            } else if (!(merged[i] == value)) {
-                partial_null = false;
-                break;
-            }
-        }
-        if (partial_null) {
+        // Not uniform, so some lane is non-null.
+        const LaneMask nulls = lanesEqual(merged, CapMeta{}) & allLanes_;
+        const CapMeta value = merged[std::countr_zero(allLanes_ & ~nulls)];
+        if (((lanesEqual(merged, value) | nulls) & allLanes_) ==
+            allLanes_) {
             if (e.kind == Kind::Vector) {
                 freeSlot(e.slot, true);
                 --metaVecCount_;
@@ -517,7 +506,7 @@ RegFileSystem::writeMeta(unsigned warp, unsigned reg,
             e.kind = Kind::PartialNull;
             e.base = value.meta;
             e.tag = value.tag;
-            e.nullMask = null_mask;
+            e.nullMask = nulls;
             e.slot = -1;
             statNvoHits_.add();
             return;
@@ -534,13 +523,14 @@ RegFileSystem::writeMeta(unsigned warp, unsigned reg,
     }
     slotInfo_[e.slot].lastUse = ++useClock_;
     acc.metaFromVrf = true;
-    for (unsigned i = 0; i < cfg_.numLanes; ++i)
-        slots_[e.slot][i] = packMeta(merged[i]);
+    LaneArray<uint64_t> &slot = slots_[e.slot];
+    for (unsigned i = 0; i < kMaxLanes; ++i)
+        slot[i] = packMeta(merged[i]);
 }
 
 void
 RegFileSystem::readDataDesc(unsigned warp, unsigned reg,
-                            std::vector<uint32_t> &scratch, DataDesc &desc,
+                            LaneArray<uint32_t> &scratch, DataDesc &desc,
                             RfAccess &acc)
 {
     Entry &e = dataEntries_[entryIndex(warp, reg)];
@@ -549,9 +539,7 @@ RegFileSystem::readDataDesc(unsigned warp, unsigned reg,
     if (e.kind == Kind::Vector) {
         acc.dataFromVrf = true;
         slotInfo_[e.slot].lastUse = ++useClock_;
-        scratch.resize(cfg_.numLanes);
-        for (unsigned i = 0; i < cfg_.numLanes; ++i)
-            scratch[i] = static_cast<uint32_t>(slots_[e.slot][i]);
+        expandData(e, scratch);
         desc.kind = DataDesc::Kind::Lanes;
         desc.lanes = scratch.data();
         return;
@@ -564,26 +552,22 @@ RegFileSystem::readDataDesc(unsigned warp, unsigned reg,
 
 void
 RegFileSystem::readMetaDesc(unsigned warp, unsigned reg,
-                            std::vector<CapMeta> &scratch, MetaDesc &desc,
+                            LaneArray<CapMeta> &scratch, MetaDesc &desc,
                             RfAccess &acc)
 {
     panic_if(!cfg_.purecap, "metadata access without purecap");
     if (!cfg_.metaCompressed) {
         // Uncompressed file: detect uniformity on the fly so the plain
         // CHERI configuration also benefits from the fast path.
-        const size_t base =
-            static_cast<size_t>(entryIndex(warp, reg)) * cfg_.numLanes;
-        bool uniform = true;
-        for (unsigned i = 1; i < cfg_.numLanes && uniform; ++i)
-            uniform = flatMeta_[base + i] == flatMeta_[base];
-        if (uniform) {
+        const LaneArray<CapMeta> &flat = flatMeta_[entryIndex(warp, reg)];
+        if ((lanesEqual(flat, flat[0]) & allLanes_) == allLanes_) {
             desc.kind = MetaDesc::Kind::Uniform;
-            desc.value = flatMeta_[base];
+            desc.value = flat[0];
             desc.lanes = nullptr;
             desc.external = false;
         } else {
             desc.kind = MetaDesc::Kind::Lanes;
-            desc.lanes = &flatMeta_[base];
+            desc.lanes = flat.data();
             desc.external = true;
         }
         return;
@@ -594,9 +578,7 @@ RegFileSystem::readMetaDesc(unsigned warp, unsigned reg,
     if (e.kind == Kind::Vector) {
         acc.metaFromVrf = true;
         slotInfo_[e.slot].lastUse = ++useClock_;
-        scratch.resize(cfg_.numLanes);
-        for (unsigned i = 0; i < cfg_.numLanes; ++i)
-            scratch[i] = unpackMeta(slots_[e.slot][i]);
+        expandMeta(e, scratch);
         desc.kind = MetaDesc::Kind::Lanes;
         desc.lanes = scratch.data();
         desc.external = false;
@@ -628,14 +610,11 @@ RegFileSystem::writeDataAffine(unsigned warp, unsigned reg, uint32_t base,
         // take the general write path so the corrupted lane is stored
         // (corruptLaneValue is idempotent, so the nested writeData call
         // re-applying the stuck bit changes nothing).
-        faultDataScratch_.resize(cfg_.numLanes);
-        for (unsigned i = 0; i < cfg_.numLanes; ++i)
-            faultDataScratch_[i] =
-                base + static_cast<uint32_t>(stride) * i;
+        LaneArray<uint32_t> vals;
+        DataDesc{DataDesc::Kind::Affine, base, stride}.materialiseTo(vals);
         injector_->corruptLaneValue(
-            faultDataScratch_[injector_->plan().lane % cfg_.numLanes]);
-        const LaneMask full(cfg_.numLanes, 1);
-        writeData(warp, reg, faultDataScratch_, full, acc);
+            vals[injector_->plan().lane % cfg_.numLanes]);
+        writeData(warp, reg, vals, allLanes_, acc);
         return;
     }
 
@@ -666,8 +645,9 @@ RegFileSystem::writeDataAffine(unsigned warp, unsigned reg, uint32_t base,
     }
     slotInfo_[e.slot].lastUse = ++useClock_;
     acc.dataFromVrf = true;
-    for (unsigned i = 0; i < cfg_.numLanes; ++i)
-        slots_[e.slot][i] = base + static_cast<uint32_t>(stride) * i;
+    LaneArray<uint64_t> &slot = slots_[e.slot];
+    for (unsigned i = 0; i < kMaxLanes; ++i)
+        slot[i] = base + static_cast<uint32_t>(stride) * i;
 }
 
 void
@@ -692,10 +672,7 @@ RegFileSystem::writeMetaUniform(unsigned warp, unsigned reg,
     }
 
     if (!cfg_.metaCompressed) {
-        const size_t base =
-            static_cast<size_t>(entryIndex(warp, reg)) * cfg_.numLanes;
-        for (unsigned i = 0; i < cfg_.numLanes; ++i)
-            flatMeta_[base + i] = stored;
+        flatMeta_[entryIndex(warp, reg)].fill(stored);
         return;
     }
 

@@ -27,6 +27,7 @@
 #ifndef CHERI_SIMT_SIMT_REGFILE_HPP_
 #define CHERI_SIMT_SIMT_REGFILE_HPP_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -70,7 +71,7 @@ struct DataDesc
     Kind kind = Kind::Affine;
     uint32_t base = 0;
     int32_t stride = 0;
-    const uint32_t *lanes = nullptr;
+    const uint32_t *lanes = nullptr; ///< kMaxLanes values
 
     bool isUniform() const { return kind == Kind::Affine && stride == 0; }
     bool isRegular() const { return kind == Kind::Affine; }
@@ -90,16 +91,14 @@ struct DataDesc
      * operand values are bit-identical across engines by construction.
      */
     void
-    materialiseTo(uint32_t *out, unsigned num_lanes) const
+    materialiseTo(LaneArray<uint32_t> &out) const
     {
         if (kind == Kind::Lanes) {
-            if (lanes != out) {
-                for (unsigned lane = 0; lane < num_lanes; ++lane)
-                    out[lane] = lanes[lane];
-            }
+            if (lanes != out.data())
+                std::copy(lanes, lanes + kMaxLanes, out.begin());
             return;
         }
-        for (unsigned lane = 0; lane < num_lanes; ++lane)
+        for (unsigned lane = 0; lane < kMaxLanes; ++lane)
             out[lane] = base + static_cast<uint32_t>(stride) * lane;
     }
 };
@@ -116,8 +115,8 @@ struct MetaDesc
 
     Kind kind = Kind::Uniform;
     CapMeta value{};
-    uint32_t nullMask = 0;
-    const CapMeta *lanes = nullptr;
+    LaneMask nullMask = 0;
+    const CapMeta *lanes = nullptr; ///< kMaxLanes values
 
     /** Lanes storage owned by the register file, not the caller's buffer. */
     bool external = false;
@@ -165,17 +164,17 @@ class RegFileSystem
 
     // ---- Architectural access ----
 
-    void readData(unsigned warp, unsigned reg, std::vector<uint32_t> &out,
+    void readData(unsigned warp, unsigned reg, LaneArray<uint32_t> &out,
                   RfAccess &acc);
     void writeData(unsigned warp, unsigned reg,
-                   const std::vector<uint32_t> &vals,
-                   const LaneMask &mask, RfAccess &acc);
+                   const LaneArray<uint32_t> &vals, LaneMask mask,
+                   RfAccess &acc);
 
-    void readMeta(unsigned warp, unsigned reg, std::vector<CapMeta> &out,
+    void readMeta(unsigned warp, unsigned reg, LaneArray<CapMeta> &out,
                   RfAccess &acc);
     void writeMeta(unsigned warp, unsigned reg,
-                   const std::vector<CapMeta> &vals,
-                   const LaneMask &mask, RfAccess &acc);
+                   const LaneArray<CapMeta> &vals, LaneMask mask,
+                   RfAccess &acc);
 
     // ---- Descriptor access (warp-regularity fast path) ----
     //
@@ -187,10 +186,10 @@ class RegFileSystem
     // view stays valid across later reads that may spill the slot.
 
     void readDataDesc(unsigned warp, unsigned reg,
-                      std::vector<uint32_t> &scratch, DataDesc &desc,
+                      LaneArray<uint32_t> &scratch, DataDesc &desc,
                       RfAccess &acc);
     void readMetaDesc(unsigned warp, unsigned reg,
-                      std::vector<CapMeta> &scratch, MetaDesc &desc,
+                      LaneArray<CapMeta> &scratch, MetaDesc &desc,
                       RfAccess &acc);
 
     /** Full-mask affine write: equals writeData of the expanded sequence. */
@@ -254,7 +253,7 @@ class RegFileSystem
         uint32_t base = 0;  ///< data scalar base / meta uniform value
         int32_t stride = 0; ///< data scalar stride
         bool tag = false;   ///< meta uniform tag
-        uint32_t nullMask = 0;
+        LaneMask nullMask = 0;
         int slot = -1;
         int spillId = -1;
     };
@@ -274,14 +273,20 @@ class RegFileSystem
     void freeSlot(int slot, bool for_meta);
     void spillVictim(bool for_meta, RfAccess &acc);
 
-    void expandData(const Entry &e, std::vector<uint32_t> &out) const;
-    void expandMeta(const Entry &e, std::vector<CapMeta> &out) const;
+    void expandData(const Entry &e, LaneArray<uint32_t> &out) const;
+    void expandMeta(const Entry &e, LaneArray<CapMeta> &out) const;
 
     /** Reload a spilled entry into the VRF, charging traffic. */
     void unspillData(Entry &e, unsigned warp, unsigned reg, RfAccess &acc);
     void unspillMeta(Entry &e, unsigned warp, unsigned reg, RfAccess &acc);
 
+    // Test seam for the entry representation; defined by test
+    // translation units only.
+    friend struct RegFileTestAccess;
+
     const SmConfig cfg_;
+    /** Every lane of a register: a write under this mask is full. */
+    const LaneMask allLanes_;
     support::StatSet &stats_;
 
     // Hot-loop counter handles (never consult the name-keyed registry
@@ -298,7 +303,7 @@ class RegFileSystem
 
     // VRF storage: one buffer of lane values per slot. Data uses the low
     // 32 bits; metadata packs {tag, meta} into the low 33 bits.
-    std::vector<std::vector<uint64_t>> slots_;
+    std::vector<LaneArray<uint64_t>> slots_;
     std::vector<SlotInfo> slotInfo_;
     std::vector<int> freeSlots_;
     unsigned usedSlots_ = 0;
@@ -309,11 +314,12 @@ class RegFileSystem
     unsigned dataSlotsUsed_ = 0;
     unsigned metaSlotsUsed_ = 0;
 
-    // Uncompressed metadata storage (plain CHERI configuration).
-    std::vector<CapMeta> flatMeta_;
+    // Uncompressed metadata storage (plain CHERI configuration), one
+    // lane array per register.
+    std::vector<LaneArray<CapMeta>> flatMeta_;
 
     // Spill backing store.
-    std::vector<std::vector<uint64_t>> spillStore_;
+    std::vector<LaneArray<uint64_t>> spillStore_;
     std::vector<int> freeSpillIds_;
 
     unsigned dataVecCount_ = 0;
@@ -321,17 +327,8 @@ class RegFileSystem
     uint32_t capRegMask_ = 0;
     uint64_t useClock_ = 0;
 
-    // Runtime fault injection (disarmed by default). The scratch buffers
-    // hold the corrupted copy of a write's values, so the const write
-    // interfaces stay unchanged.
+    // Runtime fault injection (disarmed by default).
     FaultInjector *injector_ = nullptr;
-    std::vector<uint32_t> faultDataScratch_;
-    std::vector<CapMeta> faultMetaScratch_;
-
-    // Partial-mask merge buffers for writeData/writeMeta, persistent so
-    // the hot write paths never allocate.
-    std::vector<uint32_t> mergeDataScratch_;
-    std::vector<CapMeta> mergeMetaScratch_;
 };
 
 } // namespace simt

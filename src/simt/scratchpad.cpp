@@ -119,8 +119,8 @@ Scratchpad::clearTagForStore(uint32_t addr, unsigned bytes)
 }
 
 unsigned
-Scratchpad::conflictCycles(const std::vector<uint32_t> &addrs,
-                           const LaneMask &active) const
+Scratchpad::conflictCycles(const LaneArray<uint32_t> &addrs,
+                           LaneMask active) const
 {
     // For each bank, count distinct word addresses accessed. A word
     // maps to exactly one bank, so per-bank distinctness equals
@@ -130,16 +130,14 @@ Scratchpad::conflictCycles(const std::vector<uint32_t> &addrs,
         ccCounts_.resize(banks);
     std::fill(ccCounts_.begin(), ccCounts_.begin() + banks, 0u);
     ccWords_.clear();
-    for (size_t lane = 0; lane < addrs.size(); ++lane) {
-        if (!active[lane])
-            continue;
+    forLanes(active, [&](unsigned lane) {
         const uint32_t word = addrs[lane] / 4;
         if (std::find(ccWords_.begin(), ccWords_.end(), word) ==
             ccWords_.end()) {
             ccWords_.push_back(word);
             ++ccCounts_[word % banks];
         }
-    }
+    });
     uint32_t worst = 1;
     for (unsigned b = 0; b < banks; ++b)
         worst = std::max(worst, ccCounts_[b]);

@@ -57,9 +57,8 @@ class Scratchpad
      * distinct words any single bank must serve (same-word accesses
      * broadcast, distinct words in the same bank serialise).
      */
-    unsigned
-    conflictCycles(const std::vector<uint32_t> &addrs,
-                   const LaneMask &active) const;
+    unsigned conflictCycles(const LaneArray<uint32_t> &addrs,
+                            LaneMask active) const;
 
     /** Order-dependent hash of all words and tags (parity tests). */
     uint64_t

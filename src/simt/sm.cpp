@@ -79,29 +79,23 @@ asBits(float f)
 }
 
 /**
- * Expand an operand descriptor into the per-lane buffer the reference
+ * Expand a metadata descriptor into the per-lane buffer the reference
  * (per-lane) paths read. A Lanes descriptor already points at the caller's
  * scratch buffer, so only closed forms need expanding.
  */
 void
-materialiseData(const DataDesc &d, std::vector<uint32_t> &buf)
-{
-    d.materialiseTo(buf.data(), static_cast<unsigned>(buf.size()));
-}
-
-void
-materialiseMeta(const MetaDesc &d, std::vector<CapMeta> &buf)
+materialiseMeta(const MetaDesc &d, LaneArray<CapMeta> &buf)
 {
     switch (d.kind) {
       case MetaDesc::Kind::Lanes:
         if (d.lanes != buf.data())
-            std::copy(d.lanes, d.lanes + buf.size(), buf.begin());
+            std::copy(d.lanes, d.lanes + kMaxLanes, buf.begin());
         return;
       case MetaDesc::Kind::Uniform:
-        std::fill(buf.begin(), buf.end(), d.value);
+        buf.fill(d.value);
         return;
       case MetaDesc::Kind::PartialNull:
-        for (unsigned lane = 0; lane < buf.size(); ++lane)
+        for (unsigned lane = 0; lane < kMaxLanes; ++lane)
             buf[lane] = (d.nullMask >> lane) & 1 ? CapMeta{} : d.value;
         return;
     }
@@ -214,7 +208,8 @@ jumpFault(const CapPipe &c, uint32_t target, int32_t imm)
 } // namespace
 
 Sm::Sm(const SmConfig &cfg, MemShard &mem)
-    : cfg_(cfg), mem_(mem), scratchpad_(cfg_),
+    : cfg_(cfg), allLanes_(lowLanes(cfg.numLanes)), mem_(mem),
+      scratchpad_(cfg_),
       dramTimer_(cfg_.dramLatency, cfg_.dramBytesPerCycle),
       tagController_(cfg_, dramTimer_, stats_),
       stackCache_(cfg_.stackCacheLines, cfg_.stackCacheLineBytes,
@@ -243,6 +238,10 @@ Sm::Sm(const SmConfig &cfg, MemShard &mem)
       statSimhostPackedMem_(stats_.handle("simhost_packed_mem_instrs")),
       statSimhostFused_(stats_.handle("simhost_fused_instrs"))
 {
+    fatal_if(cfg_.numLanes == 0 || cfg_.numLanes > kMaxLanes,
+             "numLanes (%u) must be 1..%u: a warp's lanes are one 32-bit "
+             "mask",
+             cfg_.numLanes, kMaxLanes);
     fatal_if(cfg_.stackCacheLines > 0 &&
                  (cfg_.stackCacheLineBytes <
                       4 * cfg_.numLanes ||
@@ -254,16 +253,6 @@ Sm::Sm(const SmConfig &cfg, MemShard &mem)
         scr = cap::nullCapPipe();
 
     decoded_ = std::make_shared<const engine::DecodedProgram>();
-
-    active_.resize(cfg_.numLanes);
-    rs1Data_.resize(cfg_.numLanes);
-    rs2Data_.resize(cfg_.numLanes);
-    result_.resize(cfg_.numLanes);
-    addrs_.resize(cfg_.numLanes);
-    rs1Meta_.resize(cfg_.numLanes);
-    rs2Meta_.resize(cfg_.numLanes);
-    resultMeta_.resize(cfg_.numLanes);
-    storeCapTags_.resize(cfg_.numLanes);
 
     // Runtime fault-injection sites hook the register-file and scratchpad
     // write paths; memory sites (tag/DRAM-word flips) are applied by the
@@ -317,15 +306,9 @@ Sm::launch(uint32_t entry_pc, unsigned warps_per_block)
 
     warps_.assign(cfg_.numWarps, Warp{});
     for (auto &w : warps_) {
-        w.pc.assign(cfg_.numLanes, entry_pc);
-        w.nest.assign(cfg_.numLanes, 0);
-        w.halted.assign(cfg_.numLanes, false);
-        w.pcc.assign(cfg_.numLanes, code_cap);
-        w.readyAt = 0;
-        w.atBarrier = false;
+        w.pc.fill(entry_pc);
+        w.pcc.fill(code_cap);
         w.liveThreads = cfg_.numLanes;
-        w.regular = true;
-        w.pccUniform = true;
     }
     sched_.assign(cfg_.numWarps, 0);
     liveWarps_ = cfg_.numWarps;
@@ -368,55 +351,54 @@ int
 Sm::selectActive(Warp &w, unsigned &num_active, bool &fully_active)
 {
     const bool check_pcc = cfg_.purecap && !cfg_.staticPcMeta;
+    const LaneMask live = allLanes_ & ~w.halted;
     num_active = 0;
     fully_active = false;
-    int leader = -1;
+    if (live == 0)
+        return -1;
     if (cfg_.hostFastPath && w.regular && (!check_pcc || w.pccUniform)) {
         // A regular warp has every live lane at the same (nest, pc) [and
-        // the same PCC when selection compares it], so the scan below
-        // reduces to "active = not halted" with the first live lane as
-        // leader -- exactly what it computes in that situation.
-        if (w.liveThreads == cfg_.numLanes) {
-            // No lane has halted: skip the per-lane scan entirely.
-            std::fill(active_.begin(), active_.end(), uint8_t{1});
-            leader = 0;
-        } else {
-            for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-                const bool a = !w.halted[lane];
-                active_[lane] = a;
-                if (a && leader < 0)
-                    leader = static_cast<int>(lane);
-            }
-        }
+        // the same PCC when selection compares it], so the reduction
+        // below selects every live lane with the first as leader.
+        active_ = live;
         num_active = w.liveThreads;
         fully_active = true;
-        return leader;
+        return std::countr_zero(live);
     }
 
-    // Deepest nesting level first, then lowest PC (Section 2.3).
-    for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-        if (w.halted[lane])
-            continue;
-        if (leader < 0 || w.nest[lane] > w.nest[leader] ||
-            (w.nest[lane] == w.nest[leader] && w.pc[lane] < w.pc[leader])) {
-            leader = static_cast<int>(lane);
-        }
+    // Deepest nesting level first, then lowest PC (Section 2.3): a
+    // max-nest then a min-pc reduction over the live lanes, then the
+    // mask of lanes at that (nest, pc), whose lowest lane leads.
+    // Branch-free over the fixed lane arrays, so the compiler vectorises
+    // each loop.
+    uint32_t max_nest = 0;
+    for (unsigned lane = 0; lane < kMaxLanes; ++lane)
+        max_nest = std::max(max_nest, w.nest[lane] & laneWord(live, lane));
+    uint32_t min_pc = ~uint32_t{0};
+    for (unsigned lane = 0; lane < kMaxLanes; ++lane) {
+        const uint32_t deepest =
+            laneWord(live, lane) &
+            -static_cast<uint32_t>(w.nest[lane] == max_nest);
+        min_pc = std::min(min_pc, w.pc[lane] | ~deepest);
     }
-    if (leader < 0)
-        return -1;
-
-    for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-        bool a = !w.halted[lane] && w.nest[lane] == w.nest[leader] &&
-                 w.pc[lane] == w.pc[leader];
-        if (a && check_pcc) {
-            // Dynamic PC metadata: active threads must agree on the whole
-            // PCC, not just the address.
-            a = w.pcc[lane] == w.pcc[leader];
-        }
-        active_[lane] = a;
-        num_active += a ? 1 : 0;
+    LaneMask at = 0;
+    for (unsigned lane = 0; lane < kMaxLanes; ++lane)
+        at |= kLaneBit[lane] &
+              -static_cast<uint32_t>((w.nest[lane] == max_nest) &
+                                     (w.pc[lane] == min_pc));
+    at &= live;
+    const int leader = std::countr_zero(at);
+    if (check_pcc) {
+        // Dynamic PC metadata: active threads must agree on the whole
+        // PCC, not just the address.
+        forLanes(at, [&](unsigned lane) {
+            if (!(w.pcc[lane] == w.pcc[leader]))
+                at &= ~(LaneMask{1} << lane);
+        });
     }
-    fully_active = num_active == w.liveThreads;
+    active_ = at;
+    num_active = static_cast<unsigned>(std::popcount(at));
+    fully_active = at == live;
     if (fully_active) {
         // The issue covers every live lane: the warp has (re)converged.
         w.regular = true;
@@ -430,9 +412,10 @@ void
 Sm::haltThread(unsigned warp, unsigned lane)
 {
     Warp &w = warps_[warp];
-    if (w.halted[lane])
+    const LaneMask bit = LaneMask{1} << lane;
+    if (w.halted & bit)
         return;
-    w.halted[lane] = true;
+    w.halted |= bit;
     --w.liveThreads;
     if (w.liveThreads == 0) {
         --liveWarps_;
@@ -603,12 +586,10 @@ void
 Sm::trapActive(unsigned warp, uint32_t pc, Op op, uint32_t addr,
                TrapKind kind, const Instr *in, const CapPipe *auth_cap)
 {
-    for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-        if (!active_[lane])
-            continue;
+    forLanes(active_, [&](unsigned lane) {
         trap(warp, lane, pc, op, addr, kind, in, auth_cap);
-        active_[lane] = false;
-    }
+    });
+    active_ = 0;
 }
 
 uint32_t
@@ -797,13 +778,8 @@ Sm::runLoop(uint64_t max_cycles)
             if (w.done())
                 continue;
             firstTrap_.warp = wid;
-            for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-                if (!w.halted[lane]) {
-                    firstTrap_.lane = lane;
-                    firstTrap_.pc = w.pc[lane];
-                    break;
-                }
-            }
+            firstTrap_.lane = std::countr_zero(allLanes_ & ~w.halted);
+            firstTrap_.pc = w.pc[firstTrap_.lane];
             break;
         }
     }
@@ -877,14 +853,9 @@ Sm::runLoopCore(uint64_t max_cycles)
                         firstTrap_.warp = wid;
                         firstTrap_.kind = TrapKind::BarrierDeadlock;
                         firstTrap_.addr = 0;
-                        for (unsigned lane = 0; lane < cfg_.numLanes;
-                             ++lane) {
-                            if (!w.halted[lane]) {
-                                firstTrap_.lane = lane;
-                                firstTrap_.pc = w.pc[lane];
-                                break;
-                            }
-                        }
+                        firstTrap_.lane =
+                            std::countr_zero(allLanes_ & ~w.halted);
+                        firstTrap_.pc = w.pc[firstTrap_.lane];
                         break;
                     }
                 }
@@ -1121,7 +1092,7 @@ Sm::executeAluLane(Warp &w, unsigned wid, unsigned lane, const Instr &in,
         const auto scr_idx = static_cast<isa::Scr>(imm & 0x1f);
         if (scr_idx >= isa::NUM_SCRS) {
             trap(wid, lane, pc, op, scr_idx, TrapKind::BadScrIndex, &in);
-            active_[lane] = false;
+            active_ &= ~(LaneMask{1} << lane);
             break;
         }
         const CapPipe old = scr_idx == isa::SCR_PCC
@@ -1155,7 +1126,7 @@ Sm::executeAluLane(Warp &w, unsigned wid, unsigned lane, const Instr &in,
         if (op == Op::CSETBOUNDSEXACT && !res.exact) {
             const CapPipe c = cap1();
             trap(wid, lane, pc, op, a, TrapKind::InexactBounds, &in, &c);
-            active_[lane] = false;
+            active_ &= ~(LaneMask{1} << lane);
             break;
         }
         set_cap_result(res.cap);
@@ -1364,7 +1335,7 @@ Sm::executeWarp(unsigned wid)
     // it is only ever read in purecap mode -- the per-lane writeback
     // treats a null entry as "plain integer result clears the tag".
     if (cfg_.purecap && resultMetaDirty_) {
-        std::fill(resultMeta_.begin(), resultMeta_.end(), CapMeta{});
+        resultMeta_.fill(CapMeta{});
         resultMetaDirty_ = false;
     }
 
@@ -1384,11 +1355,9 @@ Sm::executeWarp(unsigned wid)
     if (!tr.control) {
         // Straight-line instructions fall through to the next one.
         if (full_mask)
-            std::fill(w.pc.begin(), w.pc.end(), pc + 4);
-        for (unsigned lane = 0; lane < cfg_.numLanes && !full_mask; ++lane) {
-            if (active_[lane])
-                w.pc[lane] = pc + 4;
-        }
+            w.pc.fill(pc + 4);
+        else
+            forLanes(active_, [&](unsigned lane) { w.pc[lane] = pc + 4; });
     }
 
     // ---- Warp-regularity maintenance (host-only state) ----
@@ -1408,13 +1377,11 @@ Sm::executeWarp(unsigned wid)
             if (s.resAffine) {
                 // Partial mask: expand the closed form for the merge.
                 resultMetaDirty_ = true;
-                for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-                    if (!active_[lane])
-                        continue;
+                forLanes(active_, [&](unsigned lane) {
                     result_[lane] =
                         s.resBase + static_cast<uint32_t>(s.resStride) * lane;
                     resultMeta_[lane] = s.resMeta;
-                }
+                });
             }
             regfile_.writeData(wid, in.rd, result_, active_, wb_acc);
             if (cfg_.purecap) {
@@ -1484,10 +1451,7 @@ Sm::memAccessLanes(Step &s, AddrFn &&addr, PermsFn &&auth_perms)
 {
     const unsigned log_width = s.tr.accessLogWidth;
     const auto each = [&](auto &&access) {
-        for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-            if (active_[lane])
-                access(lane, addr(lane));
-        }
+        forLanes(active_, [&](unsigned lane) { access(lane, addr(lane)); });
     };
     if (s.op == Op::CLC) {
         resultMetaDirty_ = true;
@@ -1564,7 +1528,7 @@ Sm::clcValue(const cap::CapMem &mem, uint8_t auth_perms, uint32_t &data,
 }
 
 unsigned
-Sm::scratchpadTiming(const Step &s, const LaneMask &lanes)
+Sm::scratchpadTiming(const Step &s, LaneMask lanes)
 {
     // Bank-conflict serialisation; a capability access touches two
     // consecutive words, doubling the occupancy.
@@ -1592,19 +1556,10 @@ Sm::memAffine(Step &s)
     const auto lane_addr = [a0, ustride](unsigned lane) {
         return a0 + ustride * lane;
     };
-    int min_l = -1, max_l = -1;
-    if (s.fullyActive && s.w.liveThreads == cfg_.numLanes) {
-        min_l = 0;
-        max_l = static_cast<int>(cfg_.numLanes) - 1;
-    } else {
-        for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-            if (!active_[lane])
-                continue;
-            if (min_l < 0)
-                min_l = static_cast<int>(lane);
-            max_l = static_cast<int>(lane);
-        }
-    }
+    // The leader is active, so the mask is not empty.
+    const int min_l = std::countr_zero(active_);
+    const int max_l =
+        static_cast<int>(kMaxLanes) - 1 - std::countl_zero(active_);
     const bool no_holes =
         s.numActive == static_cast<unsigned>(max_l - min_l + 1);
     // The affine span must avoid 32-bit wraparound so the extreme lanes
@@ -1635,16 +1590,12 @@ Sm::memAffine(Step &s)
         c0 = capFromParts(s.rs1d.base, s.rs1m.value);
         bool mixed_tags = false;
         fault = capAccessFault(c0, tr, [&] {
-            bool first = true, tag0 = false;
-            for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-                if (!active_[lane])
-                    continue;
-                const bool t = s.rs2m.at(lane).tag;
-                mixed_tags = mixed_tags || (!first && t != tag0);
-                tag0 = first ? t : tag0;
-                first = false;
-            }
-            return tag0;
+            LaneMask tagged = 0;
+            forLanes(active_, [&](unsigned lane) {
+                tagged |= LaneMask{s.rs2m.at(lane).tag} << lane;
+            });
+            mixed_tags = tagged != 0 && tagged != active_;
+            return tagged != 0;
         });
         if (mixed_tags)
             return false;
@@ -1688,17 +1639,15 @@ Sm::memAffine(Step &s)
         // own (closed-form) address. The baseline machine's only fault
         // here is a misaligned address: a containment trap, as on the
         // per-lane path.
-        for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-            if (!active_[lane])
-                continue;
+        forLanes(active_, [&](unsigned lane) {
             if (cfg_.purecap)
                 trap(s.wid, lane, s.pc, s.op, lane_addr(lane), fault, &s.in,
                      &c0);
             else
                 containmentTrap(s.wid, lane, s.pc, s.op, lane_addr(lane),
                                 fault, &s.in);
-            active_[lane] = false;
-        }
+        });
+        active_ = 0;
         s.fastHit = true;
         return true;
     }
@@ -1707,17 +1656,15 @@ Sm::memAffine(Step &s)
     uint64_t mem_done = now_;
     unsigned shared_cycles = 0;
     if (all_shared) {
-        for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-            if (active_[lane])
-                addrs_[lane] = lane_addr(lane);
-        }
+        for (unsigned lane = 0; lane < kMaxLanes; ++lane)
+            addrs_[lane] = lane_addr(lane);
         shared_cycles = scratchpadTiming(s, active_);
     } else {
         bool writes_tagged_cap = false;
         if (s.op == Op::CSC) {
-            for (unsigned lane = 0; lane < cfg_.numLanes; ++lane)
-                writes_tagged_cap = writes_tagged_cap ||
-                                    (active_[lane] && s.rs2m.at(lane).tag);
+            forLanes(active_, [&](unsigned lane) {
+                writes_tagged_cap = writes_tagged_cap || s.rs2m.at(lane).tag;
+            });
         }
         mem_done = dramTiming(
             s, n_min, writes_tagged_cap,
@@ -1750,7 +1697,7 @@ Sm::memAffine(Step &s)
                 const int end = ascending ? max_l + 1 : min_l - 1;
                 for (int lane = begin; lane != end;
                      lane += ascending ? 1 : -1) {
-                    if (!active_[lane])
+                    if (!((active_ >> lane) & 1))
                         continue;
                     const uint32_t addr =
                         lane_addr(static_cast<unsigned>(lane));
@@ -1787,9 +1734,9 @@ Sm::memAffine(Step &s)
             : nullptr;
     const auto packed = [&](bool store) {
         const uint32_t page = n_min & ~(MemShard::kPageBytes - 1);
-        mfn(engine::MemCtx{mem_.pageData(page), active_.data(),
-                           result_.data(), &s.rs2d, a0 - page,
-                           static_cast<int32_t>(stride), cfg_.numLanes});
+        mfn(engine::MemCtx{mem_.pageData(page), active_, result_.data(),
+                           &s.rs2d, a0 - page,
+                           static_cast<int32_t>(stride)});
         // Accesses are aligned, so none straddles a word. With no holes
         // and |stride| <= 4 the lanes' words form one run; otherwise
         // mark lane by lane, since a word no lane touched would make a
@@ -1798,10 +1745,9 @@ Sm::memAffine(Step &s)
             mem_.markWords(n_min, n_max, store);
             return;
         }
-        for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-            if (active_[lane])
-                mem_.markWords(lane_addr(lane), lane_addr(lane), store);
-        }
+        forLanes(active_, [&](unsigned lane) {
+            mem_.markWords(lane_addr(lane), lane_addr(lane), store);
+        });
     };
     if (mfn)
         ++ctrPackedMem_;
@@ -1848,21 +1794,18 @@ Sm::memLanes(Step &s)
 {
     const OpTraits &tr = s.tr;
     const unsigned bytes = 1u << tr.accessLogWidth;
-    materialiseData(s.rs1d, rs1Data_);
+    s.rs1d.materialiseTo(rs1Data_);
     if (tr.usesRs2)
-        materialiseData(s.rs2d, rs2Data_);
+        s.rs2d.materialiseTo(rs2Data_);
     materialiseMeta(s.rs1m, rs1Meta_);
     materialiseMeta(s.rs2m, rs2Meta_);
     const auto lane_cap = [&](unsigned lane) {
         return capFromParts(rs1Data_[lane], rs1Meta_[lane]);
     };
 
-    for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-        if (active_[lane])
-            addrs_[lane] =
-                rs1Data_[lane] + static_cast<uint32_t>(tr.atomic ? 0
-                                                                 : s.in.imm);
-    }
+    const uint32_t offset = static_cast<uint32_t>(tr.atomic ? 0 : s.in.imm);
+    for (unsigned lane = 0; lane < kMaxLanes; ++lane)
+        addrs_[lane] = rs1Data_[lane] + offset;
 
     // Per-lane CHERI checks; faulting lanes trap and drop out.
     if (cfg_.purecap) {
@@ -1888,9 +1831,7 @@ Sm::memLanes(Step &s)
                 const unsigned shift = e + cap::kMantissaWidth - 3;
                 uint64_t rep_w = ~uint64_t{0};
                 cap::Bounds bnd{};
-                for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-                    if (!active_[lane])
-                        continue;
+                forLanes(active_, [&](unsigned lane) {
                     const uint32_t a = addrs_[lane];
                     TrapKind fault = TrapKind::None;
                     if (a % bytes != 0) {
@@ -1908,15 +1849,13 @@ Sm::memLanes(Step &s)
                     if (fault != TrapKind::None) {
                         const CapPipe c = cap::setAddr(lane_cap(lane), a);
                         trap(s.wid, lane, s.pc, s.op, a, fault, &s.in, &c);
-                        active_[lane] = false;
+                        active_ &= ~(LaneMask{1} << lane);
                     }
-                }
+                });
                 hoisted = true;
             }
         }
-        for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-            if (hoisted || !active_[lane])
-                continue;
+        forLanes(hoisted ? 0 : active_, [&](unsigned lane) {
             const uint32_t a = addrs_[lane];
             const CapPipe auth = lane_cap(lane);
             const CapPipe c = cap::setAddr(auth, a);
@@ -1928,29 +1867,27 @@ Sm::memLanes(Step &s)
                 fault = TrapKind::BoundsViolation;
             if (fault != TrapKind::None) {
                 trap(s.wid, lane, s.pc, s.op, a, fault, &s.in, &c);
-                active_[lane] = false;
+                active_ &= ~(LaneMask{1} << lane);
             }
-        }
+        });
     } else {
         // The baseline machine performs no capability checks, but a
         // misaligned address still faults the lane rather than the host:
         // corrupted data used as a pointer stays contained.
-        for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-            if (active_[lane] && addrs_[lane] % bytes != 0) {
+        forLanes(active_, [&](unsigned lane) {
+            if (addrs_[lane] % bytes != 0) {
                 containmentTrap(s.wid, lane, s.pc, s.op, addrs_[lane],
                                 TrapKind::MisalignedAccess, &s.in);
-                active_[lane] = false;
+                active_ &= ~(LaneMask{1} << lane);
             }
-        }
+        });
     }
 
     // Containment: a lane whose address maps to no memory region faults
     // rather than aborting the host. TCIM is load-only and never backs
     // capability or atomic accesses.
     const bool tcim_ok = !tr.store && !tr.atomic && !tr.capAccess;
-    for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-        if (!active_[lane])
-            continue;
+    forLanes(active_, [&](unsigned lane) {
         const uint32_t a = addrs_[lane];
         bool mapped = Scratchpad::contains(a) || MainMemory::contains(a);
         if (!mapped && tcim_ok)
@@ -1958,35 +1895,30 @@ Sm::memLanes(Step &s)
         if (!mapped) {
             containmentTrap(s.wid, lane, s.pc, s.op, a,
                             TrapKind::UnmappedAccess, &s.in);
-            active_[lane] = false;
+            active_ &= ~(LaneMask{1} << lane);
         }
-    }
+    });
 
     // Split shared-memory and DRAM lanes.
-    static thread_local LaneMask dram_lanes, shared_lanes;
-    dram_lanes.assign(cfg_.numLanes, false);
-    shared_lanes.assign(cfg_.numLanes, false);
-    bool any_shared = false, any_dram = false;
+    LaneMask shared_lanes = 0;
     bool writes_tagged_cap = false;
     uint32_t min_dram = 0xffffffffu;
-    for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-        if (!active_[lane])
-            continue;
+    forLanes(active_, [&](unsigned lane) {
         if (Scratchpad::contains(addrs_[lane])) {
-            shared_lanes[lane] = any_shared = true;
+            shared_lanes |= LaneMask{1} << lane;
         } else {
-            dram_lanes[lane] = any_dram = true;
             min_dram = std::min(min_dram, addrs_[lane]);
             writes_tagged_cap = writes_tagged_cap ||
                                 (s.op == Op::CSC && rs2Meta_[lane].tag);
         }
-    }
+    });
+    const LaneMask dram_lanes = active_ & ~shared_lanes;
 
     // ---- Timing ----
     const unsigned shared_cycles =
-        any_shared ? scratchpadTiming(s, shared_lanes) : 0;
+        shared_lanes != 0 ? scratchpadTiming(s, shared_lanes) : 0;
     const uint64_t mem_done =
-        any_dram ? dramTiming(s, min_dram, writes_tagged_cap,
+        dram_lanes != 0 ? dramTiming(s, min_dram, writes_tagged_cap,
                               [&] {
                                   return coalescer_.coalesce(
                                       addrs_, dram_lanes, bytes);
@@ -1995,11 +1927,10 @@ Sm::memLanes(Step &s)
 
     // ---- Functional access ----
     if (tr.atomic) {
-        for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-            if (active_[lane])
-                result_[lane] = atomicRmw(s.op, addrs_[lane], rs2Data_[lane],
-                                          s.in.rd != 0);
-        }
+        forLanes(active_, [&](unsigned lane) {
+            result_[lane] = atomicRmw(s.op, addrs_[lane], rs2Data_[lane],
+                                      s.in.rd != 0);
+        });
     } else {
         memAccessLanes(
             s, [&](unsigned lane) { return addrs_[lane]; },
@@ -2017,19 +1948,16 @@ Sm::execSfu(Step &s)
     // Shared function unit: serialised over the active lanes, on both
     // engines. Only the timing is the SFU's; each lane computes through
     // the per-lane data path.
-    unsigned count = 0;
-    for (unsigned lane = 0; lane < cfg_.numLanes; ++lane)
-        count += active_[lane] ? 1 : 0;
+    const unsigned count = static_cast<unsigned>(std::popcount(active_));
     const uint64_t start = std::max(now_, sfuBusyUntil_);
     sfuBusyUntil_ = start + count * cfg_.sfuCyclesPerElem;
     s.finish = sfuBusyUntil_ + cfg_.pipelineDepth;
     (s.tr.fpSlowPath ? statSfuFpOps_ : statSfuCheriOps_).add(count);
 
-    for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-        if (active_[lane])
-            executeAluLane(s.w, s.wid, lane, s.in, s.pc, s.rs1d.at(lane),
-                           s.rs2d.at(lane), s.rs1m.at(lane));
-    }
+    forLanes(active_, [&](unsigned lane) {
+        executeAluLane(s.w, s.wid, lane, s.in, s.pc, s.rs1d.at(lane),
+                       s.rs2d.at(lane), s.rs1m.at(lane));
+    });
 }
 
 // ---- ALU step ----
@@ -2230,32 +2158,30 @@ Sm::execAlu(Step &s)
             }
             if (!r1)
                 break; // per-lane check needs lane addresses
+            // One representability check per lane; the lanes' values
+            // are written out only when the tags differ.
             CapPipe ct = c0;
-            resultMetaDirty_ = true;
-            bool tags_uniform = true;
-            bool tag0 = false;
-            bool first = true;
-            for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-                if (!active_[lane])
-                    continue;
+            LaneMask tagged = 0;
+            forLanes(active_, [&](unsigned lane) {
                 const uint32_t ai = rs1d.at(lane);
+                ct.addr = ai;
                 const uint32_t ni =
                     n_base + static_cast<uint32_t>(n_stride) * lane;
-                ct.addr = ai;
-                const bool t = cap::inRepresentableRange(ct, ni - ai);
-                result_[lane] = ni;
-                resultMeta_[lane] = CapMeta{m1.meta, t};
-                if (first) {
-                    tag0 = t;
-                    first = false;
-                } else {
-                    tags_uniform = tags_uniform && t == tag0;
-                }
+                tagged |= LaneMask{cap::inRepresentableRange(ct, ni - ai)}
+                          << lane;
+            });
+            if (tagged == 0 || tagged == active_) {
+                s.result(n_base, n_stride, CapMeta{m1.meta, tagged != 0});
+                return true;
             }
-            if (tags_uniform)
-                s.result(n_base, n_stride, CapMeta{m1.meta, tag0});
-            else
-                s.fastHit = true; // per-lane tags, no re-decode
+            resultMetaDirty_ = true;
+            forLanes(active_, [&](unsigned lane) {
+                result_[lane] =
+                    n_base + static_cast<uint32_t>(n_stride) * lane;
+                resultMeta_[lane] =
+                    CapMeta{m1.meta, ((tagged >> lane) & 1) != 0};
+            });
+            s.fastHit = true; // per-lane tags, no re-decode
             return true;
           }
           default:
@@ -2279,16 +2205,14 @@ Sm::execAlu(Step &s)
         // one, else the scalar lane loop. Per-lane expressions are
         // bit-identical across both.
         if (const engine::AluLoopFn fn = decoded_->aluLoop[s.idx]) {
-            fn(engine::AluCtx{&rs1d, &rs2d, active_.data(), result_.data(),
-                              imm, cfg_.numLanes});
+            fn(engine::AluCtx{&rs1d, &rs2d, active_, result_.data(), imm});
             return;
         }
     }
-    for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-        if (active_[lane])
-            executeAluLane(s.w, s.wid, lane, s.in, s.pc, rs1d.at(lane),
-                           rs2d.at(lane), rs1m.at(lane));
-    }
+    forLanes(active_, [&](unsigned lane) {
+        executeAluLane(s.w, s.wid, lane, s.in, s.pc, rs1d.at(lane),
+                       rs2d.at(lane), rs1m.at(lane));
+    });
 }
 
 // ---- Control step ----
@@ -2300,10 +2224,7 @@ Sm::execControl(Step &s)
     const uint32_t pc = s.pc;
     const int32_t imm = s.in.imm;
     const auto set_pc = [&](uint32_t target) {
-        for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-            if (active_[lane])
-                w.pc[lane] = target;
-        }
+        forLanes(active_, [&](unsigned lane) { w.pc[lane] = target; });
     };
     switch (s.op) {
       case Op::BEQ: case Op::BNE: case Op::BLT: case Op::BGE:
@@ -2314,14 +2235,12 @@ Sm::execControl(Step &s)
         bool any_taken = false, any_not = false;
         // One lane loop per predicate, so the loop carries no op switch.
         const auto each_lane = [&](auto taken_fn) {
-            for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-                if (!active_[lane])
-                    continue;
+            forLanes(active_, [&](unsigned lane) {
                 const bool taken = taken_fn(a.at(lane), b.at(lane));
                 w.pc[lane] = taken ? taken_pc : pc + 4;
                 any_taken = any_taken || taken;
                 any_not = any_not || !taken;
-            }
+            });
         };
         using U = uint32_t;
         using S = int32_t;
@@ -2365,15 +2284,13 @@ Sm::execControl(Step &s)
             }
         } else {
             resultMetaDirty_ = resultMetaDirty_ || cfg_.purecap;
-            for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-                if (!active_[lane])
-                    continue;
+            forLanes(active_, [&](unsigned lane) {
                 if (cfg_.purecap)
                     capToParts(linkCap(w.pcc[lane], pc), result_[lane],
                                resultMeta_[lane]);
                 else
                     result_[lane] = pc + 4;
-            }
+            });
         }
         set_pc(pc + static_cast<uint32_t>(imm));
         return;
@@ -2400,10 +2317,7 @@ Sm::execControl(Step &s)
             CapMeta m;
             capToParts(linkCap(w.pcc[s.leader], pc), d, m);
             s.result(d, 0, m);
-            for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-                if (active_[lane])
-                    w.pcc[lane] = c;
-            }
+            forLanes(active_, [&](unsigned lane) { w.pcc[lane] = c; });
             set_pc(target);
             // Only a jump covering every live lane keeps the warp's PCCs
             // provably uniform.
@@ -2411,9 +2325,7 @@ Sm::execControl(Step &s)
         } else {
             uint32_t tgt0 = 0;
             bool first = true, tgt_uniform = true;
-            for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-                if (!active_[lane])
-                    continue;
+            forLanes(active_, [&](unsigned lane) {
                 const uint32_t a = s.rs1d.at(lane);
                 const uint32_t target = (a + static_cast<uint32_t>(imm)) & ~1u;
                 if (cfg_.purecap) {
@@ -2421,8 +2333,8 @@ Sm::execControl(Step &s)
                     const TrapKind fault = jumpFault(c, target, imm);
                     if (fault != TrapKind::None) {
                         trap(s.wid, lane, pc, s.op, target, fault, &s.in, &c);
-                        active_[lane] = false;
-                        continue;
+                        active_ &= ~(LaneMask{1} << lane);
+                        return;
                     }
                     c.otype = cap::OTYPE_UNSEALED;
                     resultMetaDirty_ = true;
@@ -2436,7 +2348,7 @@ Sm::execControl(Step &s)
                 tgt_uniform = tgt_uniform && (first || target == tgt0);
                 tgt0 = first ? target : tgt0;
                 first = false;
-            }
+            });
             s.pcDiverged = !tgt_uniform;
             if (cfg_.purecap)
                 w.pccUniform = false;
@@ -2444,9 +2356,7 @@ Sm::execControl(Step &s)
         return;
       case Op::SIMT_PUSH:
       case Op::SIMT_POP:
-        for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-            if (!active_[lane])
-                continue;
+        forLanes(active_, [&](unsigned lane) {
             if (s.op == Op::SIMT_PUSH) {
                 ++w.nest[lane];
             } else {
@@ -2454,22 +2364,17 @@ Sm::execControl(Step &s)
                 --w.nest[lane];
             }
             w.pc[lane] = pc + 4;
-        }
+        });
         return;
       case Op::SIMT_HALT:
-        for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-            if (active_[lane])
-                haltThread(s.wid, lane);
-        }
+        forLanes(active_, [&](unsigned lane) { haltThread(s.wid, lane); });
         return;
       case Op::SIMT_TRAP:
-        for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-            if (!active_[lane])
-                continue;
+        forLanes(active_, [&](unsigned lane) {
             statSoftBoundsTraps_.add();
             trap(s.wid, lane, pc, s.op, 0, TrapKind::SoftwareBoundsTrap,
                  &s.in);
-        }
+        });
         return;
       default:
         // SIMT_BARRIER falls through to the next instruction; the driver

@@ -95,7 +95,8 @@ class Sm
     /** An SM over @p mem, its functional memory, which the caller owns
      *  and keeps alive for the SM's lifetime (a device gives each SM
      *  its own shard of the one DRAM). Timing models (DRAM timer,
-     *  caches) are the SM's own. */
+     *  caches) are the SM's own. A lane count outside 1..kMaxLanes is
+     *  a fatal configuration error. */
     Sm(const SmConfig &cfg, MemShard &mem);
 
     const SmConfig &config() const { return cfg_; }
@@ -210,10 +211,10 @@ class Sm
   private:
     struct Warp
     {
-        std::vector<uint32_t> pc;
-        std::vector<uint32_t> nest;
-        LaneMask halted;
-        std::vector<cap::CapPipe> pcc;
+        LaneArray<uint32_t> pc{};
+        LaneArray<uint32_t> nest{};
+        LaneMask halted = 0;
+        LaneArray<cap::CapPipe> pcc{};
         uint64_t readyAt = 0;
         bool atBarrier = false;
         unsigned liveThreads = 0;
@@ -299,7 +300,7 @@ class Sm
                   uint32_t &data, CapMeta &meta) const;
 
     /** Scratchpad bank-conflict cycles of @p lanes at addrs_. */
-    unsigned scratchpadTiming(const Step &s, const LaneMask &lanes);
+    unsigned scratchpadTiming(const Step &s, LaneMask lanes);
 
     /**
      * DRAM timing of a warp access whose DRAM lanes start at
@@ -371,6 +372,8 @@ class Sm
     friend struct SmTestAccess;
 
     const SmConfig cfg_;
+    /** Every lane of a warp (lanes 0..numLanes-1). */
+    const LaneMask allLanes_;
     support::StatSet stats_;
     MemShard &mem_;
 
@@ -422,17 +425,17 @@ class Sm
     // stat set as "op_<name>" when a run finishes.
     std::vector<uint64_t> opCounts_;
 
-    // Reusable per-instruction buffers (avoid per-cycle allocation).
-    LaneMask active_;
-    std::vector<uint32_t> rs1Data_, rs2Data_, result_, addrs_;
-    std::vector<CapMeta> rs1Meta_, rs2Meta_, resultMeta_;
-    LaneMask storeCapTags_;
+    // Per-instruction state: the active lanes and the operand, result
+    // and address buffers.
+    LaneMask active_ = 0;
+    LaneArray<uint32_t> rs1Data_{}, rs2Data_{}, result_{}, addrs_{};
+    LaneArray<CapMeta> rs1Meta_{}, rs2Meta_{}, resultMeta_{};
     std::vector<MemTransaction> fastTxns_;
 
     // Lazy null-fill for resultMeta_: paths writing per-lane result
     // metadata set this, and the per-step prologue refills with nulls
     // only then -- the all-null invariant every reader relies on holds
-    // without an O(numLanes) fill on steps that never touch metadata.
+    // without a lane fill on steps that never touch metadata.
     bool resultMetaDirty_ = true;
 
     // Hot-loop counter handles (the string-keyed registry is never

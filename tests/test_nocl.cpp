@@ -275,4 +275,18 @@ TEST(NoclLaunchDeath, OversizedSharedArraysRefusedByEveryLaunch)
                 testing::ExitedWithCode(1), refusal);
 }
 
+TEST(NoclDeviceDeath, RefusesLaneCountsAMaskCannotHold)
+{
+    // A warp's lanes are one 32-bit mask in the simulator.
+    for (const unsigned lanes : {0u, 33u, 64u}) {
+        simt::SmConfig cfg;
+        cfg.numLanes = lanes;
+        EXPECT_EXIT({ Device dev(cfg, Mode::Baseline); },
+                    testing::ExitedWithCode(1),
+                    "numLanes \\(" + std::to_string(lanes) + "\\) must be "
+                    "1\\.\\.32")
+            << lanes;
+    }
+}
+
 } // namespace

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <random>
 #include <vector>
 
 #include "kc/asm.hpp"
@@ -17,6 +19,58 @@
 #include "simt/regfile.hpp"
 #include "simt/scratchpad.hpp"
 #include "simt/sm.hpp"
+
+namespace simt
+{
+
+/** Test seam declared as a friend of Sm (see sm.hpp). */
+struct SmTestAccess
+{
+    /** Warp @p wid's lane state, to set up selection states directly. */
+    static auto &warp(Sm &sm, unsigned wid) { return sm.warps_[wid]; }
+
+    static int
+    selectActive(Sm &sm, unsigned wid, unsigned &num_active,
+                 bool &fully_active)
+    {
+        return sm.selectActive(sm.warps_[wid], num_active, fully_active);
+    }
+
+    static LaneMask active(const Sm &sm) { return sm.active_; }
+};
+
+/** Test seam declared as a friend of RegFileSystem (see regfile.hpp):
+ *  entry kinds and lane values, read without the side effects of a
+ *  register read. */
+struct RegFileTestAccess
+{
+    enum Kind { Scalar, PartialNull, Vector, Spilled, Flat };
+
+    static Kind
+    kind(const RegFileSystem &rf, bool meta, unsigned warp, unsigned reg)
+    {
+        const auto &entries = meta ? rf.metaEntries_ : rf.dataEntries_;
+        return static_cast<Kind>(entries[rf.entryIndex(warp, reg)].kind);
+    }
+
+    static LaneArray<uint32_t>
+    data(const RegFileSystem &rf, unsigned warp, unsigned reg)
+    {
+        LaneArray<uint32_t> out;
+        rf.expandData(rf.dataEntries_[rf.entryIndex(warp, reg)], out);
+        return out;
+    }
+
+    static LaneArray<CapMeta>
+    meta(const RegFileSystem &rf, unsigned warp, unsigned reg)
+    {
+        LaneArray<CapMeta> out;
+        rf.expandMeta(rf.metaEntries_[rf.entryIndex(warp, reg)], out);
+        return out;
+    }
+};
+
+} // namespace simt
 
 namespace
 {
@@ -30,8 +84,8 @@ using kc::Assembler;
 TEST(Coalescer, UnitStrideWarpsCoalesce)
 {
     Coalescer c(32);
-    std::vector<uint32_t> addrs(32);
-    simt::LaneMask active(32, true);
+    LaneArray<uint32_t> addrs{};
+    const simt::LaneMask active = lowLanes(32);
     for (unsigned i = 0; i < 32; ++i)
         addrs[i] = kDramBase + 4 * i; // 128 contiguous bytes
     const auto txns = c.coalesce(addrs, active, 4);
@@ -41,16 +95,17 @@ TEST(Coalescer, UnitStrideWarpsCoalesce)
 TEST(Coalescer, UniformAddressIsOneTransaction)
 {
     Coalescer c(32);
-    std::vector<uint32_t> addrs(32, kDramBase + 64);
-    simt::LaneMask active(32, true);
+    LaneArray<uint32_t> addrs;
+    addrs.fill(kDramBase + 64);
+    const simt::LaneMask active = lowLanes(32);
     EXPECT_EQ(c.coalesce(addrs, active, 4).size(), 1u);
 }
 
 TEST(Coalescer, ScatteredAddressesDoNotCoalesce)
 {
     Coalescer c(32);
-    std::vector<uint32_t> addrs(32);
-    simt::LaneMask active(32, true);
+    LaneArray<uint32_t> addrs{};
+    const simt::LaneMask active = lowLanes(32);
     for (unsigned i = 0; i < 32; ++i)
         addrs[i] = kDramBase + 256 * i;
     EXPECT_EQ(c.coalesce(addrs, active, 4).size(), 32u);
@@ -59,10 +114,10 @@ TEST(Coalescer, ScatteredAddressesDoNotCoalesce)
 TEST(Coalescer, InactiveLanesIgnored)
 {
     Coalescer c(32);
-    std::vector<uint32_t> addrs(32, 0xdeadbeef); // garbage in inactive lanes
-    simt::LaneMask active(32, false);
+    LaneArray<uint32_t> addrs;
+    addrs.fill(0xdeadbeef); // garbage in inactive lanes
     addrs[5] = kDramBase;
-    active[5] = true;
+    const simt::LaneMask active = 1u << 5;
     const auto txns = c.coalesce(addrs, active, 4);
     ASSERT_EQ(txns.size(), 1u);
     EXPECT_EQ(txns[0].segment, kDramBase);
@@ -71,8 +126,8 @@ TEST(Coalescer, InactiveLanesIgnored)
 TEST(Coalescer, StraddlingAccessTouchesTwoSegments)
 {
     Coalescer c(32);
-    std::vector<uint32_t> addrs(1, kDramBase + 28);
-    simt::LaneMask active(1, true);
+    LaneArray<uint32_t> addrs{kDramBase + 28};
+    const simt::LaneMask active = lowLanes(1);
     // An 8-byte access at offset 28 crosses the 32-byte boundary.
     EXPECT_EQ(c.coalesce(addrs, active, 8).size(), 2u);
 }
@@ -154,8 +209,8 @@ TEST(Scratchpad, ConflictFreeUnitStride)
 {
     SmConfig cfg;
     Scratchpad sp(cfg);
-    std::vector<uint32_t> addrs(32);
-    simt::LaneMask active(32, true);
+    LaneArray<uint32_t> addrs{};
+    const simt::LaneMask active = lowLanes(32);
     for (unsigned i = 0; i < 32; ++i)
         addrs[i] = kSharedBase + 4 * i; // one word per bank
     EXPECT_EQ(sp.conflictCycles(addrs, active), 1u);
@@ -165,8 +220,9 @@ TEST(Scratchpad, BroadcastSameWord)
 {
     SmConfig cfg;
     Scratchpad sp(cfg);
-    std::vector<uint32_t> addrs(32, kSharedBase + 8);
-    simt::LaneMask active(32, true);
+    LaneArray<uint32_t> addrs;
+    addrs.fill(kSharedBase + 8);
+    const simt::LaneMask active = lowLanes(32);
     EXPECT_EQ(sp.conflictCycles(addrs, active), 1u);
 }
 
@@ -174,8 +230,8 @@ TEST(Scratchpad, StrideTwoConflicts)
 {
     SmConfig cfg;
     Scratchpad sp(cfg);
-    std::vector<uint32_t> addrs(32);
-    simt::LaneMask active(32, true);
+    LaneArray<uint32_t> addrs{};
+    const simt::LaneMask active = lowLanes(32);
     for (unsigned i = 0; i < 32; ++i)
         addrs[i] = kSharedBase + 8 * i; // stride 2 words: 2-way conflicts
     EXPECT_EQ(sp.conflictCycles(addrs, active), 2u);
@@ -215,6 +271,33 @@ TEST(MainMemory, CapTagInvariantBothHalves)
 
 // ------------------------------------------------------------ Register file
 
+/** A register write's lane array: @p v in its first lanes. */
+template <typename T>
+LaneArray<T>
+toLanes(const std::vector<T> &v)
+{
+    LaneArray<T> a{};
+    std::copy(v.begin(), v.end(), a.begin());
+    return a;
+}
+
+/** The 8 lanes of a register of the test configurations. */
+std::vector<uint32_t>
+readData(RegFileSystem &rf, unsigned warp, unsigned reg, RfAccess &acc)
+{
+    LaneArray<uint32_t> out;
+    rf.readData(warp, reg, out, acc);
+    return {out.begin(), out.begin() + 8};
+}
+
+std::vector<CapMeta>
+readMeta(RegFileSystem &rf, unsigned warp, unsigned reg, RfAccess &acc)
+{
+    LaneArray<CapMeta> out;
+    rf.readMeta(warp, reg, out, acc);
+    return {out.begin(), out.begin() + 8};
+}
+
 class RegFileTest : public ::testing::Test
 {
   protected:
@@ -240,19 +323,19 @@ TEST_F(RegFileTest, UniformAndAffineStayOutOfVrf)
     RegFileSystem rf(cfg, stats);
     RfAccess acc;
 
-    simt::LaneMask mask(8, true);
+    const simt::LaneMask mask = lowLanes(8);
     std::vector<uint32_t> uniform(8, 7);
-    rf.writeData(0, 1, uniform, mask, acc);
+    rf.writeData(0, 1, toLanes(uniform), mask, acc);
     std::vector<uint32_t> affine(8);
     for (unsigned i = 0; i < 8; ++i)
         affine[i] = 100 + 4 * i;
-    rf.writeData(0, 2, affine, mask, acc);
+    rf.writeData(0, 2, toLanes(affine), mask, acc);
 
     EXPECT_EQ(rf.dataVectorsInVrf(), 0u);
     std::vector<uint32_t> out;
-    rf.readData(0, 1, out, acc);
+    out = readData(rf, 0, 1, acc);
     EXPECT_EQ(out, uniform);
-    rf.readData(0, 2, out, acc);
+    out = readData(rf, 0, 2, acc);
     EXPECT_EQ(out, affine);
     EXPECT_FALSE(acc.dataFromVrf);
 }
@@ -263,20 +346,20 @@ TEST_F(RegFileTest, GeneralVectorUsesVrf)
     support::StatSet stats;
     RegFileSystem rf(cfg, stats);
     RfAccess acc;
-    simt::LaneMask mask(8, true);
+    const simt::LaneMask mask = lowLanes(8);
     std::vector<uint32_t> vals = {3, 1, 4, 1, 5, 9, 2, 6};
-    rf.writeData(0, 5, vals, mask, acc);
+    rf.writeData(0, 5, toLanes(vals), mask, acc);
     EXPECT_EQ(rf.dataVectorsInVrf(), 1u);
 
     std::vector<uint32_t> out;
     RfAccess racc;
-    rf.readData(0, 5, out, racc);
+    out = readData(rf, 0, 5, racc);
     EXPECT_EQ(out, vals);
     EXPECT_TRUE(racc.dataFromVrf);
 
     // Overwriting with a uniform vector releases the VRF slot.
     std::vector<uint32_t> uniform(8, 0);
-    rf.writeData(0, 5, uniform, mask, acc);
+    rf.writeData(0, 5, toLanes(uniform), mask, acc);
     EXPECT_EQ(rf.dataVectorsInVrf(), 0u);
 }
 
@@ -286,18 +369,16 @@ TEST_F(RegFileTest, PartialWriteMergesWithOldValue)
     support::StatSet stats;
     RegFileSystem rf(cfg, stats);
     RfAccess acc;
-    simt::LaneMask full(8, true);
+    const simt::LaneMask full = lowLanes(8);
     std::vector<uint32_t> uniform(8, 10);
-    rf.writeData(0, 3, uniform, full, acc);
+    rf.writeData(0, 3, toLanes(uniform), full, acc);
 
-    simt::LaneMask low(8, false);
-    for (unsigned i = 0; i < 4; ++i)
-        low[i] = true;
+    const simt::LaneMask low = lowLanes(4);
     std::vector<uint32_t> twenty(8, 20);
-    rf.writeData(0, 3, twenty, low, acc);
+    rf.writeData(0, 3, toLanes(twenty), low, acc);
 
     std::vector<uint32_t> out;
-    rf.readData(0, 3, out, acc);
+    out = readData(rf, 0, 3, acc);
     for (unsigned i = 0; i < 8; ++i)
         EXPECT_EQ(out[i], i < 4 ? 20u : 10u);
     // {20,20,20,20,10,10,10,10} is not affine: it must be in the VRF.
@@ -310,7 +391,7 @@ TEST_F(RegFileTest, SpillAndReloadPreservesValues)
     cfg.vrfCapacity = 2; // force spills
     support::StatSet stats;
     RegFileSystem rf(cfg, stats);
-    simt::LaneMask mask(8, true);
+    const simt::LaneMask mask = lowLanes(8);
 
     std::vector<std::vector<uint32_t>> vecs;
     RfAccess acc;
@@ -319,7 +400,7 @@ TEST_F(RegFileTest, SpillAndReloadPreservesValues)
         for (unsigned i = 0; i < 8; ++i)
             v[i] = r * 1000 + i * i; // non-affine
         vecs.push_back(v);
-        rf.writeData(0, r, v, mask, acc);
+        rf.writeData(0, r, toLanes(v), mask, acc);
     }
     EXPECT_GE(acc.spills, 2u);
     EXPECT_GT(acc.dramBytes, 0u);
@@ -328,7 +409,7 @@ TEST_F(RegFileTest, SpillAndReloadPreservesValues)
     for (unsigned r = 1; r <= 4; ++r) {
         std::vector<uint32_t> out;
         RfAccess racc;
-        rf.readData(0, r, out, racc);
+        out = readData(rf, 0, r, racc);
         EXPECT_EQ(out, vecs[r - 1]) << "reg " << r;
     }
     EXPECT_GT(stats.get("vrf_data_spills"), 0u);
@@ -341,13 +422,13 @@ TEST_F(RegFileTest, MetaUniformCompresses)
     support::StatSet stats;
     RegFileSystem rf(cfg, stats);
     RfAccess acc;
-    simt::LaneMask mask(8, true);
+    const simt::LaneMask mask = lowLanes(8);
     std::vector<CapMeta> metas(8, CapMeta{0xabcd0123, true});
-    rf.writeMeta(0, 4, metas, mask, acc);
+    rf.writeMeta(0, 4, toLanes(metas), mask, acc);
     EXPECT_EQ(rf.metaVectorsInVrf(), 0u);
 
     std::vector<CapMeta> out;
-    rf.readMeta(0, 4, out, acc);
+    out = readMeta(rf, 0, 4, acc);
     EXPECT_EQ(out, metas);
 }
 
@@ -357,19 +438,19 @@ TEST_F(RegFileTest, MetaNvoHoldsPartialNullInSrf)
     support::StatSet stats;
     RegFileSystem rf(cfg, stats);
     RfAccess acc;
-    simt::LaneMask mask(8, true);
+    const simt::LaneMask mask = lowLanes(8);
 
     // Half the lanes hold a capability, half hold integers (null meta):
     // with NVO this stays out of the VRF.
     std::vector<CapMeta> metas(8);
     for (unsigned i = 0; i < 8; ++i)
         metas[i] = i % 2 ? CapMeta{0x1234, true} : CapMeta{};
-    rf.writeMeta(0, 6, metas, mask, acc);
+    rf.writeMeta(0, 6, toLanes(metas), mask, acc);
     EXPECT_EQ(rf.metaVectorsInVrf(), 0u);
     EXPECT_GT(stats.get("meta_nvo_hits"), 0u);
 
     std::vector<CapMeta> out;
-    rf.readMeta(0, 6, out, acc);
+    out = readMeta(rf, 0, 6, acc);
     EXPECT_EQ(out, metas);
 }
 
@@ -379,11 +460,11 @@ TEST_F(RegFileTest, MetaWithoutNvoGoesToVrf)
     support::StatSet stats;
     RegFileSystem rf(cfg, stats);
     RfAccess acc;
-    simt::LaneMask mask(8, true);
+    const simt::LaneMask mask = lowLanes(8);
     std::vector<CapMeta> metas(8);
     for (unsigned i = 0; i < 8; ++i)
         metas[i] = i % 2 ? CapMeta{0x1234, true} : CapMeta{};
-    rf.writeMeta(0, 6, metas, mask, acc);
+    rf.writeMeta(0, 6, toLanes(metas), mask, acc);
     EXPECT_EQ(rf.metaVectorsInVrf(), 1u);
 }
 
@@ -393,11 +474,11 @@ TEST_F(RegFileTest, MetaTwoDistinctCapsDefeatsNvo)
     support::StatSet stats;
     RegFileSystem rf(cfg, stats);
     RfAccess acc;
-    simt::LaneMask mask(8, true);
+    const simt::LaneMask mask = lowLanes(8);
     std::vector<CapMeta> metas(8);
     for (unsigned i = 0; i < 8; ++i)
         metas[i] = CapMeta{i % 2 ? 0x1111u : 0x2222u, true};
-    rf.writeMeta(0, 7, metas, mask, acc);
+    rf.writeMeta(0, 7, toLanes(metas), mask, acc);
     EXPECT_EQ(rf.metaVectorsInVrf(), 1u);
 }
 
@@ -407,13 +488,306 @@ TEST_F(RegFileTest, CapRegMaskTracksCapabilityRegisters)
     support::StatSet stats;
     RegFileSystem rf(cfg, stats);
     RfAccess acc;
-    simt::LaneMask mask(8, true);
+    const simt::LaneMask mask = lowLanes(8);
     std::vector<CapMeta> caps(8, CapMeta{0x99, true});
     std::vector<CapMeta> nulls(8);
-    rf.writeMeta(0, 3, caps, mask, acc);
-    rf.writeMeta(0, 9, nulls, mask, acc);
-    rf.writeMeta(1, 12, caps, mask, acc);
+    rf.writeMeta(0, 3, toLanes(caps), mask, acc);
+    rf.writeMeta(0, 9, toLanes(nulls), mask, acc);
+    rf.writeMeta(1, 12, toLanes(caps), mask, acc);
     EXPECT_EQ(rf.capRegMask(), (1u << 3) | (1u << 12));
+}
+
+// Property check of the partial-write merge: writeData / writeMeta
+// against an in-test expand -> merge -> classify reference, over random
+// masks and every entry kind. The reference also predicts the VRF
+// occupancy and the RfAccess report of the write.
+
+using RfKind = RegFileTestAccess::Kind;
+
+/** A register-file configuration for the property checks: a small
+ *  shared VRF, so writes spill and reloads happen. */
+SmConfig
+propertyCfg(unsigned lanes, bool purecap, bool nvo)
+{
+    SmConfig cfg;
+    cfg.numWarps = 2;
+    cfg.numLanes = lanes;
+    cfg.vrfCapacity = 4;
+    cfg.purecap = purecap;
+    cfg.metaCompressed = purecap;
+    cfg.sharedVrf = purecap;
+    cfg.nvo = nvo;
+    return cfg;
+}
+
+/** The classification every write ends in, computed from the merged
+ *  lanes alone. */
+RfKind
+referenceDataKind(const LaneArray<uint32_t> &v, unsigned n)
+{
+    const int32_t stride = n > 1 ? static_cast<int32_t>(v[1] - v[0]) : 0;
+    if (stride < -128 || stride > 127)
+        return RfKind::Vector;
+    for (unsigned i = 0; i < n; ++i) {
+        if (v[i] != v[0] + static_cast<uint32_t>(stride) * i)
+            return RfKind::Vector;
+    }
+    return RfKind::Scalar;
+}
+
+RfKind
+referenceMetaKind(const LaneArray<CapMeta> &v, unsigned n, bool nvo)
+{
+    bool uniform = true;
+    for (unsigned i = 0; i < n; ++i)
+        uniform = uniform && v[i] == v[0];
+    if (uniform)
+        return RfKind::Scalar;
+    if (nvo) {
+        const CapMeta *value = nullptr;
+        bool one_value = true;
+        for (unsigned i = 0; i < n; ++i) {
+            if (v[i].isNull())
+                continue;
+            one_value = one_value && (value == nullptr || v[i] == *value);
+            value = value ? value : &v[i];
+        }
+        if (one_value)
+            return RfKind::PartialNull;
+    }
+    return RfKind::Vector;
+}
+
+/** What a write must report, from the entry kinds before and after and
+ *  the VRF occupancy before. */
+struct ExpectedWrite
+{
+    RfAccess acc;
+    unsigned vectors;
+};
+
+ExpectedWrite
+expectedWrite(RfKind before, RfKind after, bool partial, unsigned vectors,
+              unsigned slots_used, const SmConfig &cfg, bool meta)
+{
+    const unsigned lane_bytes = meta ? 8 : 4;
+    const bool reload = before == RfKind::Spilled && partial;
+    const bool alloc =
+        reload || (after == RfKind::Vector && before != RfKind::Vector);
+    ExpectedWrite e;
+    e.acc.reloads = reload ? 1 : 0;
+    e.acc.spills = alloc && slots_used == cfg.vrfCapacity ? 1 : 0;
+    e.acc.dramBytes = (e.acc.reloads + e.acc.spills) * cfg.numLanes *
+                      lane_bytes;
+    (meta ? e.acc.metaFromVrf : e.acc.dataFromVrf) =
+        after == RfKind::Vector;
+    e.vectors = vectors + (after == RfKind::Vector ? 1 : 0) -
+                (before == RfKind::Vector ? 1 : 0) - e.acc.spills;
+    return e;
+}
+
+void
+expectAccess(const RfAccess &got, const RfAccess &want)
+{
+    EXPECT_EQ(got.dataFromVrf, want.dataFromVrf);
+    EXPECT_EQ(got.metaFromVrf, want.metaFromVrf);
+    EXPECT_EQ(got.spills, want.spills);
+    EXPECT_EQ(got.reloads, want.reloads);
+    EXPECT_EQ(got.dramBytes, want.dramBytes);
+}
+
+/** A random write mask over @p n lanes: never empty, full a quarter of
+ *  the time. */
+LaneMask
+randomMask(std::mt19937 &rng, unsigned n)
+{
+    if (rng() % 4 == 0)
+        return lowLanes(n);
+    LaneMask m = 0;
+    while (m == 0)
+        m = static_cast<LaneMask>(rng()) & lowLanes(n);
+    return m;
+}
+
+constexpr unsigned kTarget = 5; ///< the register every check writes (warp 0)
+
+/** Evict warp 0's kTarget by filling the VRF with warp-1 vectors. */
+template <typename WriteVector>
+void
+spillTarget(const SmConfig &cfg, WriteVector &&write_vector)
+{
+    for (unsigned r = 1; r <= cfg.vrfCapacity; ++r)
+        write_vector(r);
+}
+
+TEST(RegFileProperty, WriteDataMatchesExpandMergeClassify)
+{
+    std::mt19937 rng(2026);
+    for (const unsigned n : {8u, 32u}) {
+        const SmConfig cfg = propertyCfg(n, false, false);
+        const auto random_vector = [&] {
+            LaneArray<uint32_t> v{};
+            for (unsigned i = 0; i < n; ++i)
+                v[i] = static_cast<uint32_t>(rng());
+            return v;
+        };
+        for (unsigned trial = 0; trial < 2000; ++trial) {
+            support::StatSet stats;
+            RegFileSystem rf(cfg, stats);
+            RfAccess setup;
+            const LaneMask all = lowLanes(n);
+            // The entry kind under test: Scalar, Vector or Spilled.
+            const unsigned want = trial % 3;
+            const uint32_t base = static_cast<uint32_t>(rng());
+            const int32_t stride = static_cast<int32_t>(rng() % 9) - 4;
+            LaneArray<uint32_t> init{};
+            for (unsigned i = 0; i < n; ++i)
+                init[i] = base + static_cast<uint32_t>(stride) * i;
+            if (want != 0)
+                init = random_vector();
+            rf.writeData(0, kTarget, init, all, setup);
+            if (want == 2) {
+                spillTarget(cfg, [&](unsigned r) {
+                    rf.writeData(1, r, random_vector(), all, setup);
+                });
+            }
+            const RfKind before = RegFileTestAccess::kind(rf, false, 0,
+                                                          kTarget);
+            ASSERT_EQ(before, want == 0   ? RfKind::Scalar
+                              : want == 1 ? RfKind::Vector
+                                          : RfKind::Spilled);
+
+            // New values: the old sequence continued, a constant, or
+            // random lanes.
+            const LaneMask mask = randomMask(rng, n);
+            LaneArray<uint32_t> vals = random_vector();
+            if (rng() % 3 == 0)
+                vals = init;
+            else if (rng() % 2 == 0)
+                vals.fill(static_cast<uint32_t>(rng() % 4));
+
+            const LaneArray<uint32_t> old =
+                RegFileTestAccess::data(rf, 0, kTarget);
+            LaneArray<uint32_t> merged{};
+            for (unsigned i = 0; i < n; ++i)
+                merged[i] = (mask >> i) & 1 ? vals[i] : old[i];
+            const RfKind after = referenceDataKind(merged, n);
+            const ExpectedWrite e =
+                expectedWrite(before, after, mask != all,
+                              rf.dataVectorsInVrf(), rf.vrfSlotsInUse(), cfg,
+                              false);
+
+            RfAccess acc;
+            rf.writeData(0, kTarget, vals, mask, acc);
+            SCOPED_TRACE(testing::Message()
+                         << "lanes " << n << " trial " << trial << " mask 0x"
+                         << std::hex << mask);
+            EXPECT_EQ(RegFileTestAccess::kind(rf, false, 0, kTarget), after);
+            const LaneArray<uint32_t> got =
+                RegFileTestAccess::data(rf, 0, kTarget);
+            for (unsigned i = 0; i < n; ++i)
+                ASSERT_EQ(got[i], merged[i]) << "lane " << i;
+            EXPECT_EQ(rf.dataVectorsInVrf(), e.vectors);
+            expectAccess(acc, e.acc);
+        }
+    }
+}
+
+TEST(RegFileProperty, WriteMetaMatchesExpandMergeClassify)
+{
+    std::mt19937 rng(2027);
+    const CapMeta v{0x1234, true};
+    const CapMeta u{0x5678, true};
+    for (const unsigned n : {8u, 32u}) {
+        for (const bool nvo : {false, true}) {
+            const SmConfig cfg = propertyCfg(n, true, nvo);
+            // Lane values drawn from {null, v, u} by per-lane weights.
+            const auto draw = [&](unsigned null_w, unsigned v_w,
+                                  unsigned u_w) {
+                LaneArray<CapMeta> m{};
+                for (unsigned i = 0; i < n; ++i) {
+                    const unsigned r = rng() % (null_w + v_w + u_w);
+                    m[i] = r < null_w ? CapMeta{} : (r < null_w + v_w ? v : u);
+                }
+                return m;
+            };
+            const auto vector_value = [&] {
+                LaneArray<CapMeta> m = draw(0, 1, 1);
+                m[0] = v;
+                m[1] = u; // two distinct non-null values: never compresses
+                return m;
+            };
+            for (unsigned trial = 0; trial < 2000; ++trial) {
+                support::StatSet stats;
+                RegFileSystem rf(cfg, stats);
+                RfAccess setup;
+                const LaneMask all = lowLanes(n);
+                // Scalar, PartialNull (NVO only), Vector or Spilled.
+                const unsigned want = trial % 4;
+                if (want == 1 && !nvo)
+                    continue;
+                LaneArray<CapMeta> init{};
+                if (want == 0) {
+                    init.fill(rng() % 2 ? v : CapMeta{});
+                } else if (want == 1) {
+                    init = draw(1, 1, 0);
+                    init[0] = v;
+                    init[1] = CapMeta{};
+                } else {
+                    init = vector_value();
+                }
+                rf.writeMeta(0, kTarget, init, all, setup);
+                if (want == 3) {
+                    spillTarget(cfg, [&](unsigned r) {
+                        rf.writeMeta(1, r, vector_value(), all, setup);
+                    });
+                }
+                const RfKind before =
+                    RegFileTestAccess::kind(rf, true, 0, kTarget);
+                ASSERT_EQ(before, static_cast<RfKind>(want));
+
+                const LaneMask mask = randomMask(rng, n);
+                LaneArray<CapMeta> vals;
+                switch (rng() % 4) {
+                  case 0: vals = draw(1, 0, 0); break;
+                  case 1: vals = draw(0, 1, 0); break;
+                  case 2: vals = draw(1, 1, 0); break;
+                  default: vals = draw(1, 1, 1); break;
+                }
+
+                const LaneArray<CapMeta> old =
+                    RegFileTestAccess::meta(rf, 0, kTarget);
+                LaneArray<CapMeta> merged{};
+                for (unsigned i = 0; i < n; ++i)
+                    merged[i] = (mask >> i) & 1 ? vals[i] : old[i];
+                const RfKind after = referenceMetaKind(merged, n, nvo);
+                // Writing nulls into the null scalar is a no-op.
+                bool written_nonnull = false;
+                for (unsigned i = 0; i < n; ++i)
+                    written_nonnull = written_nonnull ||
+                                      ((mask >> i) & 1 && !vals[i].isNull());
+                const ExpectedWrite e = expectedWrite(
+                    before, after, mask != all, rf.metaVectorsInVrf(),
+                    rf.vrfSlotsInUse(), cfg, true);
+
+                RfAccess acc;
+                rf.writeMeta(0, kTarget, vals, mask, acc);
+                SCOPED_TRACE(testing::Message()
+                             << "lanes " << n << " nvo " << nvo << " trial "
+                             << trial << " mask 0x" << std::hex << mask);
+                EXPECT_EQ(RegFileTestAccess::kind(rf, true, 0, kTarget),
+                          after);
+                const LaneArray<CapMeta> got =
+                    RegFileTestAccess::meta(rf, 0, kTarget);
+                for (unsigned i = 0; i < n; ++i)
+                    ASSERT_EQ(got[i], merged[i]) << "lane " << i;
+                EXPECT_EQ(rf.metaVectorsInVrf(), e.vectors);
+                expectAccess(acc, e.acc);
+                EXPECT_EQ((rf.capRegMask() >> kTarget) & 1,
+                          written_nonnull || !init[0].isNull() ? 1u : 0u);
+            }
+        }
+    }
 }
 
 TEST_F(RegFileTest, StorageModelMatchesPaperBaseline)
@@ -866,6 +1240,131 @@ TEST(SmScrDeath, ScrAccessorRejectsOutOfRangeIndex)
     Sm sm(SmConfig::cheriOptimised(), mem);
     EXPECT_EXIT((void)sm.scr(static_cast<isa::Scr>(31)),
                 testing::ExitedWithCode(1), "out of range");
+}
+
+// ------------------------------------------------------------ Lane count
+
+TEST(SmLanesDeath, RefusesLaneCountsAMaskCannotHold)
+{
+    for (const unsigned lanes : {0u, 33u, 64u}) {
+        SmConfig cfg;
+        cfg.numLanes = lanes;
+        EXPECT_EXIT(
+            {
+                MainMemory dram;
+                MemShard mem(dram);
+                Sm sm(cfg, mem);
+            },
+            testing::ExitedWithCode(1),
+            "numLanes \\(" + std::to_string(lanes) + "\\) must be 1\\.\\.32")
+            << lanes;
+    }
+}
+
+// ---------------------------------------------------- Active-thread selection
+
+/** The selection rule of Section 2.3 as a plain scan: the first live
+ *  lane of deepest nest then lowest PC leads; every live lane at its
+ *  (nest, pc) -- and, with dynamic PC metadata, its PCC -- issues. */
+struct NaiveSelection
+{
+    int leader = -1;
+    LaneMask active = 0;
+    unsigned numActive = 0;
+    bool fullyActive = false;
+};
+
+template <typename WarpState>
+NaiveSelection
+naiveSelect(const WarpState &w, unsigned n, bool check_pcc)
+{
+    NaiveSelection r;
+    unsigned live = 0;
+    for (unsigned lane = 0; lane < n; ++lane) {
+        if ((w.halted >> lane) & 1)
+            continue;
+        ++live;
+        const int l = r.leader;
+        if (l < 0 || w.nest[lane] > w.nest[l] ||
+            (w.nest[lane] == w.nest[l] && w.pc[lane] < w.pc[l]))
+            r.leader = static_cast<int>(lane);
+    }
+    if (r.leader < 0)
+        return r;
+    const unsigned l = static_cast<unsigned>(r.leader);
+    for (unsigned lane = 0; lane < n; ++lane) {
+        const bool a = !((w.halted >> lane) & 1) &&
+                       w.nest[lane] == w.nest[l] && w.pc[lane] == w.pc[l] &&
+                       (!check_pcc || w.pcc[lane] == w.pcc[l]);
+        r.active |= LaneMask{a} << lane;
+        r.numActive += a ? 1 : 0;
+    }
+    r.fullyActive = r.numActive == live;
+    return r;
+}
+
+TEST(SelectActiveProperty, MatchesNaiveScan)
+{
+    std::mt19937 rng(2028);
+    const cap::CapPipe pcc_a = cap::setBounds(cap::rootCap(), 4096).cap;
+    const cap::CapPipe pcc_b = cap::setBounds(cap::rootCap(), 8192).cap;
+    for (const unsigned n : {1u, 8u, 32u}) {
+        // Dynamic PC metadata (plain CHERI) compares PCCs; the baseline
+        // does not. Both engines select through the same routine.
+        for (const bool dynamic_pcc : {false, true}) {
+            for (const bool accelerated : {false, true}) {
+                SmConfig cfg = dynamic_pcc ? SmConfig::cheri()
+                                           : SmConfig::baseline();
+                cfg.numWarps = 1;
+                cfg.numLanes = n;
+                cfg.hostFastPath = accelerated;
+                MainMemory dram;
+                MemShard mem(dram);
+                Sm sm(cfg, mem);
+                Assembler a;
+                a.emit(Op::SIMT_HALT, 0, 0, 0);
+                sm.loadProgram(a.finalize());
+                sm.launch(0, 1);
+                auto &w = SmTestAccess::warp(sm, 0);
+                for (unsigned trial = 0; trial < 1000; ++trial) {
+                    // A regular warp shares (nest, pc, pcc) on every
+                    // lane; a divergent one draws them per lane.
+                    const bool regular = trial % 2 == 0;
+                    const uint32_t nest0 = rng() % 3;
+                    const uint32_t pc0 = 4 * (rng() % 4);
+                    for (unsigned lane = 0; lane < n; ++lane) {
+                        w.nest[lane] = regular ? nest0 : rng() % 3;
+                        w.pc[lane] = regular ? pc0 : 4 * (rng() % 4);
+                        w.pcc[lane] = regular || rng() % 4 ? pcc_a : pcc_b;
+                    }
+                    w.halted = 0;
+                    if (rng() % 2)
+                        w.halted = static_cast<LaneMask>(rng()) & lowLanes(n);
+                    if (w.halted == lowLanes(n))
+                        w.halted &= ~LaneMask{1}; // keep a lane live
+                    w.liveThreads = n - static_cast<unsigned>(
+                                            std::popcount(w.halted));
+                    w.regular = regular;
+                    w.pccUniform = regular;
+
+                    const NaiveSelection want =
+                        naiveSelect(w, n, dynamic_pcc);
+                    unsigned num_active = 0;
+                    bool fully_active = false;
+                    const int leader = SmTestAccess::selectActive(
+                        sm, 0, num_active, fully_active);
+                    SCOPED_TRACE(testing::Message()
+                                 << "lanes " << n << " dynamic_pcc "
+                                 << dynamic_pcc << " accelerated "
+                                 << accelerated << " trial " << trial);
+                    ASSERT_EQ(leader, want.leader);
+                    ASSERT_EQ(SmTestAccess::active(sm), want.active);
+                    ASSERT_EQ(num_active, want.numActive);
+                    ASSERT_EQ(fully_active, want.fullyActive);
+                }
+            }
+        }
+    }
 }
 
 TEST(SmTrap, CspecialrwBadIndexTrapsInsteadOfCorrupting)
