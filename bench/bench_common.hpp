@@ -70,8 +70,9 @@ struct BenchOptions
     /** Path of the JSON results file; empty = no JSON output. */
     std::string jsonPath;
 
-    /** ECMAScript regex over "<config label>/<bench name>"; points that
-     *  do not match are skipped. Empty = run everything. */
+    /** '|'-separated substrings of "<config label>/<bench name>"
+     *  (matchesAny); points that match none are skipped. Empty = run
+     *  everything. */
     std::string filter;
 
     /** Print the matching "<config>/<bench>" points instead of running. */
@@ -99,8 +100,9 @@ struct BenchOptions
  *   --json <path> | --json=<path>     write a JSON results file
  *   --threads <n> | --threads=<n>     worker threads (0 = auto)
  *   --size small|full | --size=...    workload size (default full)
- *   --filter <re> | --filter=<re>     run only points whose
- *                                     "<config>/<bench>" matches <re>
+ *   --filter <f> | --filter=<f>       run only points whose
+ *                                     "<config>/<bench>" contains one
+ *                                     of <f>'s '|'-separated names
  *   --list                            print matching points, run nothing
  *   --sms <n> | --sms=<n>             simulated SMs per device (default 1)
  *   --seed <n> | --seed=<n>           workload seed (default 0 = fixed
@@ -113,7 +115,15 @@ struct BenchOptions
  */
 BenchOptions parseArgs(int argc, char **argv);
 
-/** Does "<config_label>/<bench_name>" match @p filter (empty = all)? */
+/**
+ * Does @p name contain one of @p filter's '|'-separated substrings? An
+ * empty filter matches everything. A filter holding a regex
+ * metacharacter is a usage error (fatal), so an old regex filter cannot
+ * silently select nothing.
+ */
+bool matchesAny(const std::string &filter, const std::string &name);
+
+/** Does "<config_label>/<bench_name>" match @p filter (matchesAny)? */
 bool matchesFilter(const std::string &filter,
                    const std::string &config_label,
                    const std::string &bench_name);

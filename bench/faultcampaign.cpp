@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdio>
 #include <map>
-#include <regex>
 #include <thread>
 
 #include "bench/bench_common.hpp"
@@ -31,17 +30,7 @@ selectSuiteIndices(const std::string &filter)
     const auto suite = kernels::makeSuite();
     std::vector<size_t> selected;
     for (size_t i = 0; i < suite.size(); ++i) {
-        bool keep = filter.empty();
-        if (!keep) {
-            try {
-                const std::regex re(filter);
-                keep = std::regex_search(suite[i]->name(), re);
-            } catch (const std::regex_error &e) {
-                fatal("bad campaign filter regex '%s': %s", filter.c_str(),
-                      e.what());
-            }
-        }
-        if (keep)
+        if (matchesAny(filter, suite[i]->name()))
             selected.push_back(i);
     }
     return selected;

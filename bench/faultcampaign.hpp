@@ -102,7 +102,8 @@ struct CampaignOptions
     unsigned sms = 1;
     unsigned threads = 0; ///< worker threads over benchmarks (0 = auto)
 
-    /** ECMAScript regex over benchmark names; empty = all fourteen. */
+    /** '|'-separated substrings of benchmark names (matchesAny);
+     *  empty = all fourteen. */
     std::string filter;
 
     /** Trace/profile session attached to every faulty re-run device

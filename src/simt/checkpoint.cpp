@@ -670,6 +670,36 @@ RegFileSystem::loadState(ByteReader &r)
     metaVecCount_ = r.u32();
     capRegMask_ = r.u32();
     useClock_ = r.u64();
+
+    // Every kind and index the register file follows must be valid: a
+    // bad kind reaches a panic, a bad index reads out of bounds.
+    const auto refuse = [&r](const char *why) {
+        r.failWith(why);
+        return false;
+    };
+    // Negative ids wrap to huge unsigned ones.
+    const auto in = [](int id, size_t n) { return unsigned(id) < n; };
+    for (const std::vector<Entry> *es : {&dataEntries_, &metaEntries_}) {
+        // Data entries are never PartialNull or Flat; metadata entries
+        // are Flat exactly in the uncompressed file.
+        const bool meta = es == &metaEntries_;
+        for (const Entry &e : *es) {
+            if (e.kind > Kind::Flat ||
+                (!meta && e.kind == Kind::PartialNull) ||
+                (e.kind == Kind::Flat) != (meta && !cfg_.metaCompressed))
+                return refuse("bad register-file entry kind");
+            if (e.kind == Kind::Vector && !in(e.slot, slots_.size()))
+                return refuse("register-file VRF slot out of range");
+            if (e.kind == Kind::Spilled && !in(e.spillId, spillStore_.size()))
+                return refuse("register-file spill id out of range");
+        }
+    }
+    for (const int id : freeSlots_)
+        if (!in(id, slots_.size()))
+            return refuse("VRF free-list id out of range");
+    for (const int id : freeSpillIds_)
+        if (!in(id, spillStore_.size()))
+            return refuse("VRF free-list id out of range");
     return !r.failed();
 }
 

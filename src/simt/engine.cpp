@@ -1,14 +1,14 @@
 #include "simt/engine.hpp"
 
 #include <array>
-#include <bit>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <utility>
 
 #include "isa/encoding.hpp"
+#include "simt/alu.hpp"
 
 namespace simt
 {
@@ -20,139 +20,31 @@ namespace
 
 using isa::Op;
 
-float
-asFloat(uint32_t v)
-{
-    return std::bit_cast<float>(v);
-}
-
-uint32_t
-asBits(float f)
-{
-    return std::bit_cast<uint32_t>(f);
-}
-
-int32_t
-s(uint32_t v)
-{
-    return static_cast<int32_t>(v);
-}
-
-/**
- * One tight lane loop per op: @p F computes (a, b, imm) -> result. The
- * per-lane expressions are identical to Sm::executeAluLane's, and
- * inactive lanes keep their previous result_ values, exactly like the
- * per-lane reference loop (which never touches them).
- */
-template <typename F>
+/** The scalar handler of table op @p O. Inactive lanes keep their old
+ *  result_ values, as the per-lane reference loop never touches them. */
+template <Op O>
 void
-scalarLoop(const AluCtx &c, F f)
+laneLoop(const AluCtx &c)
 {
     const DataDesc &r1 = *c.rs1;
     const DataDesc &r2 = *c.rs2;
     forLanes(c.active, [&](unsigned lane) {
-        c.result[lane] = f(r1.at(lane), r2.at(lane), c.imm);
+        c.result[lane] = alu::lane(O, r1.at(lane), r2.at(lane), c.imm);
     });
 }
 
-#define SCALAR_HANDLER(expr)                                              \
-    +[](const AluCtx &c) {                                                \
-        scalarLoop(c, [](uint32_t a, uint32_t b, int32_t imm) -> uint32_t \
-                   { (void)a; (void)b; (void)imm; return (expr); });      \
-    }
-
-/** The scalar handler table, indexed by opcode. */
-std::array<AluLoopFn, static_cast<size_t>(Op::NUM_OPS)>
-buildScalarTable()
+/** The scalar handler table, indexed by opcode: laneLoop of each row
+ *  of the table, nullptr for every other op. */
+template <size_t... I>
+constexpr std::array<AluLoopFn, sizeof...(I)>
+scalarTable(std::index_sequence<I...>)
 {
-    std::array<AluLoopFn, static_cast<size_t>(Op::NUM_OPS)> t{};
-    auto set = [&](Op op, AluLoopFn fn) {
-        t[static_cast<size_t>(op)] = fn;
-    };
-
-    set(Op::ADDI, SCALAR_HANDLER(a + static_cast<uint32_t>(imm)));
-    set(Op::SLTI, SCALAR_HANDLER(s(a) < imm ? 1u : 0u));
-    set(Op::SLTIU, SCALAR_HANDLER(a < static_cast<uint32_t>(imm) ? 1u : 0u));
-    set(Op::XORI, SCALAR_HANDLER(a ^ static_cast<uint32_t>(imm)));
-    set(Op::ORI, SCALAR_HANDLER(a | static_cast<uint32_t>(imm)));
-    set(Op::ANDI, SCALAR_HANDLER(a & static_cast<uint32_t>(imm)));
-    set(Op::SLLI, SCALAR_HANDLER(a << (imm & 31)));
-    set(Op::SRLI, SCALAR_HANDLER(a >> (imm & 31)));
-    set(Op::SRAI,
-        SCALAR_HANDLER(static_cast<uint32_t>(s(a) >> (imm & 31))));
-    set(Op::ADD, SCALAR_HANDLER(a + b));
-    set(Op::SUB, SCALAR_HANDLER(a - b));
-    set(Op::SLL, SCALAR_HANDLER(a << (b & 31)));
-    set(Op::SLT, SCALAR_HANDLER(s(a) < s(b) ? 1u : 0u));
-    set(Op::SLTU, SCALAR_HANDLER(a < b ? 1u : 0u));
-    set(Op::XOR, SCALAR_HANDLER(a ^ b));
-    set(Op::SRL, SCALAR_HANDLER(a >> (b & 31)));
-    set(Op::SRA, SCALAR_HANDLER(static_cast<uint32_t>(s(a) >> (b & 31))));
-    set(Op::OR, SCALAR_HANDLER(a | b));
-    set(Op::AND, SCALAR_HANDLER(a & b));
-    set(Op::MUL, SCALAR_HANDLER(a * b));
-    set(Op::MULH, SCALAR_HANDLER(static_cast<uint32_t>(
-                      (static_cast<int64_t>(s(a)) * s(b)) >> 32)));
-    set(Op::MULHSU,
-        SCALAR_HANDLER(static_cast<uint32_t>(
-            (static_cast<int64_t>(s(a)) * static_cast<uint64_t>(b)) >> 32)));
-    set(Op::MULHU, SCALAR_HANDLER(static_cast<uint32_t>(
-                       (static_cast<uint64_t>(a) * b) >> 32)));
-    set(Op::DIV,
-        SCALAR_HANDLER(b == 0 ? 0xffffffffu
-                              : (s(a) == INT32_MIN && s(b) == -1
-                                     ? static_cast<uint32_t>(INT32_MIN)
-                                     : static_cast<uint32_t>(s(a) / s(b)))));
-    set(Op::DIVU, SCALAR_HANDLER(b == 0 ? 0xffffffffu : a / b));
-    set(Op::REM,
-        SCALAR_HANDLER(b == 0 ? a
-                              : (s(a) == INT32_MIN && s(b) == -1
-                                     ? 0u
-                                     : static_cast<uint32_t>(s(a) % s(b)))));
-    set(Op::REMU, SCALAR_HANDLER(b == 0 ? a : a % b));
-    set(Op::FADD_S, SCALAR_HANDLER(asBits(asFloat(a) + asFloat(b))));
-    set(Op::FSUB_S, SCALAR_HANDLER(asBits(asFloat(a) - asFloat(b))));
-    set(Op::FMUL_S, SCALAR_HANDLER(asBits(asFloat(a) * asFloat(b))));
-    set(Op::FMIN_S,
-        SCALAR_HANDLER(asBits(std::fmin(asFloat(a), asFloat(b)))));
-    set(Op::FMAX_S,
-        SCALAR_HANDLER(asBits(std::fmax(asFloat(a), asFloat(b)))));
-    set(Op::FCVT_W_S, SCALAR_HANDLER(static_cast<uint32_t>(
-                          static_cast<int32_t>(asFloat(a)))));
-    set(Op::FCVT_WU_S, SCALAR_HANDLER(static_cast<uint32_t>(asFloat(a))));
-    set(Op::FCVT_S_W, SCALAR_HANDLER(asBits(static_cast<float>(s(a)))));
-    set(Op::FCVT_S_WU, SCALAR_HANDLER(asBits(static_cast<float>(a))));
-    set(Op::FEQ_S, SCALAR_HANDLER(asFloat(a) == asFloat(b) ? 1u : 0u));
-    set(Op::FLT_S, SCALAR_HANDLER(asFloat(a) < asFloat(b) ? 1u : 0u));
-    set(Op::FLE_S, SCALAR_HANDLER(asFloat(a) <= asFloat(b) ? 1u : 0u));
-    return t;
+    return {(alu::covers(static_cast<Op>(I)) ? &laneLoop<static_cast<Op>(I)>
+                                             : nullptr)...};
 }
 
-#undef SCALAR_HANDLER
-
-const std::array<AluLoopFn, static_cast<size_t>(Op::NUM_OPS)> &
-scalarTable()
-{
-    static const auto table = buildScalarTable();
-    return table;
-}
-
-/** The integer ALU family the packed backend covers: every op whose
- *  AVX2 semantics are bit-for-bit the scalar expression. */
-bool
-packedOpClass(Op op)
-{
-    switch (op) {
-      case Op::ADDI: case Op::SLTI: case Op::SLTIU: case Op::XORI:
-      case Op::ORI: case Op::ANDI: case Op::SLLI: case Op::SRLI:
-      case Op::SRAI: case Op::ADD: case Op::SUB: case Op::SLL:
-      case Op::SLT: case Op::SLTU: case Op::XOR: case Op::SRL:
-      case Op::SRA: case Op::OR: case Op::AND: case Op::MUL:
-        return true;
-      default:
-        return false;
-    }
-}
+constexpr auto kScalarHandlers = scalarTable(
+    std::make_index_sequence<static_cast<size_t>(Op::NUM_OPS)>{});
 
 bool
 envForcesScalar()
@@ -360,11 +252,11 @@ fuseProgram(DecodedProgram &p)
             // trailing store of the chain's result also joins (the
             // `out[i] = f(in[i])` idiom), so its packed handler is
             // installed.
-            if (have(2) && at(1).rd != 0 && packedOpClass(at(2).op) &&
+            if (have(2) && at(1).rd != 0 && alu::packed(at(2).op) &&
                 consumes(at(2), at(1).rd)) {
                 len = 3;
                 if (have(3) && at(2).rd != 0 &&
-                    packedOpClass(at(3).op) &&
+                    alu::packed(at(3).op) &&
                     consumes(at(3), at(2).rd))
                     len = 4;
                 else if (have(3) && at(2).rd != 0 &&
@@ -378,17 +270,17 @@ fuseProgram(DecodedProgram &p)
             len = 2;
         } else if (isPlainLoad(a.op) && a.rd != 0) {
             if (have(2) && isPlainLoad(at(1).op) && at(1).rd != 0 &&
-                packedOpClass(at(2).op) && consumes(at(2), a.rd) &&
+                alu::packed(at(2).op) && consumes(at(2), a.rd) &&
                 consumes(at(2), at(1).rd)) {
                 // Two loads feeding one ALU op (the a[i] OP b[i] idiom).
                 kind = FusedKind::LoadAlu;
                 len = 3;
-            } else if (have(1) && packedOpClass(at(1).op) &&
+            } else if (have(1) && alu::packed(at(1).op) &&
                        consumes(at(1), a.rd)) {
                 kind = FusedKind::LoadAlu;
                 len = 2;
                 if (have(2) && at(1).rd != 0 &&
-                    packedOpClass(at(2).op) &&
+                    alu::packed(at(2).op) &&
                     consumes(at(2), at(1).rd))
                     len = 3;
                 else if (have(2) && at(1).rd != 0 &&
@@ -469,7 +361,7 @@ avx2Selected()
 AluLoopFn
 aluLoopHandler(Op op)
 {
-    return scalarTable()[static_cast<size_t>(op)];
+    return kScalarHandlers[static_cast<size_t>(op)];
 }
 
 AluLoopFn

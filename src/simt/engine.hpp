@@ -5,18 +5,13 @@
  * packed host-SIMD lane ALU and memory handlers, and the process-wide
  * decoded-program cache.
  *
- * The trap-free vector ALU ops (the set the former Sm::vectorAluLoop
- * switch covered) are executed through per-instruction handler pointers
- * resolved at decode time -- one indirect call per warp-instruction
- * instead of a per-opcode switch. Each op has two handlers:
- *
- *  - a scalar lane loop whose per-lane expressions replicate
- *    Sm::executeAluLane exactly (bit-identical by construction), and
- *  - optionally a packed (AVX2) loop for the integer ALU family, which
- *    the accelerated engine prefers. Packed handlers are restricted to
- *    ops whose AVX2 semantics match the scalar expressions bit-for-bit
- *    (shifts mask the count with 31 explicitly; no floating point,
- *    whose rounding environment we refuse to reason about).
+ * The trap-free ALU ops (the rows of alu.hpp's table) run through a
+ * handler pointer resolved at decode time, one indirect call per
+ * warp-instruction. Each op has a scalar lane loop, instantiated from
+ * its row's lane function, and the integer ops with the packed bit also
+ * an AVX2 loop, which the accelerated engine prefers. The AVX2 loops are
+ * written separately; test_fastpath_parity checks them against the lane
+ * functions.
  *
  * Handler tables are pure functions of the opcode and of process-wide
  * runtime dispatch (AVX2 cpuid + the CHERI_SIMT_FORCE_SCALAR
@@ -54,10 +49,9 @@ struct AluCtx
 using AluLoopFn = void (*)(const AluCtx &);
 
 /**
- * Scalar handler for @p op, or nullptr when the op needs the
- * trap-capable per-lane path (capability ops, CSRs, control flow, ...).
- * Covers exactly the ops whose only architectural effect is writing
- * result_[lane] for active lanes.
+ * Scalar handler for @p op: the lane loop of its row of alu.hpp's
+ * table, or nullptr for an op outside the table, which needs the
+ * per-lane path (capability ops, CSRs, control flow, ...).
  */
 AluLoopFn aluLoopHandler(isa::Op op);
 

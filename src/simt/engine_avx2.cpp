@@ -4,17 +4,20 @@
  * lane arrays in 8-lane blocks over packed 32-bit registers, skipping
  * blocks with no active lane.
  *
- * Bit-identity argument (DESIGN.md section 10): the covered set is
- * restricted to two's-complement integer ops whose AVX2 instruction
- * semantics equal the scalar C++ expression on every input --
- * wraparound add/sub/mul-low, bitwise logic, compares materialised as
- * 0/1, and shifts with the count masked to 5 bits exactly as the
- * scalar path does (b & 31 / imm & 31). Unsigned compares flip the
+ * Bit-identity argument (DESIGN.md section 10): the covered set is the
+ * ops with the packed bit in alu.hpp's table, two's-complement integer
+ * ops whose AVX2 instruction semantics equal the table's lane function
+ * on every input -- wraparound add/sub/mul-low, bitwise logic, compares
+ * materialised as 0/1, and shifts with the count masked to 5 bits as
+ * the lane functions do (b & 31 / imm & 31). Unsigned compares flip the
  * sign bit and use the signed compare. Affine operands are expanded
  * with the same base + stride * lane arithmetic (32-bit wraparound in
  * both paths). Inactive lanes are preserved by a mask blend against
  * the previous result values, matching the reference loop, which never
- * touches them. Floating point is deliberately uncovered.
+ * touches them. Floating point is deliberately uncovered. These loops
+ * are an implementation independent of the table, so
+ * test_fastpath_parity checks them against its lane functions on edge
+ * operands; this file does not include alu.hpp.
  *
  * This translation unit is compiled with -mavx2 (CMake adds the flag
  * per-source); nothing here runs unless runtime dispatch selected the
@@ -104,8 +107,8 @@ maskShiftCount(__m256i b)
 
 /**
  * Run @p vf over the 8-lane blocks holding an active lane. @p vf
- * receives (a, b, vimm, imm), with expressions matching
- * Sm::executeAluLane.
+ * receives (a, b, vimm, imm), with expressions matching the lane
+ * functions of alu.hpp.
  */
 template <typename VF>
 void

@@ -290,41 +290,42 @@ RegFileSystem::expandMeta(const Entry &e, LaneArray<CapMeta> &out) const
 }
 
 void
-RegFileSystem::unspillData(Entry &e, unsigned warp, unsigned reg,
-                           RfAccess &acc)
+RegFileSystem::allocVector(Entry &e, bool for_meta, unsigned warp,
+                           unsigned reg, RfAccess &acc)
 {
-    const int spill_id = e.spillId;
-    const int slot = allocSlot(false, acc);
-    slots_[slot] = spillStore_[spill_id];
-    freeSpillIds_.push_back(spill_id);
+    const int slot = allocSlot(for_meta, acc);
+    if (e.kind == Kind::Spilled)
+        freeSpillIds_.push_back(e.spillId);
     e.kind = Kind::Vector;
     e.slot = slot;
     e.spillId = -1;
     slotInfo_[slot].warp = warp;
     slotInfo_[slot].reg = reg;
-    ++dataVecCount_;
-    ++acc.reloads;
-    acc.dramBytes += cfg_.numLanes * 4;
-    statDataReloads_.add();
+    ++(for_meta ? metaVecCount_ : dataVecCount_);
+}
+
+[[gnu::always_inline]] inline void
+RegFileSystem::compressTo(Entry &e, bool for_meta, const Entry &value)
+{
+    if (e.kind == Kind::Vector) {
+        freeSlot(e.slot, for_meta);
+        --(for_meta ? metaVecCount_ : dataVecCount_);
+    } else if (e.kind == Kind::Spilled) {
+        freeSpillIds_.push_back(e.spillId);
+    }
+    e = value;
 }
 
 void
-RegFileSystem::unspillMeta(Entry &e, unsigned warp, unsigned reg,
-                           RfAccess &acc)
+RegFileSystem::unspill(Entry &e, bool for_meta, unsigned warp, unsigned reg,
+                       RfAccess &acc)
 {
     const int spill_id = e.spillId;
-    const int slot = allocSlot(true, acc);
-    slots_[slot] = spillStore_[spill_id];
-    freeSpillIds_.push_back(spill_id);
-    e.kind = Kind::Vector;
-    e.slot = slot;
-    e.spillId = -1;
-    slotInfo_[slot].warp = warp;
-    slotInfo_[slot].reg = reg;
-    ++metaVecCount_;
+    allocVector(e, for_meta, warp, reg, acc);
+    slots_[e.slot] = spillStore_[spill_id];
     ++acc.reloads;
-    acc.dramBytes += cfg_.numLanes * 8;
-    statMetaReloads_.add();
+    acc.dramBytes += cfg_.numLanes * (for_meta ? 8 : 4);
+    (for_meta ? statMetaReloads_ : statDataReloads_).add();
 }
 
 void
@@ -333,7 +334,7 @@ RegFileSystem::readData(unsigned warp, unsigned reg,
 {
     Entry &e = dataEntries_[entryIndex(warp, reg)];
     if (e.kind == Kind::Spilled)
-        unspillData(e, warp, reg, acc);
+        unspill(e, false, warp, reg, acc);
     if (e.kind == Kind::Vector) {
         acc.dataFromVrf = true;
         slotInfo_[e.slot].lastUse = ++useClock_;
@@ -368,7 +369,7 @@ RegFileSystem::writeData(unsigned warp, unsigned reg,
     const LaneArray<uint32_t> *merged = src;
     if (mask != allLanes_) {
         if (e.kind == Kind::Spilled)
-            unspillData(e, warp, reg, acc);
+            unspill(e, false, warp, reg, acc);
         expandData(e, merge);
         blend(merge, *src, mask);
         merged = &merge;
@@ -377,25 +378,12 @@ RegFileSystem::writeData(unsigned warp, unsigned reg,
     uint32_t base;
     int32_t stride;
     if (compressData(*merged, cfg_.numLanes, base, stride)) {
-        if (e.kind == Kind::Vector) {
-            freeSlot(e.slot, false);
-            --dataVecCount_;
-        }
-        e.kind = Kind::Scalar;
-        e.base = base;
-        e.stride = stride;
-        e.slot = -1;
+        compressTo(e, false, Entry{Kind::Scalar, base, stride});
         return;
     }
 
-    if (e.kind != Kind::Vector) {
-        const int slot = allocSlot(false, acc);
-        e.kind = Kind::Vector;
-        e.slot = slot;
-        slotInfo_[slot].warp = warp;
-        slotInfo_[slot].reg = reg;
-        ++dataVecCount_;
-    }
+    if (e.kind != Kind::Vector)
+        allocVector(e, false, warp, reg, acc);
     slotInfo_[e.slot].lastUse = ++useClock_;
     acc.dataFromVrf = true;
     LaneArray<uint64_t> &slot = slots_[e.slot];
@@ -414,7 +402,7 @@ RegFileSystem::readMeta(unsigned warp, unsigned reg,
     }
     Entry &e = metaEntries_[entryIndex(warp, reg)];
     if (e.kind == Kind::Spilled)
-        unspillMeta(e, warp, reg, acc);
+        unspill(e, true, warp, reg, acc);
     if (e.kind == Kind::Vector) {
         acc.metaFromVrf = true;
         slotInfo_[e.slot].lastUse = ++useClock_;
@@ -471,7 +459,7 @@ RegFileSystem::writeMeta(unsigned warp, unsigned reg,
     const LaneArray<CapMeta> *mergedp = src;
     if (mask != allLanes_) {
         if (e.kind == Kind::Spilled)
-            unspillMeta(e, warp, reg, acc);
+            unspill(e, true, warp, reg, acc);
         expandMeta(e, merge);
         blend(merge, *src, mask);
         mergedp = &merge;
@@ -481,15 +469,8 @@ RegFileSystem::writeMeta(unsigned warp, unsigned reg,
     // Classify: uniform; else (with NVO) one non-null value plus nulls;
     // else a general vector.
     if ((lanesEqual(merged, merged[0]) & allLanes_) == allLanes_) {
-        if (e.kind == Kind::Vector) {
-            freeSlot(e.slot, true);
-            --metaVecCount_;
-        }
-        e.kind = Kind::Scalar;
-        e.base = merged[0].meta;
-        e.tag = merged[0].tag;
-        e.nullMask = 0;
-        e.slot = -1;
+        compressTo(e, true,
+                   Entry{Kind::Scalar, merged[0].meta, 0, merged[0].tag});
         return;
     }
 
@@ -499,28 +480,15 @@ RegFileSystem::writeMeta(unsigned warp, unsigned reg,
         const CapMeta value = merged[std::countr_zero(allLanes_ & ~nulls)];
         if (((lanesEqual(merged, value) | nulls) & allLanes_) ==
             allLanes_) {
-            if (e.kind == Kind::Vector) {
-                freeSlot(e.slot, true);
-                --metaVecCount_;
-            }
-            e.kind = Kind::PartialNull;
-            e.base = value.meta;
-            e.tag = value.tag;
-            e.nullMask = nulls;
-            e.slot = -1;
+            compressTo(e, true, Entry{Kind::PartialNull, value.meta, 0,
+                                      value.tag, nulls});
             statNvoHits_.add();
             return;
         }
     }
 
-    if (e.kind != Kind::Vector) {
-        const int slot = allocSlot(true, acc);
-        e.kind = Kind::Vector;
-        e.slot = slot;
-        slotInfo_[slot].warp = warp;
-        slotInfo_[slot].reg = reg;
-        ++metaVecCount_;
-    }
+    if (e.kind != Kind::Vector)
+        allocVector(e, true, warp, reg, acc);
     slotInfo_[e.slot].lastUse = ++useClock_;
     acc.metaFromVrf = true;
     LaneArray<uint64_t> &slot = slots_[e.slot];
@@ -535,7 +503,7 @@ RegFileSystem::readDataDesc(unsigned warp, unsigned reg,
 {
     Entry &e = dataEntries_[entryIndex(warp, reg)];
     if (e.kind == Kind::Spilled)
-        unspillData(e, warp, reg, acc);
+        unspill(e, false, warp, reg, acc);
     if (e.kind == Kind::Vector) {
         acc.dataFromVrf = true;
         slotInfo_[e.slot].lastUse = ++useClock_;
@@ -574,7 +542,7 @@ RegFileSystem::readMetaDesc(unsigned warp, unsigned reg,
     }
     Entry &e = metaEntries_[entryIndex(warp, reg)];
     if (e.kind == Kind::Spilled)
-        unspillMeta(e, warp, reg, acc);
+        unspill(e, true, warp, reg, acc);
     if (e.kind == Kind::Vector) {
         acc.metaFromVrf = true;
         slotInfo_[e.slot].lastUse = ++useClock_;
@@ -624,25 +592,12 @@ RegFileSystem::writeDataAffine(unsigned warp, unsigned reg, uint32_t base,
     // compress with stride 0; otherwise the affine stride must fit 8 bits.
     const int32_t eff_stride = cfg_.numLanes > 1 ? stride : 0;
     if (eff_stride >= -128 && eff_stride <= 127) {
-        if (e.kind == Kind::Vector) {
-            freeSlot(e.slot, false);
-            --dataVecCount_;
-        }
-        e.kind = Kind::Scalar;
-        e.base = base;
-        e.stride = eff_stride;
-        e.slot = -1;
+        compressTo(e, false, Entry{Kind::Scalar, base, eff_stride});
         return;
     }
 
-    if (e.kind != Kind::Vector) {
-        const int slot = allocSlot(false, acc);
-        e.kind = Kind::Vector;
-        e.slot = slot;
-        slotInfo_[slot].warp = warp;
-        slotInfo_[slot].reg = reg;
-        ++dataVecCount_;
-    }
+    if (e.kind != Kind::Vector)
+        allocVector(e, false, warp, reg, acc);
     slotInfo_[e.slot].lastUse = ++useClock_;
     acc.dataFromVrf = true;
     LaneArray<uint64_t> &slot = slots_[e.slot];
@@ -676,16 +631,8 @@ RegFileSystem::writeMetaUniform(unsigned warp, unsigned reg,
         return;
     }
 
-    Entry &e = metaEntries_[entryIndex(warp, reg)];
-    if (e.kind == Kind::Vector) {
-        freeSlot(e.slot, true);
-        --metaVecCount_;
-    }
-    e.kind = Kind::Scalar;
-    e.base = stored.meta;
-    e.tag = stored.tag;
-    e.nullMask = 0;
-    e.slot = -1;
+    compressTo(metaEntries_[entryIndex(warp, reg)], true,
+               Entry{Kind::Scalar, stored.meta, 0, stored.tag});
 }
 
 uint64_t

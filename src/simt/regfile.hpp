@@ -276,9 +276,18 @@ class RegFileSystem
     void expandData(const Entry &e, LaneArray<uint32_t> &out) const;
     void expandMeta(const Entry &e, LaneArray<CapMeta> &out) const;
 
+    /** Give @p e, not yet a Vector, a VRF slot as @p warp's @p reg,
+     *  freeing its spill vector if it had one. */
+    void allocVector(Entry &e, bool for_meta, unsigned warp, unsigned reg,
+                     RfAccess &acc);
+
+    /** Make @p e the compressed entry @p value, freeing its VRF slot or
+     *  spill vector. */
+    void compressTo(Entry &e, bool for_meta, const Entry &value);
+
     /** Reload a spilled entry into the VRF, charging traffic. */
-    void unspillData(Entry &e, unsigned warp, unsigned reg, RfAccess &acc);
-    void unspillMeta(Entry &e, unsigned warp, unsigned reg, RfAccess &acc);
+    void unspill(Entry &e, bool for_meta, unsigned warp, unsigned reg,
+                 RfAccess &acc);
 
     // Test seam for the entry representation; defined by test
     // translation units only.

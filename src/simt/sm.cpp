@@ -4,10 +4,10 @@
 #include <array>
 #include <bit>
 #include <chrono>
-#include <cmath>
 #include <limits>
 
 #include "isa/encoding.hpp"
+#include "simt/alu.hpp"
 #include "support/bits.hpp"
 #include "support/logging.hpp"
 #include "support/trace.hpp"
@@ -64,18 +64,6 @@ CapPipe
 linkCap(const CapPipe &pcc, uint32_t pc)
 {
     return cap::sealEntry(cap::setAddr(pcc, pc + 4));
-}
-
-float
-asFloat(uint32_t v)
-{
-    return std::bit_cast<float>(v);
-}
-
-uint32_t
-asBits(float f)
-{
-    return std::bit_cast<uint32_t>(f);
 }
 
 /**
@@ -905,8 +893,12 @@ Sm::executeAluLane(Warp &w, unsigned wid, unsigned lane, const Instr &in,
 {
     const Op op = in.op;
     const int32_t imm = in.imm;
-    const int32_t sa = static_cast<int32_t>(a);
-    const int32_t sb = static_cast<int32_t>(b);
+    // The trap-free data ops: one lane of alu.hpp's table, tested ahead
+    // of the switch so they take one jump table, not two.
+    if (alu::covers(op)) {
+        result_[lane] = alu::lane(op, a, b, imm);
+        return;
+    }
 
     const auto cap1 = [&]() { return capFromParts(a, m1); };
     const auto set_cap_result = [&](const CapPipe &c) {
@@ -916,7 +908,6 @@ Sm::executeAluLane(Warp &w, unsigned wid, unsigned lane, const Instr &in,
 
     uint32_t r = 0;
     switch (op) {
-      case Op::LUI: r = static_cast<uint32_t>(imm); break;
       case Op::AUIPC:
         if (cfg_.purecap) {
             const CapPipe c = cap::setAddr(
@@ -927,94 +918,6 @@ Sm::executeAluLane(Warp &w, unsigned wid, unsigned lane, const Instr &in,
             r = pc + static_cast<uint32_t>(imm);
         }
         break;
-      case Op::ADDI: r = a + static_cast<uint32_t>(imm); break;
-      case Op::SLTI: r = sa < imm ? 1 : 0; break;
-      case Op::SLTIU:
-        r = a < static_cast<uint32_t>(imm) ? 1 : 0;
-        break;
-      case Op::XORI: r = a ^ static_cast<uint32_t>(imm); break;
-      case Op::ORI: r = a | static_cast<uint32_t>(imm); break;
-      case Op::ANDI: r = a & static_cast<uint32_t>(imm); break;
-      case Op::SLLI: r = a << (imm & 31); break;
-      case Op::SRLI: r = a >> (imm & 31); break;
-      case Op::SRAI: r = static_cast<uint32_t>(sa >> (imm & 31));
-        break;
-      case Op::ADD: r = a + b; break;
-      case Op::SUB: r = a - b; break;
-      case Op::SLL: r = a << (b & 31); break;
-      case Op::SLT: r = sa < sb ? 1 : 0; break;
-      case Op::SLTU: r = a < b ? 1 : 0; break;
-      case Op::XOR: r = a ^ b; break;
-      case Op::SRL: r = a >> (b & 31); break;
-      case Op::SRA: r = static_cast<uint32_t>(sa >> (b & 31));
-        break;
-      case Op::OR: r = a | b; break;
-      case Op::AND: r = a & b; break;
-      case Op::MUL: r = a * b; break;
-      case Op::MULH:
-        r = static_cast<uint32_t>(
-            (static_cast<int64_t>(sa) * sb) >> 32);
-        break;
-      case Op::MULHSU:
-        r = static_cast<uint32_t>(
-            (static_cast<int64_t>(sa) *
-             static_cast<uint64_t>(b)) >> 32);
-        break;
-      case Op::MULHU:
-        r = static_cast<uint32_t>(
-            (static_cast<uint64_t>(a) * b) >> 32);
-        break;
-      case Op::DIV:
-        r = b == 0 ? 0xffffffffu
-                   : (sa == INT32_MIN && sb == -1
-                          ? static_cast<uint32_t>(INT32_MIN)
-                          : static_cast<uint32_t>(sa / sb));
-        break;
-      case Op::DIVU: r = b == 0 ? 0xffffffffu : a / b; break;
-      case Op::REM:
-        r = b == 0 ? a
-                   : (sa == INT32_MIN && sb == -1
-                          ? 0
-                          : static_cast<uint32_t>(sa % sb));
-        break;
-      case Op::REMU: r = b == 0 ? a : a % b; break;
-      case Op::FADD_S:
-        r = asBits(asFloat(a) + asFloat(b));
-        break;
-      case Op::FSUB_S:
-        r = asBits(asFloat(a) - asFloat(b));
-        break;
-      case Op::FMUL_S:
-        r = asBits(asFloat(a) * asFloat(b));
-        break;
-      case Op::FDIV_S:
-        r = asBits(asFloat(a) / asFloat(b));
-        break;
-      case Op::FSQRT_S:
-        r = asBits(std::sqrt(asFloat(a)));
-        break;
-      case Op::FMIN_S:
-        r = asBits(std::fmin(asFloat(a), asFloat(b)));
-        break;
-      case Op::FMAX_S:
-        r = asBits(std::fmax(asFloat(a), asFloat(b)));
-        break;
-      case Op::FCVT_W_S:
-        r = static_cast<uint32_t>(
-            static_cast<int32_t>(asFloat(a)));
-        break;
-      case Op::FCVT_WU_S:
-        r = static_cast<uint32_t>(asFloat(a));
-        break;
-      case Op::FCVT_S_W:
-        r = asBits(static_cast<float>(sa));
-        break;
-      case Op::FCVT_S_WU:
-        r = asBits(static_cast<float>(a));
-        break;
-      case Op::FEQ_S: r = asFloat(a) == asFloat(b) ? 1 : 0; break;
-      case Op::FLT_S: r = asFloat(a) < asFloat(b) ? 1 : 0; break;
-      case Op::FLE_S: r = asFloat(a) <= asFloat(b) ? 1 : 0; break;
       case Op::CSRRW:
       case Op::CSRRS:
         switch (static_cast<uint16_t>(imm)) {
@@ -1051,7 +954,6 @@ Sm::executeAluLane(Warp &w, unsigned wid, unsigned lane, const Instr &in,
         r = cap1().isSealed() ? 1 : 0;
         break;
       case Op::CGETFLAGS: r = cap1().flag ? 1 : 0; break;
-      case Op::CGETADDR: r = a; break;
       case Op::CMOVE:
         result_[lane] = a;
         resultMetaDirty_ = true;
@@ -1987,7 +1889,6 @@ Sm::execAlu(Step &s)
     const bool u1 = rs1d.isUniform();
     const bool r1 = rs1d.isRegular();
     const bool u2 = rs2d.isUniform();
-    const bool r2 = rs2d.isRegular();
     const bool m1u = rs1m.isUniform();
     const auto scalarised = [&]() -> bool {
         const auto leader_exec = [&]() {
@@ -1997,9 +1898,6 @@ Sm::execAlu(Step &s)
             s.result(result_[l], 0, resultMeta_[l]);
         };
         switch (op) {
-          case Op::LUI:
-            s.result(static_cast<uint32_t>(imm), 0);
-            return true;
           case Op::AUIPC:
             if (!cfg_.purecap) {
                 s.result(s.pc + static_cast<uint32_t>(imm), 0);
@@ -2009,48 +1907,6 @@ Sm::execAlu(Step &s)
                 return false; // lanes derive from distinct PCCs
             leader_exec();
             return true;
-          case Op::ADDI:
-            if (!r1)
-                break;
-            s.result(rs1d.base + static_cast<uint32_t>(imm), rs1d.stride);
-            return true;
-          case Op::ADD:
-            if (!(r1 && r2))
-                break;
-            s.result(rs1d.base + rs2d.base,
-                     static_cast<int32_t>(static_cast<uint32_t>(rs1d.stride) +
-                                          static_cast<uint32_t>(rs2d.stride)));
-            return true;
-          case Op::SUB:
-            if (!(r1 && r2))
-                break;
-            s.result(rs1d.base - rs2d.base,
-                     static_cast<int32_t>(static_cast<uint32_t>(rs1d.stride) -
-                                          static_cast<uint32_t>(rs2d.stride)));
-            return true;
-          case Op::SLLI: {
-            if (!r1)
-                break;
-            const unsigned sh = imm & 31;
-            s.result(rs1d.base << sh,
-                     static_cast<int32_t>(static_cast<uint32_t>(rs1d.stride)
-                                          << sh));
-            return true;
-          }
-          case Op::MUL:
-            if (r1 && u2) {
-                s.result(rs1d.base * rs2d.base,
-                         static_cast<int32_t>(
-                             static_cast<uint32_t>(rs1d.stride) * rs2d.base));
-                return true;
-            }
-            if (u1 && r2) {
-                s.result(rs1d.base * rs2d.base,
-                         static_cast<int32_t>(
-                             rs1d.base * static_cast<uint32_t>(rs2d.stride)));
-                return true;
-            }
-            break;
           case Op::CSRRW:
           case Op::CSRRS:
             switch (static_cast<uint16_t>(imm)) {
@@ -2075,11 +1931,6 @@ Sm::execAlu(Step &s)
             if (!m1u)
                 break;
             leader_exec();
-            return true;
-          case Op::CGETADDR:
-            if (!r1)
-                break;
-            s.result(rs1d.base, rs1d.stride);
             return true;
           case Op::CMOVE:
           case Op::CCLEARTAG: {
@@ -2120,26 +1971,18 @@ Sm::execAlu(Step &s)
             // representability check.
             if (!m1u)
                 break;
-            uint32_t n_base;
-            int32_t n_stride;
-            if (op == Op::CSETADDR) {
-                if (!r2)
-                    break;
-                n_base = rs2d.base;
-                n_stride = rs2d.stride;
-            } else if (op == Op::CINCOFFSET) {
-                if (!(r1 && r2))
-                    break;
-                n_base = rs1d.base + rs2d.base;
-                n_stride =
-                    static_cast<int32_t>(static_cast<uint32_t>(rs1d.stride) +
-                                         static_cast<uint32_t>(rs2d.stride));
-            } else {
-                if (!r1)
-                    break;
-                n_base = rs1d.base + static_cast<uint32_t>(imm);
-                n_stride = rs1d.stride;
-            }
+            // The new address: rs2, rs1 + rs2 or rs1 + imm, as the
+            // integer ops' closed forms.
+            const std::optional<DataDesc> n =
+                op == Op::CSETADDR     ? alu::transfer(Op::CGETADDR, rs2d,
+                                                       rs2d, 0)
+                : op == Op::CINCOFFSET ? alu::transfer(Op::ADD, rs1d, rs2d, 0)
+                                       : alu::transfer(Op::ADDI, rs1d, rs2d,
+                                                       imm);
+            if (!n)
+                break;
+            const uint32_t n_base = n->base;
+            const int32_t n_stride = n->stride;
             const CapMeta m1 = rs1m.value;
             const CapPipe c0 = capFromParts(rs1d.base, m1);
             if (!m1.tag || c0.isSealed()) {
@@ -2185,6 +2028,11 @@ Sm::execAlu(Step &s)
             return true;
           }
           default:
+            // A table op's closed form, where its transfer rule has one.
+            if (const auto d = alu::transfer(op, rs1d, rs2d, imm)) {
+                s.result(d->base, d->stride);
+                return true;
+            }
             break;
         }
         // Generic scalarisation: every operand the op consumes is
@@ -2200,10 +2048,9 @@ Sm::execAlu(Step &s)
         return;
     if (cfg_.hostFastPath) {
         // Threaded-code dispatch: the handler pointer was resolved at
-        // decode time for every trap-free pure-data ALU op, nullptr
+        // decode time for every row of alu.hpp's table, nullptr
         // otherwise: the packed (host-SIMD) handler where the op has
-        // one, else the scalar lane loop. Per-lane expressions are
-        // bit-identical across both.
+        // one, else the scalar lane loop of its lane function.
         if (const engine::AluLoopFn fn = decoded_->aluLoop[s.idx]) {
             fn(engine::AluCtx{&rs1d, &rs2d, active_, result_.data(), imm});
             return;

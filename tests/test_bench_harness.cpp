@@ -57,6 +57,22 @@ TEST(Geomean, SkipsNonFiniteEntries)
     EXPECT_DOUBLE_EQ(benchcommon::geomean({nan, 2.0, inf}), 2.0);
 }
 
+// ---------------------------------------------------------------- filters
+
+TEST(Filter, MatchesAnyListedSubstring)
+{
+    using benchcommon::matchesAny;
+    using benchcommon::matchesFilter;
+    EXPECT_TRUE(matchesAny("", "cheri_opt/VecAdd"));
+    EXPECT_TRUE(matchesAny("Reduce|VecAdd", "cheri_opt/VecAdd"));
+    EXPECT_FALSE(matchesAny("Reduce|SPMV", "cheri_opt/VecAdd"));
+    EXPECT_TRUE(matchesFilter("cheri_opt/Blk", "cheri_opt", "BlkStencil"));
+    EXPECT_FALSE(matchesFilter("baseline/Blk", "cheri_opt", "BlkStencil"));
+    // An old regex filter is refused, never read as a literal name.
+    EXPECT_EXIT(matchesAny("cheri_opt/.*Stencil", "x"),
+                testing::ExitedWithCode(1), "regex metacharacter");
+}
+
 // ----------------------------------------------------------- kernel cache
 
 TEST(KernelCache, CompilesOnceAcrossDevices)

@@ -596,4 +596,77 @@ TEST(SmImage, RefusesMalformedWarpState)
               "warp live-thread count disagrees with its halted lanes");
 }
 
+TEST(RegFileImage, RefusesBadKindsAndOutOfRangeIndices)
+{
+    // One warp-0 register of each kind in a two-slot VRF, with one id on
+    // each free list: r1 is a Vector, r2 Spilled, r3 Scalar (its slot
+    // freed) and spill id 0 free (r1's, reloaded).
+    simt::SmConfig cfg;
+    cfg.numWarps = 2;
+    cfg.numLanes = 8;
+    cfg.vrfCapacity = 2;
+    support::StatSet stats;
+    simt::RegFileSystem rf(cfg, stats);
+    simt::RfAccess acc;
+    const simt::LaneMask all = simt::lowLanes(8);
+    simt::LaneArray<uint32_t> v{};
+    for (unsigned i = 0; i < 8; ++i)
+        v[i] = i * i * 7 + 3; // never affine
+    for (const unsigned reg : {1u, 2u, 3u})
+        rf.writeData(0, reg, v, all, acc);
+    rf.readData(0, 1, v, acc);
+    rf.writeData(0, 3, simt::LaneArray<uint32_t>{}, all, acc);
+    support::ByteWriter w;
+    rf.saveState(w);
+    const std::vector<uint8_t> image = w.data();
+
+    // Offsets: 22-byte entries after a u32 count, no metadata entries,
+    // then the slot table (u32 lane count + 8 u64 lanes per vector),
+    // the 17-byte slot infos, the free slots, three u32 counters, the
+    // empty flat file, the spill store and the free spill ids.
+    const auto u32_at = [&](size_t off) {
+        uint32_t x = 0;
+        for (int i = 3; i >= 0; --i)
+            x = (x << 8) | image.at(off + i);
+        return x;
+    };
+    const size_t entries = cfg.numVectorRegs();
+    const auto entry = [](unsigned reg, size_t field) {
+        return 4 + reg * 22 + field;
+    };
+    size_t off = 4 + entries * 22 + 4;
+    const uint32_t slots = u32_at(off);
+    ASSERT_EQ(slots, 2u);
+    off += 4 + slots * 68;
+    off += 4 + slots * 17;
+    ASSERT_EQ(u32_at(off), 1u);
+    const size_t free_slot = off + 4;
+    off = free_slot + 4 + 12 + 4;
+    const uint32_t spills = u32_at(off);
+    ASSERT_EQ(spills, 2u);
+    off += 4 + spills * 68;
+    ASSERT_EQ(u32_at(off), 1u);
+    const size_t free_spill = off + 4;
+
+    const auto restore_error = [&](size_t at, uint8_t byte) {
+        std::vector<uint8_t> bytes = image;
+        bytes.at(at) = byte;
+        support::StatSet s2;
+        simt::RegFileSystem target(cfg, s2);
+        support::ByteReader r(bytes.data(), bytes.size());
+        const bool ok = target.loadState(r);
+        EXPECT_EQ(ok, !r.failed());
+        return ok ? std::string() : r.error();
+    };
+    EXPECT_EQ(restore_error(entry(3, 0), image[entry(3, 0)]), "");
+    EXPECT_EQ(restore_error(entry(3, 0), 5), "bad register-file entry kind");
+    EXPECT_EQ(restore_error(entry(3, 0), 1), "bad register-file entry kind");
+    EXPECT_EQ(restore_error(entry(1, 14), 2),
+              "register-file VRF slot out of range");
+    EXPECT_EQ(restore_error(entry(2, 18), 2),
+              "register-file spill id out of range");
+    EXPECT_EQ(restore_error(free_slot, 2), "VRF free-list id out of range");
+    EXPECT_EQ(restore_error(free_spill, 2), "VRF free-list id out of range");
+}
+
 } // namespace

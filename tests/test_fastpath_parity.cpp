@@ -28,13 +28,20 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <map>
+#include <optional>
+#include <random>
+#include <set>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "kc/asm.hpp"
 #include "kernels/suite.hpp"
 #include "nocl/nocl.hpp"
+#include "simt/alu.hpp"
 #include "simt/engine.hpp"
 #include "simt/sm.hpp"
 
@@ -393,6 +400,231 @@ TEST(EngineTrapParity, BaselineMisalignedAffineStore)
         simt::SmConfig::baseline,
         [](Assembler &a) { emitMisalignedProgram(a, Op::SW); },
         simt::TrapKind::MisalignedAccess, /*expect_lane=*/0);
+}
+
+// ---- The ALU semantics table (src/simt/alu.hpp) ----
+//
+// Both engines compute the trap-free ALU ops through the table's lane
+// functions, so the matrix above cannot see a wrong one. These checks
+// pin the table itself: known RISC-V answers, the transfer rules against
+// the lane functions, and the lane functions against the independent
+// AVX2 loops and their own scalar handlers.
+
+namespace alu = simt::alu;
+using simt::DataDesc;
+using simt::LaneArray;
+using simt::LaneMask;
+using simt::kMaxLanes;
+
+// Known answers, evaluated at compile time, where an over-wide shift or
+// an overflowing division is an error even on a host whose shift
+// instruction masks the count.
+static_assert(alu::lane(Op::SRA, 0x80000000u, 32, 0) == 0x80000000u);
+static_assert(alu::lane(Op::SRA, 0x80000000u, 33, 0) == 0xc0000000u);
+static_assert(alu::lane(Op::SRA, 0x80000000u, 0xffffffffu, 0) ==
+              0xffffffffu);
+static_assert(alu::lane(Op::SRAI, 0x80000000u, 0, 63) == 0xffffffffu);
+static_assert(alu::lane(Op::SRL, 0x80000000u, 0xffffffffu, 0) == 1);
+static_assert(alu::lane(Op::SRLI, 0x80000000u, 0, 33) == 0x40000000u);
+static_assert(alu::lane(Op::SLL, 1, 32, 0) == 1);
+static_assert(alu::lane(Op::SLLI, 1, 0, 33) == 2);
+static_assert(alu::lane(Op::DIV, 0x80000000u, 0xffffffffu, 0) ==
+              0x80000000u);
+static_assert(alu::lane(Op::REM, 0x80000000u, 0xffffffffu, 0) == 0);
+static_assert(alu::lane(Op::DIV, 0xfffffff9u, 2, 0) == 0xfffffffdu);
+static_assert(alu::lane(Op::REM, 0xfffffff9u, 2, 0) == 0xffffffffu);
+static_assert(alu::lane(Op::DIV, 7, 0, 0) == 0xffffffffu);
+static_assert(alu::lane(Op::DIVU, 7, 0, 0) == 0xffffffffu);
+static_assert(alu::lane(Op::REM, 7, 0, 0) == 7);
+static_assert(alu::lane(Op::REMU, 7, 0, 0) == 7);
+static_assert(alu::lane(Op::MULH, 0x80000000u, 0x80000000u, 0) ==
+              0x40000000u);
+static_assert(alu::lane(Op::MULHSU, 0xffffffffu, 0xffffffffu, 0) ==
+              0xffffffffu);
+static_assert(alu::lane(Op::MULHU, 0xffffffffu, 0xffffffffu, 0) ==
+              0xfffffffeu);
+static_assert(alu::lane(Op::SLT, 0x80000000u, 0, 0) == 1);
+static_assert(alu::lane(Op::SLTU, 0x80000000u, 0, 0) == 0);
+static_assert(alu::lane(Op::SLTIU, 0, 0, -1) == 1);
+
+/** Operand edges: 0, +-1, INT32_MIN, INT32_MAX, the shift counts 31, 32
+ *  and 33 (-1 is the fourth), and 2 for the divisions. */
+constexpr uint32_t kEdges[] = {0,  1,  0xffffffffu, 0x80000000u, 0x7fffffffu,
+                               31, 32, 33,          2};
+constexpr size_t kNumEdges = sizeof(kEdges) / sizeof(kEdges[0]);
+
+std::vector<Op>
+tableOps()
+{
+    std::vector<Op> ops;
+    for (size_t i = 0; i < static_cast<size_t>(Op::NUM_OPS); ++i) {
+        if (alu::covers(static_cast<Op>(i)))
+            ops.push_back(static_cast<Op>(i));
+    }
+    return ops;
+}
+
+/** An edge operand a quarter of the time, else a random word. */
+uint32_t
+drawWord(std::mt19937 &rng)
+{
+    return rng() % 4 == 0 ? static_cast<uint32_t>(rng())
+                          : kEdges[rng() % kNumEdges];
+}
+
+/** A uniform, affine (strides that wrap included) or per-lane
+ *  descriptor; per-lane values go to @p lanes. */
+DataDesc
+drawDesc(std::mt19937 &rng, LaneArray<uint32_t> &lanes)
+{
+    DataDesc d;
+    d.base = drawWord(rng);
+    switch (rng() % 4) {
+      case 0:
+        break; // uniform
+      case 1:
+        d.stride = static_cast<int32_t>(rng() % 9) - 4;
+        break;
+      case 2:
+        d.stride = static_cast<int32_t>(drawWord(rng));
+        break;
+      default:
+        for (uint32_t &v : lanes)
+            v = drawWord(rng);
+        d.kind = DataDesc::Kind::Lanes;
+        d.lanes = lanes.data();
+        break;
+    }
+    return d;
+}
+
+TEST(AluTable, TransferRulesMatchLaneFunctions)
+{
+    std::mt19937 rng(22);
+    std::set<Op> with_rule;
+    LaneArray<uint32_t> lanes1{}, lanes2{};
+    for (const Op op : tableOps()) {
+        for (unsigned trial = 0; trial < 4000; ++trial) {
+            const DataDesc d1 = drawDesc(rng, lanes1);
+            const DataDesc d2 = drawDesc(rng, lanes2);
+            const int32_t imm = static_cast<int32_t>(drawWord(rng));
+            const std::optional<DataDesc> d = alu::transfer(op, d1, d2, imm);
+            if (!d)
+                continue;
+            with_rule.insert(op);
+            ASSERT_TRUE(d->isRegular()) << isa::opName(op);
+            for (unsigned l = 0; l < kMaxLanes; ++l) {
+                ASSERT_EQ(d->at(l), alu::lane(op, d1.at(l), d2.at(l), imm))
+                    << isa::opName(op) << " lane " << l << " rs1 "
+                    << d1.base << "+" << d1.stride << "l rs2 " << d2.base
+                    << "+" << d2.stride << "l imm " << imm;
+            }
+        }
+    }
+    // The closed forms execAlu has always had, no more: the set decides
+    // simhost_fastpath_instrs.
+    EXPECT_EQ(with_rule, (std::set<Op>{Op::LUI, Op::ADDI, Op::SLLI, Op::ADD,
+                                       Op::SUB, Op::MUL, Op::CGETADDR}));
+}
+
+/**
+ * Bit-equal, or both NaN from an op with a float result, or both zeros
+ * from FMIN/FMAX. The host picks a NaN's payload and the sign of
+ * fmin(-0, +0), and GCC treats these ops as commutative, so two compiled
+ * copies of one lane function may order the operands differently.
+ */
+bool
+sameLaneResult(Op op, uint32_t got, uint32_t want)
+{
+    const auto nan = [](uint32_t v) {
+        return std::isnan(std::bit_cast<float>(v));
+    };
+    const bool zeros = ((got | want) & 0x7fffffffu) == 0;
+    switch (op) {
+      case Op::FMIN_S: case Op::FMAX_S:
+        return got == want || (nan(got) && nan(want)) || zeros;
+      case Op::FADD_S: case Op::FSUB_S: case Op::FMUL_S: case Op::FDIV_S:
+      case Op::FSQRT_S:
+        return got == want || (nan(got) && nan(want));
+      default:
+        return got == want;
+    }
+}
+
+bool
+cpuHasAvx2()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    return __builtin_cpu_supports("avx2") != 0;
+#else
+    return false;
+#endif
+}
+
+TEST(AluTable, HandlersMatchLaneFunctionsOnEdgeOperands)
+{
+    const bool avx2 = simt::engine::avx2Compiled() && cpuHasAvx2();
+    std::mt19937 rng(23);
+    for (const Op op : tableOps()) {
+        const simt::engine::AluLoopFn scalar =
+            simt::engine::aluLoopHandler(op);
+        ASSERT_NE(scalar, nullptr) << isa::opName(op);
+        const simt::engine::AluLoopFn packed =
+            avx2 ? simt::engine::avx2AluHandler(op) : nullptr;
+        // Every (a, b) pair of edges lands in some lane of the first
+        // four trials; later ones mix in random words and affine
+        // operands.
+        for (unsigned trial = 0; trial < 64; ++trial) {
+            LaneArray<uint32_t> a{}, b{}, scratch{};
+            for (unsigned l = 0; l < kMaxLanes; ++l) {
+                const size_t pair = (trial * kMaxLanes + l) % (kNumEdges *
+                                                               kNumEdges);
+                a[l] = trial < 4 ? kEdges[pair % kNumEdges] : drawWord(rng);
+                b[l] = trial < 4 ? kEdges[pair / kNumEdges] : drawWord(rng);
+            }
+            DataDesc d1{DataDesc::Kind::Lanes, 0, 0, a.data()};
+            DataDesc d2{DataDesc::Kind::Lanes, 0, 0, b.data()};
+            if (trial >= 4 && trial % 3 == 0)
+                d1 = drawDesc(rng, scratch);
+            const int32_t imm = static_cast<int32_t>(kEdges[trial % kNumEdges]);
+            LaneMask mask = static_cast<LaneMask>(rng());
+            if (trial % 8 == 0)
+                mask = ~LaneMask{0};
+
+            LaneArray<uint32_t> old{}, want{};
+            for (unsigned l = 0; l < kMaxLanes; ++l) {
+                old[l] = static_cast<uint32_t>(rng());
+                want[l] = (mask >> l) & 1
+                              ? alu::lane(op, d1.at(l), d2.at(l), imm)
+                              : old[l];
+            }
+            for (const auto fn : {scalar, packed}) {
+                if (!fn)
+                    continue;
+                LaneArray<uint32_t> got = old;
+                fn(simt::engine::AluCtx{&d1, &d2, mask, got.data(), imm});
+                for (unsigned l = 0; l < kMaxLanes; ++l) {
+                    ASSERT_TRUE(sameLaneResult(op, got[l], want[l]))
+                        << got[l] << " != " << want[l] << ": "
+                        << isa::opName(op) << (fn == packed ? " avx2" : "")
+                        << " trial " << trial << " lane " << l << " a "
+                        << d1.at(l) << " b " << d2.at(l) << " imm " << imm;
+                }
+            }
+        }
+    }
+}
+
+TEST(AluTable, PackedBitMatchesAvx2Handlers)
+{
+    if (!simt::engine::avx2Compiled())
+        GTEST_SKIP() << "this build has no AVX2 handlers";
+    for (size_t i = 0; i < static_cast<size_t>(Op::NUM_OPS); ++i) {
+        const Op op = static_cast<Op>(i);
+        EXPECT_EQ(alu::packed(op),
+                  simt::engine::avx2AluHandler(op) != nullptr)
+            << isa::opName(op);
+    }
 }
 
 } // namespace

@@ -68,6 +68,20 @@ struct RegFileTestAccess
         rf.expandMeta(rf.metaEntries_[rf.entryIndex(warp, reg)], out);
         return out;
     }
+
+    /** Spill vectors in use beyond the Spilled entries (0 unless one
+     *  leaked). */
+    static long
+    leakedSpillVectors(const RegFileSystem &rf)
+    {
+        long live = static_cast<long>(rf.spillStore_.size()) -
+                    static_cast<long>(rf.freeSpillIds_.size());
+        for (const auto *es : {&rf.dataEntries_, &rf.metaEntries_}) {
+            for (const auto &e : *es)
+                live -= e.kind == RegFileSystem::Kind::Spilled;
+        }
+        return live;
+    }
 };
 
 } // namespace simt
@@ -689,6 +703,7 @@ TEST(RegFileProperty, WriteDataMatchesExpandMergeClassify)
                 ASSERT_EQ(got[i], merged[i]) << "lane " << i;
             EXPECT_EQ(rf.dataVectorsInVrf(), e.vectors);
             expectAccess(acc, e.acc);
+            EXPECT_EQ(RegFileTestAccess::leakedSpillVectors(rf), 0);
         }
     }
 }
@@ -783,6 +798,7 @@ TEST(RegFileProperty, WriteMetaMatchesExpandMergeClassify)
                     ASSERT_EQ(got[i], merged[i]) << "lane " << i;
                 EXPECT_EQ(rf.metaVectorsInVrf(), e.vectors);
                 expectAccess(acc, e.acc);
+                EXPECT_EQ(RegFileTestAccess::leakedSpillVectors(rf), 0);
                 EXPECT_EQ((rf.capRegMask() >> kTarget) & 1,
                           written_nonnull || !init[0].isNull() ? 1u : 0u);
             }
