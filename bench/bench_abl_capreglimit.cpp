@@ -32,6 +32,8 @@ main(int argc, char **argv)
     const auto rows = h.runMatrix(
         {{"no_limit", simt::SmConfig::cheriOptimised(), Mode::Purecap},
          {"limit16", hw, Mode::Purecap, 16}});
+    if (h.options().list)
+        return 0; // the points are listed; nothing ran
     const auto &unlimited = rows[0];
     const auto &limited = rows[1];
 
@@ -39,6 +41,8 @@ main(int argc, char **argv)
                 "no limit(cyc)", "limit 16(cyc)", "delta", "capRegs");
     std::vector<double> ratios;
     for (size_t i = 0; i < limited.size(); ++i) {
+        if (!benchcommon::ranInEveryRow(rows, i))
+            continue;
         const nocl::RunResult &r = limited[i].run;
         const double ratio =
             static_cast<double>(r.cycles) /

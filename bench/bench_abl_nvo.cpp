@@ -23,6 +23,8 @@ main(int argc, char **argv)
 
     const auto rows = h.runMatrix({{"nvo_on", on, Mode::Purecap},
                                    {"nvo_off", off, Mode::Purecap}});
+    if (h.options().list)
+        return 0; // the points are listed; nothing ran
     const auto &r_on = rows[0];
     const auto &r_off = rows[1];
 
@@ -31,6 +33,8 @@ main(int argc, char **argv)
     std::printf("%-12s | %12s %10s | %12s %10s\n", "Benchmark", "metaVRF",
                 "spills", "metaVRF", "spills");
     for (size_t i = 0; i < r_on.size(); ++i) {
+        if (!benchcommon::ranInEveryRow(rows, i))
+            continue;
         std::printf("%-12s | %12.2f %10llu | %12.2f %10llu\n",
                     r_on[i].name.c_str(), r_off[i].run.avgMetaVrf,
                     static_cast<unsigned long long>(

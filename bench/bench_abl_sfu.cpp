@@ -26,6 +26,8 @@ main(int argc, char **argv)
 
     const auto rows = h.runMatrix({{"sfu_offload", on, Mode::Purecap},
                                    {"lane_caplib", off, Mode::Purecap}});
+    if (h.options().list)
+        return 0; // the points are listed; nothing ran
     const auto &r_on = rows[0];
     const auto &r_off = rows[1];
 
@@ -33,6 +35,8 @@ main(int argc, char **argv)
                 "SFU(cyc)", "slowdown", "SFU ops");
     std::vector<double> ratios;
     for (size_t i = 0; i < r_on.size(); ++i) {
+        if (!benchcommon::ranInEveryRow(rows, i))
+            continue;
         const double ratio = static_cast<double>(r_on[i].run.cycles) /
                              static_cast<double>(r_off[i].run.cycles);
         ratios.push_back(ratio);

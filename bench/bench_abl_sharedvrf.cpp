@@ -24,6 +24,8 @@ main(int argc, char **argv)
 
     const auto rows = h.runMatrix({{"shared_vrf", shared_cfg, Mode::Purecap},
                                    {"split_vrf", split_cfg, Mode::Purecap}});
+    if (h.options().list)
+        return 0; // the points are listed; nothing ran
     const auto &r_shared = rows[0];
     const auto &r_split = rows[1];
 
@@ -32,6 +34,8 @@ main(int argc, char **argv)
     std::printf("%-12s | %10s %8s %8s | %10s %8s %8s\n", "Benchmark",
                 "cycles", "spills", "stalls", "cycles", "spills", "stalls");
     for (size_t i = 0; i < r_shared.size(); ++i) {
+        if (!benchcommon::ranInEveryRow(rows, i))
+            continue;
         const auto spills = [](const support::StatSet &s) {
             return s.get("vrf_data_spills") + s.get("vrf_meta_spills");
         };

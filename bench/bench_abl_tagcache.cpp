@@ -34,6 +34,8 @@ main(int argc, char **argv)
         }
     }
     const auto sweep = h.runMatrix(points);
+    if (h.options().list)
+        return 0; // the points are listed; nothing ran
 
     std::printf("%-10s %8s %16s %16s %12s\n", "Lines", "filter",
                 "tag traffic (B)", "data traffic (B)", "overhead");

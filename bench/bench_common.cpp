@@ -354,6 +354,16 @@ runMatrix(const std::vector<ConfigPoint> &points, kernels::Size size,
     return rows;
 }
 
+bool
+ranInEveryRow(const std::vector<std::vector<SuiteResult>> &rows, size_t b)
+{
+    for (const auto &row : rows) {
+        if (b >= row.size() || row[b].skipped)
+            return false;
+    }
+    return true;
+}
+
 double
 geomean(const std::vector<double> &values)
 {

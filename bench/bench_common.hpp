@@ -159,6 +159,14 @@ runMatrix(const std::vector<ConfigPoint> &points,
           kernels::Size size = kernels::Size::Full, unsigned threads = 0);
 
 /**
+ * Did every row of @p rows run benchmark @p b? A --filter can leave a
+ * benchmark out of some configurations, so a per-benchmark table
+ * prints, and its geomean takes, only the benchmarks every row ran.
+ */
+bool ranInEveryRow(const std::vector<std::vector<SuiteResult>> &rows,
+                   size_t b);
+
+/**
  * Geometric mean of a vector of ratios. Non-positive and non-finite
  * entries (a failed benchmark, a zero-cycle baseline) are skipped --
  * with a warning only under CHERI_SIMT_VERBOSE, so campaign sweeps stay

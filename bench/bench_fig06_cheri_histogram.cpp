@@ -24,11 +24,17 @@ main(int argc, char **argv)
     const auto results =
         h.run("cheri_opt", simt::SmConfig::cheriOptimised(),
               kc::CompileOptions::Mode::Purecap);
+    if (h.options().list)
+        return 0; // the points are listed; nothing ran
 
     // Average the per-benchmark relative frequencies (as the paper does),
     // rather than pooling counts, so small benchmarks weigh equally.
     std::map<std::string, double> freq_sum;
+    size_t ran = 0;
     for (const auto &r : results) {
+        if (r.skipped)
+            continue;
+        ++ran;
         const double instrs =
             static_cast<double>(r.run.stats.get("instrs"));
         for (const auto &[name, count] : r.run.stats.all()) {
@@ -44,7 +50,7 @@ main(int argc, char **argv)
     std::vector<std::pair<std::string, double>> rows;
     for (const auto &[name, sum] : freq_sum)
         rows.emplace_back(name.substr(3),
-                          sum / static_cast<double>(results.size()));
+                          sum / static_cast<double>(ran));
     std::sort(rows.begin(), rows.end(), [](const auto &a, const auto &b) {
         return a.second > b.second;
     });

@@ -37,6 +37,8 @@ main(int argc, char **argv)
     const auto rows_run =
         h.runMatrix({{"cheri_opt_nvo", with_nvo, Mode::Purecap},
                      {"cheri_opt_no_nvo", no_nvo, Mode::Purecap}});
+    if (h.options().list)
+        return 0; // the points are listed; nothing ran
     const auto &rn = rows_run[0];
     const auto &rwo = rows_run[1];
 
@@ -45,6 +47,8 @@ main(int argc, char **argv)
                 "meta (no NVO)", "meta (NVO)");
     double worst_meta_nvo = 0.0;
     for (size_t i = 0; i < rn.size(); ++i) {
+        if (!benchcommon::ranInEveryRow(rows_run, i))
+            continue;
         const double gp = rn[i].run.avgDataVrf / total_regs * 100.0;
         const double meta_nvo = rn[i].run.avgMetaVrf / total_regs * 100.0;
         const double meta_plain =

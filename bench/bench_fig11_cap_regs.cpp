@@ -23,11 +23,15 @@ main(int argc, char **argv)
     const auto results =
         h.run("cheri_opt", simt::SmConfig::cheriOptimised(),
               kc::CompileOptions::Mode::Purecap);
+    if (h.options().list)
+        return 0; // the points are listed; nothing ran
 
     std::printf("%-12s %18s %18s\n", "Benchmark", "compiler (static)",
                 "regfile (runtime)");
     unsigned worst = 0;
     for (const auto &r : results) {
+        if (r.skipped)
+            continue;
         const unsigned static_count = r.run.kernel->capRegCount;
         const unsigned runtime_count =
             static_cast<unsigned>(std::popcount(r.run.rfCapRegMask));

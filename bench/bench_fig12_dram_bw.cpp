@@ -37,6 +37,8 @@ main(int argc, char **argv)
     const auto rows = h.runMatrix(
         {{"baseline", simt::SmConfig::baseline(), Mode::Baseline},
          {"cheri_opt", simt::SmConfig::cheriOptimised(), Mode::Purecap}});
+    if (h.options().list)
+        return 0; // the points are listed; nothing ran
     const auto &base = rows[0];
     const auto &cheri = rows[1];
 
@@ -44,6 +46,8 @@ main(int argc, char **argv)
                 "Base(B)", "CHERI(B)", "TagTraffic", "Ratio", "GB/s@180M");
     std::vector<double> ratios;
     for (size_t i = 0; i < base.size(); ++i) {
+        if (!benchcommon::ranInEveryRow(rows, i))
+            continue;
         const uint64_t tb = totalTraffic(base[i].run.stats);
         const uint64_t tc = totalTraffic(cheri[i].run.stats);
         const uint64_t tag =

@@ -27,6 +27,8 @@ main(int argc, char **argv)
     const auto rows = h.runMatrix(
         {{"baseline", simt::SmConfig::baseline(), Mode::Baseline},
          {"cheri_opt", simt::SmConfig::cheriOptimised(), Mode::Purecap}});
+    if (h.options().list)
+        return 0; // the points are listed; nothing ran
     const auto &base = rows[0];
     const auto &cheri = rows[1];
 
@@ -34,6 +36,8 @@ main(int argc, char **argv)
                 "CHERI(cyc)", "Overhead");
     std::vector<double> ratios;
     for (size_t i = 0; i < base.size(); ++i) {
+        if (!benchcommon::ranInEveryRow(rows, i))
+            continue;
         const double ratio = static_cast<double>(cheri[i].run.cycles) /
                              static_cast<double>(base[i].run.cycles);
         ratios.push_back(ratio);

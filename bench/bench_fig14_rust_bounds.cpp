@@ -25,6 +25,8 @@ main(int argc, char **argv)
     const auto rows = h.runMatrix(
         {{"baseline", simt::SmConfig::baseline(), Mode::Baseline},
          {"soft_bounds", simt::SmConfig::baseline(), Mode::SoftBounds}});
+    if (h.options().list)
+        return 0; // the points are listed; nothing ran
     const auto &base = rows[0];
     const auto &soft = rows[1];
 
@@ -32,6 +34,8 @@ main(int argc, char **argv)
                 "Baseline(cyc)", "Checked(cyc)", "Overhead", "Unchecked");
     std::vector<double> ratios;
     for (size_t i = 0; i < base.size(); ++i) {
+        if (!benchcommon::ranInEveryRow(rows, i))
+            continue;
         const double ratio = static_cast<double>(soft[i].run.cycles) /
                              static_cast<double>(base[i].run.cycles);
         ratios.push_back(ratio);

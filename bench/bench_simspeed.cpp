@@ -177,7 +177,7 @@ main(int argc, char **argv)
             {e.label, engineConfig(e.hostFastPath), Mode::Purecap});
     const auto rows = h.runMatrix(points);
     if (h.options().list)
-        return 0;
+        return 0; // the points are listed; nothing ran
 
     bool verify_failed = false;
     for (const auto &row : rows)
@@ -190,10 +190,7 @@ main(int argc, char **argv)
     std::vector<Measured> measured;
     for (size_t b = 0; b < suite.size(); ++b) {
         // Respect --filter via the matrix phase's skip flags.
-        bool skipped = false;
-        for (const auto &row : rows)
-            skipped = skipped || (b < row.size() && row[b].skipped);
-        if (skipped)
+        if (!benchcommon::ranInEveryRow(rows, b))
             continue;
         Measured m;
         m.name = suite[b]->name();

@@ -58,6 +58,8 @@ main(int argc, char **argv)
             {"vrf" + std::to_string(row.capacity), cfg, Mode::Baseline});
     }
     const auto sweep = h.runMatrix(points);
+    if (h.options().list)
+        return 0; // the points are listed; nothing ran
     const auto &ref = sweep[0];
 
     std::printf("%-14s %10s %9s %10s %12s\n", "VRF (regs)", "Storage",
@@ -80,6 +82,8 @@ main(int argc, char **argv)
         std::vector<double> cycle_ratios;
         std::vector<double> mem_ratios;
         for (size_t i = 0; i < res.size(); ++i) {
+            if (!benchcommon::ranInEveryRow(sweep, i))
+                continue;
             cycle_ratios.push_back(
                 static_cast<double>(res[i].run.cycles) /
                 static_cast<double>(ref[i].run.cycles));

@@ -430,13 +430,8 @@ RegFileSystem::writeMeta(unsigned warp, unsigned reg,
     bool any_nonnull = false;
     for (LaneMask m = mask; m != 0 && !any_nonnull; m &= m - 1)
         any_nonnull = !(*src)[std::countr_zero(m)].isNull();
-    if (any_nonnull) {
-        panic_if(reg >= cfg_.metaRegsTracked,
-                 "capability written to x%u, beyond the metadata "
-                 "SRF's %u tracked registers",
-                 reg, cfg_.metaRegsTracked);
-        capRegMask_ |= uint32_t{1} << reg;
-    }
+    if (any_nonnull)
+        noteCapWrite(reg);
 
     if (!cfg_.metaCompressed) {
         blend(flatMeta_[entryIndex(warp, reg)], *src, mask);
@@ -452,6 +447,20 @@ RegFileSystem::writeMeta(unsigned warp, unsigned reg,
     // always has slot == -1, and nullMask is ignored for scalars.)
     if (!any_nonnull && e.kind == Kind::Scalar && !e.tag && e.base == 0)
         return;
+
+    // A partial write of one value into a compressed entry merges in
+    // closed form.
+    if (mask != allLanes_ &&
+        (e.kind == Kind::Scalar || e.kind == Kind::PartialNull)) {
+        const LaneMask written = mask & allLanes_;
+        const CapMeta value =
+            written != 0 ? (*src)[std::countr_zero(written)] : CapMeta{};
+        bool one = true;
+        for (LaneMask m = written; m != 0 && one; m &= m - 1)
+            one = (*src)[std::countr_zero(m)] == value;
+        if (one && mergeMeta(e, value, written))
+            return;
+    }
 
     // Merge through a pointer: the full-mask write (the common case)
     // uses the caller's buffer directly instead of copying it.
@@ -497,6 +506,45 @@ RegFileSystem::writeMeta(unsigned warp, unsigned reg,
 }
 
 void
+RegFileSystem::noteCapWrite(unsigned reg)
+{
+    panic_if(reg >= cfg_.metaRegsTracked,
+             "capability written to x%u, beyond the metadata SRF's %u "
+             "tracked registers",
+             reg, cfg_.metaRegsTracked);
+    capRegMask_ |= uint32_t{1} << reg;
+}
+
+bool
+RegFileSystem::mergeMeta(Entry &e, const CapMeta &value, LaneMask written)
+{
+    // The lanes keeping the old non-null value, then those carrying the
+    // written one; every other lane is null.
+    const CapMeta old{e.base, e.tag};
+    const LaneMask old_nulls = e.kind == Kind::PartialNull ? e.nullMask : 0;
+    LaneMask held = old.isNull() ? 0 : allLanes_ & ~written & ~old_nulls;
+    CapMeta v = old;
+    if (!value.isNull() && written != 0) {
+        if (held != 0 && !(value == old))
+            return false;
+        v = value;
+        held |= written;
+    }
+    const LaneMask nulls = allLanes_ & ~held;
+    if (held == 0) {
+        e = Entry{Kind::Scalar, 0, 0, false};
+    } else if (nulls == 0) {
+        e = Entry{Kind::Scalar, v.meta, 0, v.tag};
+    } else {
+        if (!cfg_.nvo)
+            return false;
+        e = Entry{Kind::PartialNull, v.meta, 0, v.tag, nulls};
+        statNvoHits_.add();
+    }
+    return true;
+}
+
+void
 RegFileSystem::readDataDesc(unsigned warp, unsigned reg,
                             LaneArray<uint32_t> &scratch, DataDesc &desc,
                             RfAccess &acc)
@@ -532,11 +580,9 @@ RegFileSystem::readMetaDesc(unsigned warp, unsigned reg,
             desc.kind = MetaDesc::Kind::Uniform;
             desc.value = flat[0];
             desc.lanes = nullptr;
-            desc.external = false;
         } else {
             desc.kind = MetaDesc::Kind::Lanes;
             desc.lanes = flat.data();
-            desc.external = true;
         }
         return;
     }
@@ -549,7 +595,6 @@ RegFileSystem::readMetaDesc(unsigned warp, unsigned reg,
         expandMeta(e, scratch);
         desc.kind = MetaDesc::Kind::Lanes;
         desc.lanes = scratch.data();
-        desc.external = false;
         return;
     }
     if (e.kind == Kind::PartialNull) {
@@ -557,13 +602,11 @@ RegFileSystem::readMetaDesc(unsigned warp, unsigned reg,
         desc.value = CapMeta{e.base, e.tag};
         desc.nullMask = e.nullMask;
         desc.lanes = nullptr;
-        desc.external = false;
         return;
     }
     desc.kind = MetaDesc::Kind::Uniform;
     desc.value = CapMeta{e.base, e.tag};
     desc.lanes = nullptr;
-    desc.external = false;
 }
 
 void
@@ -607,24 +650,36 @@ RegFileSystem::writeDataAffine(unsigned warp, unsigned reg, uint32_t base,
 
 void
 RegFileSystem::writeMetaUniform(unsigned warp, unsigned reg,
-                                const CapMeta &value, RfAccess &acc)
+                                const CapMeta &value, LaneMask mask,
+                                RfAccess &acc)
 {
-    (void)acc; // a uniform write never allocates in the VRF
     panic_if(!cfg_.purecap, "metadata access without purecap");
     if (reg == 0)
         return;
+
+    if (mask != allLanes_) {
+        // A partial write: the closed-form merge where the entry is
+        // compressed and no fault is armed, else the general path.
+        Entry &e = metaEntries_[entryIndex(warp, reg)];
+        if (!injector_ && cfg_.metaCompressed &&
+            (e.kind == Kind::Scalar || e.kind == Kind::PartialNull)) {
+            if (!value.isNull() && mask != 0)
+                noteCapWrite(reg);
+            if (mergeMeta(e, value, mask & allLanes_))
+                return;
+        }
+        LaneArray<CapMeta> vals;
+        vals.fill(value);
+        writeMeta(warp, reg, vals, mask, acc);
+        return;
+    }
 
     CapMeta stored = value;
     if (injector_ && injector_->shouldCorruptMetaWrite(warp, reg))
         injector_->corruptMeta(stored);
 
-    if (!stored.isNull()) {
-        panic_if(reg >= cfg_.metaRegsTracked,
-                 "capability written to x%u, beyond the metadata "
-                 "SRF's %u tracked registers",
-                 reg, cfg_.metaRegsTracked);
-        capRegMask_ |= uint32_t{1} << reg;
-    }
+    if (!stored.isNull())
+        noteCapWrite(reg);
 
     if (!cfg_.metaCompressed) {
         flatMeta_[entryIndex(warp, reg)].fill(stored);

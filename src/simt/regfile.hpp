@@ -28,6 +28,8 @@
 #define CHERI_SIMT_SIMT_REGFILE_HPP_
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -53,12 +55,44 @@ struct CapMeta
     bool operator==(const CapMeta &) const = default;
 };
 
+namespace detail
+{
+
+/**
+ * kGapClass[t]: the lane offsets p in 1..31 whose lowest set bit is bit
+ * t, i.e. p = 2^t * odd. Every such p has t <= 4.
+ */
+inline constexpr LaneMask kGapClass[5] = {0xaaaaaaaau, 0x44444444u,
+                                          0x10101010u, 0x01000100u,
+                                          0x00010000u};
+
+/** kOddInverse[o]: o's multiplicative inverse mod 2^32, for odd o < 32
+ *  (Newton's iteration doubles the correct low bits from 3 to 48). */
+inline constexpr std::array<uint32_t, kMaxLanes> kOddInverse = [] {
+    std::array<uint32_t, kMaxLanes> inv{};
+    for (uint32_t o = 1; o < kMaxLanes; o += 2) {
+        uint32_t x = o;
+        for (int i = 0; i < 4; ++i)
+            x *= 2 - o * x;
+        inv[o] = x;
+    }
+    return inv;
+}();
+
+} // namespace detail
+
 /**
  * Lazy operand descriptor for a data register read: either a closed-form
  * affine sequence (base + stride * lane; uniform when stride == 0) or a
  * pointer to fully-expanded per-lane values. Descriptor reads have
  * side effects identical to readData/readMeta -- only the expansion of
  * compressed (scalar) registers into per-lane arrays is elided.
+ *
+ * Contract: a descriptor describes its step's active lanes; inactive
+ * lanes are unspecified. A register read describes every lane, and the
+ * accelerated engine then narrows the descriptors of a divergent step
+ * (narrowTo), so an Affine base can be an extrapolated lane-0 value that
+ * no lane holds. Consumers read active lanes only, through at().
  */
 struct DataDesc
 {
@@ -85,6 +119,50 @@ struct DataDesc
     }
 
     /**
+     * Re-describe a Lanes descriptor over the @p active lanes alone: when
+     * they hold base + stride * lane (32-bit wraparound), become that
+     * Affine form. Exact: any affine fit of the active lanes is found.
+     *
+     * The stride comes from the lowest active lane l0 and a partner l1
+     * whose gap g = l1 - l0 = 2^t * odd has the fewest factors of two.
+     * stride * g == diff (mod 2^32) fixes the stride's low 32 - t bits:
+     * arithmetic-shift diff by t and multiply by odd's inverse. Every
+     * other gap is a multiple of 2^t, so the t free high bits move no
+     * lane, and the sign-extending shift keeps small strides small. One
+     * branch-free pass over the 32 lanes then checks every active lane.
+     */
+    void
+    narrowTo(LaneMask active)
+    {
+        if (kind != Kind::Lanes || active == 0)
+            return;
+        const unsigned l0 = static_cast<unsigned>(std::countr_zero(active));
+        const LaneMask rest = (active >> l0) & ~LaneMask{1};
+        uint32_t s = 0;
+        if (rest != 0) {
+            unsigned t = 0;
+            while ((rest & detail::kGapClass[t]) == 0)
+                ++t;
+            const unsigned gap = static_cast<unsigned>(
+                std::countr_zero(rest & detail::kGapClass[t]));
+            const uint32_t diff = lanes[l0 + gap] - lanes[l0];
+            if ((diff & ((uint32_t{1} << t) - 1)) != 0)
+                return; // no stride times 2^t * odd gives diff
+            s = static_cast<uint32_t>(static_cast<int32_t>(diff) >> t) *
+                detail::kOddInverse[gap >> t];
+        }
+        const uint32_t b = lanes[l0] - s * l0;
+        uint32_t bad = 0;
+        for (unsigned i = 0; i < kMaxLanes; ++i)
+            bad |= (lanes[i] ^ (b + s * i)) & laneWord(active, i);
+        if (bad != 0)
+            return;
+        kind = Kind::Affine;
+        base = b;
+        stride = static_cast<int32_t>(s);
+    }
+
+    /**
      * Expand into @p out (the reference per-lane buffer). A Lanes
      * descriptor pointing at @p out itself is a no-op; engine handlers
      * and the per-lane fallback paths share this exact expansion, so
@@ -103,7 +181,10 @@ struct DataDesc
     }
 };
 
-/** Lazy operand descriptor for a capability-metadata register read. */
+/**
+ * Lazy operand descriptor for a capability-metadata register read, under
+ * DataDesc's contract: it describes the step's active lanes.
+ */
 struct MetaDesc
 {
     enum class Kind : uint8_t
@@ -118,9 +199,6 @@ struct MetaDesc
     LaneMask nullMask = 0;
     const CapMeta *lanes = nullptr; ///< kMaxLanes values
 
-    /** Lanes storage owned by the register file, not the caller's buffer. */
-    bool external = false;
-
     bool isUniform() const { return kind == Kind::Uniform; }
 
     CapMeta
@@ -133,6 +211,36 @@ struct MetaDesc
             return (nullMask >> lane) & 1 ? CapMeta{} : value;
           default:
             return lanes[lane];
+        }
+    }
+
+    /**
+     * Re-describe over the @p active lanes alone: Uniform when they all
+     * hold one value -- a PartialNull whose null lanes are all inactive,
+     * or all the active ones, or Lanes that agree on the active lanes.
+     */
+    void
+    narrowTo(LaneMask active)
+    {
+        if (kind == Kind::PartialNull) {
+            const LaneMask nulls = nullMask & active;
+            if (nulls == active)
+                value = CapMeta{};
+            if (nulls == 0 || nulls == active)
+                kind = Kind::Uniform;
+            return;
+        }
+        if (kind != Kind::Lanes || active == 0)
+            return;
+        const CapMeta v = lanes[std::countr_zero(active)];
+        uint32_t bad = 0;
+        for (unsigned i = 0; i < kMaxLanes; ++i)
+            bad |= ((lanes[i].meta ^ v.meta) |
+                    static_cast<uint32_t>(lanes[i].tag != v.tag)) &
+                   laneWord(active, i);
+        if (bad == 0) {
+            kind = Kind::Uniform;
+            value = v;
         }
     }
 };
@@ -178,8 +286,8 @@ class RegFileSystem
 
     // ---- Descriptor access (warp-regularity fast path) ----
     //
-    // Side-effect-identical to readData/readMeta and to the full-mask
-    // forms of writeData/writeMeta: the same unspills, spills, LRU
+    // Side-effect-identical to readData/readMeta and to writeData/
+    // writeMeta of the expanded values: the same unspills, spills, LRU
     // touches and stat events occur in the same order; only the per-lane
     // expansion of compressed registers is elided. Expanded (vector)
     // registers are copied into @p scratch immediately so the returned
@@ -196,9 +304,11 @@ class RegFileSystem
     void writeDataAffine(unsigned warp, unsigned reg, uint32_t base,
                          int32_t stride, RfAccess &acc);
 
-    /** Full-mask uniform write: equals writeMeta of the broadcast value. */
+    /** Uniform write of @p value to the @p mask lanes: equals writeMeta
+     *  of the broadcast value. A partial write into a compressed entry
+     *  merges in closed form. */
     void writeMetaUniform(unsigned warp, unsigned reg, const CapMeta &value,
-                          RfAccess &acc);
+                          LaneMask mask, RfAccess &acc);
 
     /** Reset all architectural registers to zero (kernel launch). */
     void reset();
@@ -284,6 +394,20 @@ class RegFileSystem
     /** Make @p e the compressed entry @p value, freeing its VRF slot or
      *  spill vector. */
     void compressTo(Entry &e, bool for_meta, const Entry &value);
+
+    /** Record that @p reg holds a capability (capRegMask), refusing a
+     *  register beyond the metadata SRF's tracked ones. */
+    void noteCapWrite(unsigned reg);
+
+    /**
+     * Merge a write of @p value to the @p written lanes (within
+     * allLanes_) into the compressed (Scalar or PartialNull) metadata
+     * entry @p e in closed form, as the classification of the expanded
+     * and blended lanes would. Returns false, changing nothing, where
+     * the lanes need a vector: two distinct non-null values, or mixed
+     * nulls without NVO.
+     */
+    bool mergeMeta(Entry &e, const CapMeta &value, LaneMask written);
 
     /** Reload a spilled entry into the VRF, charging traffic. */
     void unspill(Entry &e, bool for_meta, unsigned warp, unsigned reg,

@@ -1219,6 +1219,20 @@ Sm::executeWarp(unsigned wid)
         regfile_.readMetaDesc(wid, in.rs1, rs1Meta_, s.rs1m, fetch_acc);
     if (cfg_.purecap && (op == Op::CSC || op == Op::CSPECIALRW))
         regfile_.readMetaDesc(wid, in.rs2, rs2Meta_, s.rs2m, fetch_acc);
+    // A divergent step reads its active lanes only, so its operands need
+    // describe only those (DESIGN.md section 10): per-lane values that
+    // are affine or uniform over the active lanes take the closed forms.
+    // The kind tests stay here, so a closed-form operand costs no call.
+    if (cfg_.hostFastPath && active_ != allLanes_) {
+        if (s.rs1d.kind == DataDesc::Kind::Lanes)
+            s.rs1d.narrowTo(active_);
+        if (s.rs2d.kind == DataDesc::Kind::Lanes)
+            s.rs2d.narrowTo(active_);
+        if (!s.rs1m.isUniform())
+            s.rs1m.narrowTo(active_);
+        if (!s.rs2m.isUniform())
+            s.rs2m.narrowTo(active_);
+    }
 
     if (cfg_.metaSrfSinglePort && op == Op::CSC) {
         // Two capability source operands through a single-read-port
@@ -1274,15 +1288,14 @@ Sm::executeWarp(unsigned wid)
             regfile_.writeDataAffine(wid, in.rd, s.resBase, s.resStride,
                                      wb_acc);
             if (cfg_.purecap)
-                regfile_.writeMetaUniform(wid, in.rd, s.resMeta, wb_acc);
+                regfile_.writeMetaUniform(wid, in.rd, s.resMeta, allLanes_,
+                                          wb_acc);
         } else {
             if (s.resAffine) {
                 // Partial mask: expand the closed form for the merge.
-                resultMetaDirty_ = true;
                 forLanes(active_, [&](unsigned lane) {
                     result_[lane] =
                         s.resBase + static_cast<uint32_t>(s.resStride) * lane;
-                    resultMeta_[lane] = s.resMeta;
                 });
             }
             regfile_.writeData(wid, in.rd, result_, active_, wb_acc);
@@ -1290,18 +1303,27 @@ Sm::executeWarp(unsigned wid)
                 // Writing a plain integer result sets the metadata to
                 // the null value with the tag cleared (Figure 4 caption).
                 // A clean dirty flag means no lane of resultMeta_ was
-                // written this step, so the vector is still all-null and
-                // a full-mask write is exactly the uniform null
-                // broadcast (same entry state, no RfAccess effects).
+                // written this step, so the vector is still all-null:
+                // with a closed-form result, the active lanes carry one
+                // value, and the write is its uniform broadcast (same
+                // entry state, stats and RfAccess effects).
                 // Engine-tier shortcut: the reference engine keeps the
                 // per-lane classify.
-                if (cfg_.hostFastPath && !resultMetaDirty_ && full_mask &&
-                    !injector_)
-                    regfile_.writeMetaUniform(wid, in.rd, CapMeta{},
-                                              wb_acc);
-                else
+                if (cfg_.hostFastPath && !injector_ &&
+                    (s.resAffine || !resultMetaDirty_)) {
+                    regfile_.writeMetaUniform(
+                        wid, in.rd, s.resAffine ? s.resMeta : CapMeta{},
+                        active_, wb_acc);
+                } else {
+                    if (s.resAffine) {
+                        resultMetaDirty_ = true;
+                        forLanes(active_, [&](unsigned lane) {
+                            resultMeta_[lane] = s.resMeta;
+                        });
+                    }
                     regfile_.writeMeta(wid, in.rd, resultMeta_, active_,
                                        wb_acc);
+                }
             }
         }
     }
@@ -1452,6 +1474,9 @@ Sm::memAffine(Step &s)
 {
     const OpTraits &tr = s.tr;
     const unsigned bytes = 1u << tr.accessLogWidth;
+    // The descriptor describes the active lanes only, so a0, the lane-0
+    // address, may be an extrapolation that no lane uses: every check
+    // below starts from the lowest active lane instead.
     const uint32_t a0 = s.rs1d.base + static_cast<uint32_t>(s.in.imm);
     const int64_t stride = s.rs1d.stride;
     const uint32_t ustride = static_cast<uint32_t>(s.rs1d.stride);
@@ -1466,9 +1491,9 @@ Sm::memAffine(Step &s)
         s.numActive == static_cast<unsigned>(max_l - min_l + 1);
     // The affine span must avoid 32-bit wraparound so the extreme lanes
     // bound every lane's address.
-    const int64_t v_lo = static_cast<int64_t>(a0) + stride * min_l;
-    const int64_t v_hi = static_cast<int64_t>(a0) + stride * max_l;
-    if (v_lo < 0 || v_lo > 0xffffffffll || v_hi < 0 || v_hi > 0xffffffffll)
+    const int64_t v_lo = lane_addr(static_cast<unsigned>(min_l));
+    const int64_t v_hi = v_lo + stride * (max_l - min_l);
+    if (v_hi < 0 || v_hi > 0xffffffffll)
         return false;
     const uint32_t n_min = static_cast<uint32_t>(std::min(v_lo, v_hi));
     const uint32_t n_max = static_cast<uint32_t>(std::max(v_lo, v_hi));
@@ -1489,7 +1514,8 @@ Sm::memAffine(Step &s)
         // Every check of the chain is address-independent, so one
         // verdict covers the warp; a CSC's store-cap check needs one
         // source tag across the active lanes.
-        c0 = capFromParts(s.rs1d.base, s.rs1m.value);
+        c0 = capFromParts(s.rs1d.at(static_cast<unsigned>(min_l)),
+                          s.rs1m.value);
         bool mixed_tags = false;
         fault = capAccessFault(c0, tr, [&] {
             LaneMask tagged = 0;
@@ -1538,16 +1564,21 @@ Sm::memAffine(Step &s)
 
     if (fault != TrapKind::None) {
         // Every active lane takes the same trap, in lane order, with its
-        // own (closed-form) address. The baseline machine's only fault
-        // here is a misaligned address: a containment trap, as on the
-        // per-lane path.
+        // own (closed-form) address. Its forensic capability is the
+        // per-lane path's: the lane's capability set to that address.
+        // The baseline machine's only fault here is a misaligned
+        // address: a containment trap, as on the per-lane path.
         forLanes(active_, [&](unsigned lane) {
-            if (cfg_.purecap)
+            if (cfg_.purecap) {
+                const CapPipe c = cap::setAddr(
+                    capFromParts(s.rs1d.at(lane), s.rs1m.value),
+                    lane_addr(lane));
                 trap(s.wid, lane, s.pc, s.op, lane_addr(lane), fault, &s.in,
-                     &c0);
-            else
+                     &c);
+            } else {
                 containmentTrap(s.wid, lane, s.pc, s.op, lane_addr(lane),
                                 fault, &s.in);
+            }
         });
         active_ = 0;
         s.fastHit = true;

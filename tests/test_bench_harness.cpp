@@ -73,6 +73,21 @@ TEST(Filter, MatchesAnyListedSubstring)
                 testing::ExitedWithCode(1), "regex metacharacter");
 }
 
+TEST(Filter, TablesKeepOnlyBenchmarksEveryRowRan)
+{
+    // A filter such as "baseline/VecAdd" runs a benchmark in one
+    // configuration only; its table row would compare against nothing.
+    std::vector<std::vector<benchcommon::SuiteResult>> rows(2);
+    for (auto &row : rows)
+        row.resize(3);
+    rows[0][1].skipped = true;
+    rows[1][2].skipped = true;
+    EXPECT_TRUE(benchcommon::ranInEveryRow(rows, 0));
+    EXPECT_FALSE(benchcommon::ranInEveryRow(rows, 1));
+    EXPECT_FALSE(benchcommon::ranInEveryRow(rows, 2));
+    EXPECT_FALSE(benchcommon::ranInEveryRow(rows, 3)); // past every row
+}
+
 // ----------------------------------------------------------- kernel cache
 
 TEST(KernelCache, CompilesOnceAcrossDevices)

@@ -143,6 +143,12 @@ expectSameTrap(const simt::TrapInfo &got, const simt::TrapInfo &ref)
     EXPECT_EQ(got.lane, ref.lane);
     EXPECT_EQ(got.op, ref.op);
     EXPECT_EQ(got.kind, ref.kind);
+    // The forensic capability: the faulting lane's, at its address.
+    EXPECT_EQ(got.hasCap, ref.hasCap);
+    EXPECT_EQ(got.capTag, ref.capTag);
+    EXPECT_EQ(got.capPerms, ref.capPerms);
+    EXPECT_EQ(got.capBase, ref.capBase);
+    EXPECT_EQ(got.capTop, ref.capTop);
 }
 
 /** Everything architecturally observable about one benchmark run. */
@@ -308,6 +314,62 @@ emitDivergentTrapProgram(Assembler &a)
     a.emit(Op::SIMT_HALT, 0, 0, 0);
 }
 
+/** Far variant: every lane loads 2000 bytes past a 64-byte window's
+ *  base, so the whole warp faults in one verdict. setAddr to so far an
+ *  address is unrepresentable, so the lane's forensic capability loses
+ *  its tag and decodes bounds around the faulting address. */
+void
+emitFarLoadProgram(Assembler &a)
+{
+    a.emitI(Op::CSPECIALRW, 5, 0, isa::SCR_DDC);
+    a.emitI(Op::LUI, 6, 0, static_cast<int32_t>(simt::kDramBase));
+    a.emitR(Op::CSETADDR, 7, 5, 6);
+    a.emitI(Op::ADDI, 8, 0, 64);
+    a.emitR(Op::CSETBOUNDS, 7, 7, 8); // 64-byte window
+    a.emitI(Op::LW, 10, 7, 2000);
+    a.emit(Op::SIMT_HALT, 0, 0, 0);
+}
+
+/**
+ * Non-trapping divergent variant: only the odd lanes enter the body, so
+ * lane 0 is inactive there, and every even lane's offset register holds
+ * an address 1 KiB past the capability's 512-byte window. Over the odd
+ * lanes the offsets (thread id * 8) are affine, so the accelerated engine
+ * narrows the operands to closed forms and serves the body's cincoffset,
+ * lw, sw, csc and clc through them; an inactive lane read by mistake
+ * would trap or move other memory.
+ */
+void
+emitDivergentAccessProgram(Assembler &a)
+{
+    a.emitI(Op::CSPECIALRW, 5, 0, isa::SCR_DDC);
+    a.emitI(Op::LUI, 6, 0, static_cast<int32_t>(simt::kDramBase));
+    a.emitR(Op::CSETADDR, 7, 5, 6);
+    a.emitI(Op::ADDI, 8, 0, 512);
+    a.emitR(Op::CSETBOUNDS, 7, 7, 8); // 512-byte window
+    a.emitI(Op::CSRRS, 9, 0, isa::CSR_HARTID);
+    a.emitI(Op::ANDI, 10, 9, 1);      // odd lanes take the branch body
+    a.emitI(Op::ADDI, 11, 10, -1);    // even lanes: all ones
+    a.emitI(Op::ANDI, 11, 11, 1024);  // even lanes: 1024, odd: 0
+    a.emitI(Op::SLLI, 12, 9, 3);
+    a.emitR(Op::ADD, 11, 11, 12);     // odd: tid * 8, even: tid * 8 + 1024
+
+    const kc::Label skip = a.newLabel();
+    a.emit(Op::SIMT_PUSH, 0, 0, 0);
+    a.emitBranch(Op::BEQ, 10, 0, skip);
+    a.emitR(Op::CINCOFFSET, 13, 7, 11); // per-lane capability
+    a.emitI(Op::LW, 14, 13, 0);
+    a.emitI(Op::ADDI, 14, 14, 7);
+    a.emit(Op::SW, 0, 13, 14, 4);       // 7 at tid * 8 + 4
+    a.emit(Op::CSC, 0, 13, 13, 256);    // the capability at tid * 8 + 256
+    a.emitI(Op::CLC, 15, 13, 256);      // reloaded, tag intact
+    a.emitI(Op::LW, 16, 15, 4);
+    a.emit(Op::SW, 0, 15, 16, 128);     // 7 again at tid * 8 + 128
+    a.place(skip);
+    a.emit(Op::SIMT_POP, 0, 0, 0);
+    a.emit(Op::SIMT_HALT, 0, 0, 0);
+}
+
 /** Baseline variant: lane addresses are kDramBase + 4 * thread id, an
  *  affine warp whose every lane is 2 bytes off word alignment once the
  *  access adds its offset. No capability check applies, so each lane
@@ -327,8 +389,8 @@ emitMisalignedProgram(Assembler &a, Op access)
 }
 
 template <typename EmitFn>
-simt::TrapInfo
-runTrapProgram(simt::Sm &sm, EmitFn emit_program)
+void
+runProgram(simt::Sm &sm, EmitFn emit_program)
 {
     Assembler a;
     emit_program(a);
@@ -336,31 +398,49 @@ runTrapProgram(simt::Sm &sm, EmitFn emit_program)
     sm.setScr(isa::SCR_DDC, cap::rootCap());
     sm.launch(0, 2);
     EXPECT_TRUE(sm.run());
-    EXPECT_TRUE(sm.trapped());
-    return sm.firstTrap();
 }
 
+/** Run @p emit_program on both engines under @p cfg: the cycles, the
+ *  memory, every modelled counter and the first trap must match. The
+ *  reference engine's memory and first trap are left in
+ *  @p reference_mem and @p reference_trap for the caller's checks. */
 template <typename EmitFn>
 void
-expectTrapParity(Preset preset, EmitFn emit_program,
-                 simt::TrapKind expect_kind, unsigned expect_lane)
+expectProgramParity(simt::SmConfig cfg, EmitFn emit_program,
+                    simt::MemorySystem &reference_mem,
+                    simt::TrapInfo &reference_trap)
 {
-    simt::MemorySystem reference_mem(1);
-    simt::Sm reference(trapConfig(preset, false), reference_mem.shard(0));
-    const simt::TrapInfo ref = runTrapProgram(reference, emit_program);
-    EXPECT_EQ(ref.kind, expect_kind);
-    EXPECT_EQ(ref.warp, 0u);
-    EXPECT_EQ(ref.lane, expect_lane);
+    cfg.hostFastPath = false;
+    simt::Sm reference(cfg, reference_mem.shard(0));
+    runProgram(reference, emit_program);
+    reference_trap = reference.firstTrap();
 
+    cfg.hostFastPath = true;
     simt::MemorySystem mem(1);
-    simt::Sm sm(trapConfig(preset, true), mem.shard(0));
-    const simt::TrapInfo got = runTrapProgram(sm, emit_program);
-    expectSameTrap(got, ref);
+    simt::Sm sm(cfg, mem.shard(0));
+    runProgram(sm, emit_program);
+    expectSameTrap(sm.firstTrap(), reference_trap);
     EXPECT_EQ(sm.cycles(), reference.cycles());
     mem.commitEpoch();
     reference_mem.commitEpoch();
     EXPECT_EQ(mem.base().contentHash(), reference_mem.base().contentHash());
     expectSameStats(sm.stats(), reference.stats());
+}
+
+template <typename EmitFn>
+simt::TrapInfo
+expectTrapParity(Preset preset, EmitFn emit_program,
+                 simt::TrapKind expect_kind, unsigned expect_lane)
+{
+    simt::MemorySystem reference_mem(1);
+    simt::TrapInfo ref;
+    expectProgramParity(trapConfig(preset, false), emit_program,
+                        reference_mem, ref);
+    EXPECT_TRUE(ref.trapped);
+    EXPECT_EQ(ref.kind, expect_kind);
+    EXPECT_EQ(ref.warp, 0u);
+    EXPECT_EQ(ref.lane, expect_lane);
+    return ref;
 }
 
 TEST(EngineTrapParity, PartialWarpLoadFault)
@@ -384,6 +464,46 @@ TEST(EngineTrapParity, MidBlockDivergentFault)
     expectTrapParity(simt::SmConfig::cheriOptimised,
                      [](Assembler &a) { emitDivergentTrapProgram(a); },
                      simt::TrapKind::BoundsViolation, /*expect_lane=*/5);
+}
+
+TEST(EngineTrapParity, FarOutOfBoundsUniformLoad)
+{
+    const simt::TrapInfo ref = expectTrapParity(
+        simt::SmConfig::cheriOptimised,
+        [](Assembler &a) { emitFarLoadProgram(a); },
+        simt::TrapKind::BoundsViolation, /*expect_lane=*/0);
+    EXPECT_EQ(ref.addr, simt::kDramBase + 2000);
+    EXPECT_TRUE(ref.hasCap);
+    EXPECT_FALSE(ref.capTag);
+    EXPECT_EQ(ref.capBase, simt::kDramBase + 0x700);
+    EXPECT_EQ(ref.capTop, simt::kDramBase + 0x740);
+}
+
+TEST(EngineStepParity, DivergentAccessesThroughNarrowedOperands)
+{
+    simt::SmConfig no_nvo = simt::SmConfig::cheriOptimised();
+    no_nvo.nvo = false; // the partial metadata writes need VRF vectors
+    for (const simt::SmConfig &preset :
+         {simt::SmConfig::cheriOptimised(), simt::SmConfig::cheri(), no_nvo}) {
+        simt::SmConfig cfg = preset;
+        cfg.numWarps = 2;
+        cfg.numLanes = 8;
+        simt::MemorySystem mem(1);
+        simt::TrapInfo trap;
+        expectProgramParity(
+            cfg, [](Assembler &a) { emitDivergentAccessProgram(a); }, mem,
+            trap);
+        EXPECT_FALSE(trap.trapped);
+        // The odd threads' words hold 7; the even threads' stay 0.
+        for (uint32_t tid = 0; tid < 16; ++tid) {
+            const uint32_t want = tid % 2 ? 7 : 0;
+            EXPECT_EQ(mem.base().load32(simt::kDramBase + tid * 8 + 4), want)
+                << "thread " << tid;
+            EXPECT_EQ(mem.base().load32(simt::kDramBase + tid * 8 + 128),
+                      want)
+                << "thread " << tid;
+        }
+    }
 }
 
 TEST(EngineTrapParity, BaselineMisalignedAffineLoad)
@@ -624,6 +744,182 @@ TEST(AluTable, PackedBitMatchesAvx2Handlers)
         EXPECT_EQ(alu::packed(op),
                   simt::engine::avx2AluHandler(op) != nullptr)
             << isa::opName(op);
+    }
+}
+
+// ---- Operand narrowing (DataDesc / MetaDesc::narrowTo) ----
+//
+// A divergent step's descriptors describe its active lanes only; the
+// inactive lanes below hold poison. Narrowing must find every closed
+// form of the active lanes and nothing else.
+
+using simt::CapMeta;
+using simt::MetaDesc;
+
+/** An active mask, never empty: random lanes, one lane, the lanes of one
+ *  residue mod 2, 4, 8 or 16 (only even gaps for the larger moduli), a
+ *  bitonic half (lane & j == 0) or a contiguous run. */
+LaneMask
+drawActive(std::mt19937 &rng)
+{
+    LaneMask m = 0;
+    switch (rng() % 6) {
+      case 0:
+        m = static_cast<LaneMask>(rng());
+        break;
+      case 1:
+        m = LaneMask{1} << (rng() % kMaxLanes);
+        break;
+      case 2: {
+        const unsigned mod = 2u << (rng() % 4);
+        const unsigned res = rng() % mod;
+        for (unsigned l = res; l < kMaxLanes; l += mod)
+            m |= LaneMask{1} << l;
+        if (rng() % 2)
+            m &= static_cast<LaneMask>(rng()); // thinned
+        break;
+      }
+      case 3: {
+        const unsigned j = 1u << (rng() % 5);
+        for (unsigned l = 0; l < kMaxLanes; ++l)
+            m |= LaneMask{(l & j) == 0} << l;
+        break;
+      }
+      default: {
+        const unsigned lo = rng() % kMaxLanes;
+        const unsigned hi = lo + rng() % (kMaxLanes - lo);
+        for (unsigned l = lo; l <= hi; ++l)
+            m |= LaneMask{1} << l;
+        break;
+      }
+    }
+    return m != 0 ? m : LaneMask{1} << (rng() % kMaxLanes);
+}
+
+TEST(NarrowTo, DataDescFindsExactlyTheAffineActiveLanes)
+{
+    std::mt19937 rng(24);
+    for (unsigned trial = 0; trial < 20000; ++trial) {
+        const LaneMask active = drawActive(rng);
+        // Small strides of either sign, or any word (wrapping strides,
+        // odd and even, INT32_MIN among the edges).
+        const uint32_t base = drawWord(rng);
+        const uint32_t stride =
+            rng() % 2 ? static_cast<uint32_t>(static_cast<int32_t>(rng() % 33) -
+                                              16)
+                      : drawWord(rng);
+        LaneArray<uint32_t> lanes{};
+        for (unsigned l = 0; l < kMaxLanes; ++l)
+            lanes[l] = (active >> l) & 1 ? base + stride * l
+                                         : static_cast<uint32_t>(rng());
+        SCOPED_TRACE(testing::Message()
+                     << "trial " << trial << " active 0x" << std::hex
+                     << active << " base 0x" << base << " stride 0x"
+                     << stride);
+
+        DataDesc d{DataDesc::Kind::Lanes, 0, 0, lanes.data()};
+        d.narrowTo(active);
+        ASSERT_TRUE(d.isRegular());
+        for (unsigned l = 0; l < kMaxLanes; ++l) {
+            if ((active >> l) & 1) {
+                ASSERT_EQ(d.at(l), lanes[l]) << "lane " << l;
+            }
+        }
+        // Narrowing a closed form changes nothing.
+        const DataDesc again = [&] {
+            DataDesc c = d;
+            c.narrowTo(active);
+            return c;
+        }();
+        EXPECT_EQ(again.base, d.base);
+        EXPECT_EQ(again.stride, d.stride);
+
+        // One active lane moved by an odd amount: two other active lanes
+        // pin the stride up to a multiple of 2^28, so no affine form
+        // fits any more.
+        if (std::popcount(active) >= 3) {
+            unsigned pick = rng() % std::popcount(active);
+            LaneMask m = active;
+            for (; pick > 0; --pick)
+                m &= m - 1;
+            lanes[std::countr_zero(m)] += static_cast<uint32_t>(rng()) | 1;
+            DataDesc wrong{DataDesc::Kind::Lanes, 0, 0, lanes.data()};
+            wrong.narrowTo(active);
+            ASSERT_FALSE(wrong.isRegular())
+                << "wrong lane " << std::dec << std::countr_zero(m);
+        }
+
+        // Random active lanes: whatever narrows must hold them.
+        for (unsigned l = 0; l < kMaxLanes; ++l)
+            lanes[l] = drawWord(rng);
+        DataDesc any{DataDesc::Kind::Lanes, 0, 0, lanes.data()};
+        any.narrowTo(active);
+        for (unsigned l = 0; any.isRegular() && l < kMaxLanes; ++l) {
+            if ((active >> l) & 1) {
+                ASSERT_EQ(any.at(l), lanes[l]) << "random lane " << l;
+            }
+        }
+    }
+}
+
+TEST(NarrowTo, MetaDescIsUniformExactlyWhenTheActiveLanesAgree)
+{
+    std::mt19937 rng(25);
+    const CapMeta v{0x12345678u, true};
+    const auto poison = [&] {
+        return CapMeta{static_cast<uint32_t>(rng()), rng() % 2 == 0};
+    };
+    for (unsigned trial = 0; trial < 20000; ++trial) {
+        const LaneMask active = drawActive(rng);
+        SCOPED_TRACE(testing::Message() << "trial " << trial << " active 0x"
+                                        << std::hex << active);
+
+        // PartialNull: no active null lane, all of them, or some.
+        MetaDesc p;
+        p.kind = MetaDesc::Kind::PartialNull;
+        p.value = v;
+        p.nullMask = static_cast<LaneMask>(rng());
+        if (rng() % 3 == 0)
+            p.nullMask &= ~active;
+        else if (rng() % 2 == 0)
+            p.nullMask |= active;
+        const LaneMask nulls = p.nullMask & active;
+        MetaDesc q = p;
+        q.narrowTo(active);
+        EXPECT_EQ(q.isUniform(), nulls == 0 || nulls == active);
+        for (unsigned l = 0; l < kMaxLanes; ++l) {
+            if ((active >> l) & 1) {
+                ASSERT_EQ(q.at(l), p.at(l)) << "partial-null lane " << l;
+            }
+        }
+
+        // Lanes: one value on the active lanes, poison elsewhere.
+        LaneArray<CapMeta> lanes{};
+        for (unsigned l = 0; l < kMaxLanes; ++l)
+            lanes[l] = (active >> l) & 1 ? v : poison();
+        MetaDesc m;
+        m.kind = MetaDesc::Kind::Lanes;
+        m.lanes = lanes.data();
+        MetaDesc n = m;
+        n.narrowTo(active);
+        ASSERT_TRUE(n.isUniform());
+        EXPECT_EQ(n.value, v);
+
+        // One active lane differing in its tag or one metadata bit.
+        if (std::popcount(active) >= 2) {
+            unsigned pick = rng() % std::popcount(active);
+            LaneMask rest = active;
+            for (; pick > 0; --pick)
+                rest &= rest - 1;
+            CapMeta &w = lanes[std::countr_zero(rest)];
+            if (rng() % 2)
+                w.tag = !w.tag;
+            else
+                w.meta ^= 1u << (rng() % 32);
+            MetaDesc wrong = m;
+            wrong.narrowTo(active);
+            EXPECT_FALSE(wrong.isUniform());
+        }
     }
 }
 

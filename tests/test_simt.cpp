@@ -763,12 +763,16 @@ TEST(RegFileProperty, WriteMetaMatchesExpandMergeClassify)
 
                 const LaneMask mask = randomMask(rng, n);
                 LaneArray<CapMeta> vals;
-                switch (rng() % 4) {
+                const unsigned draw_kind = rng() % 4;
+                switch (draw_kind) {
                   case 0: vals = draw(1, 0, 0); break;
                   case 1: vals = draw(0, 1, 0); break;
                   case 2: vals = draw(1, 1, 0); break;
                   default: vals = draw(1, 1, 1); break;
                 }
+                // One value on every lane: half the writes go through
+                // the uniform form, which must behave the same.
+                const bool uniform_write = draw_kind < 2 && rng() % 2 == 0;
 
                 const LaneArray<CapMeta> old =
                     RegFileTestAccess::meta(rf, 0, kTarget);
@@ -785,13 +789,20 @@ TEST(RegFileProperty, WriteMetaMatchesExpandMergeClassify)
                     before, after, mask != all, rf.metaVectorsInVrf(),
                     rf.vrfSlotsInUse(), cfg, true);
 
+                const uint64_t nvo_hits = stats.get("meta_nvo_hits");
                 RfAccess acc;
-                rf.writeMeta(0, kTarget, vals, mask, acc);
+                if (uniform_write)
+                    rf.writeMetaUniform(0, kTarget, vals[0], mask, acc);
+                else
+                    rf.writeMeta(0, kTarget, vals, mask, acc);
                 SCOPED_TRACE(testing::Message()
                              << "lanes " << n << " nvo " << nvo << " trial "
-                             << trial << " mask 0x" << std::hex << mask);
+                             << trial << " mask 0x" << std::hex << mask
+                             << " uniform " << uniform_write);
                 EXPECT_EQ(RegFileTestAccess::kind(rf, true, 0, kTarget),
                           after);
+                EXPECT_EQ(stats.get("meta_nvo_hits") - nvo_hits,
+                          after == RfKind::PartialNull ? 1u : 0u);
                 const LaneArray<CapMeta> got =
                     RegFileTestAccess::meta(rf, 0, kTarget);
                 for (unsigned i = 0; i < n; ++i)
