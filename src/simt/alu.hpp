@@ -40,12 +40,59 @@ constexpr int32_t s(uint32_t v) { return static_cast<int32_t>(v); }
 constexpr float asFloat(uint32_t v) { return std::bit_cast<float>(v); }
 constexpr uint32_t asBits(float f) { return std::bit_cast<uint32_t>(f); }
 
+/** RISC-V's canonical NaN, the result of every op that makes a NaN. */
+constexpr uint32_t kCanonicalNan = 0x7fc00000u;
+
+/** A float result's bits, any NaN canonical. */
+constexpr uint32_t
+fbits(float f)
+{
+    return f != f ? kCanonicalNan : asBits(f);
+}
+
+/** FMIN_S / FMAX_S: -0 orders below +0; one NaN operand yields the
+ *  other operand, two yield the canonical NaN. */
+constexpr uint32_t
+fminmax(uint32_t a, uint32_t b, bool max)
+{
+    const float x = asFloat(a), y = asFloat(b);
+    if (x != x)
+        return y != y ? kCanonicalNan : b;
+    if (y != y)
+        return a;
+    if (x == y) // equal values differ in bits only as -0 and +0
+        return max ? a & b : a | b;
+    return (x < y) != max ? a : b;
+}
+
+/** FCVT_W_S (@p is_signed) / FCVT_WU_S, rounding toward zero and
+ *  saturating out of range; NaN converts to the maximum. */
+constexpr uint32_t
+fcvt(uint32_t a, bool is_signed)
+{
+    const float x = asFloat(a);
+    if (is_signed) {
+        if (x != x || x >= 2147483648.0f)
+            return 0x7fffffffu;
+        if (x < -2147483648.0f)
+            return 0x80000000u;
+        return u(static_cast<int32_t>(x));
+    }
+    if (x != x || x >= 4294967296.0f)
+        return 0xffffffffu;
+    if (x <= -1.0f)
+        return 0;
+    return static_cast<uint32_t>(x);
+}
+
 } // namespace detail
 
 // ROW(op, packed bit, lane function of a, b and imm). Comparisons yield
 // 0 or 1; shifts take the low five bits of the count. Division never
 // traps: x / 0 is all ones and x % 0 is x; the one overflowing quotient,
-// INT32_MIN / -1, is INT32_MIN with remainder 0.
+// INT32_MIN / -1, is INT32_MIN with remainder 0. Float ops follow
+// RISC-V: a NaN result is the canonical NaN, FMIN/FMAX order -0 below +0
+// and prefer a number to a NaN, and conversions to integer saturate.
 #define CHERI_SIMT_ALU_TABLE(ROW)                                            \
     ROW(LUI, false, u(imm))                                                  \
     ROW(ADDI, true, a + u(imm))                                              \
@@ -81,15 +128,15 @@ constexpr uint32_t asBits(float f) { return std::bit_cast<uint32_t>(f); }
     ROW(REM, false,                                                          \
         b == 0 ? a : s(a) == INT32_MIN && s(b) == -1 ? 0 : u(s(a) % s(b)))   \
     ROW(REMU, false, b == 0 ? a : a % b)                                     \
-    ROW(FADD_S, false, asBits(asFloat(a) + asFloat(b)))                      \
-    ROW(FSUB_S, false, asBits(asFloat(a) - asFloat(b)))                      \
-    ROW(FMUL_S, false, asBits(asFloat(a) * asFloat(b)))                      \
-    ROW(FDIV_S, false, asBits(asFloat(a) / asFloat(b)))                      \
-    ROW(FSQRT_S, false, asBits(std::sqrt(asFloat(a))))                       \
-    ROW(FMIN_S, false, asBits(std::fmin(asFloat(a), asFloat(b))))            \
-    ROW(FMAX_S, false, asBits(std::fmax(asFloat(a), asFloat(b))))            \
-    ROW(FCVT_W_S, false, u(static_cast<int32_t>(asFloat(a))))                \
-    ROW(FCVT_WU_S, false, static_cast<uint32_t>(asFloat(a)))                 \
+    ROW(FADD_S, false, fbits(asFloat(a) + asFloat(b)))                       \
+    ROW(FSUB_S, false, fbits(asFloat(a) - asFloat(b)))                       \
+    ROW(FMUL_S, false, fbits(asFloat(a) * asFloat(b)))                       \
+    ROW(FDIV_S, false, fbits(asFloat(a) / asFloat(b)))                       \
+    ROW(FSQRT_S, false, fbits(std::sqrt(asFloat(a))))                        \
+    ROW(FMIN_S, false, fminmax(a, b, false))                                 \
+    ROW(FMAX_S, false, fminmax(a, b, true))                                  \
+    ROW(FCVT_W_S, false, fcvt(a, true))                                      \
+    ROW(FCVT_WU_S, false, fcvt(a, false))                                    \
     ROW(FCVT_S_W, false, asBits(static_cast<float>(s(a))))                   \
     ROW(FCVT_S_WU, false, asBits(static_cast<float>(a)))                     \
     ROW(FEQ_S, false, asFloat(a) == asFloat(b))                              \

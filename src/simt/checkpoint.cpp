@@ -835,17 +835,21 @@ Sm::saveState(ByteWriter &w) const
     const unsigned lanes = cfg_.numLanes;
     for (const Warp &warp : warps_) {
         w.u32(lanes);
+        LaneArray<uint32_t> pc, nest;
+        warp.laneKeys(pc, nest);
         for (unsigned i = 0; i < lanes; ++i)
-            w.u32(warp.pc[i]);
+            w.u32(pc[i]);
         for (unsigned i = 0; i < lanes; ++i)
-            w.u32(warp.nest[i]);
+            w.u32(nest[i]);
         putLaneMask(w, warp.halted, lanes);
         for (unsigned i = 0; i < lanes; ++i)
             putCapPipe(w, warp.pcc[i]);
         w.u64(warp.readyAt);
         w.b(warp.atBarrier);
         w.u32(warp.liveThreads);
-        w.b(warp.regular);
+        // Host-only: every live lane at one (nest, pc). Restore rebuilds
+        // the groups from the lanes' keys and ignores it.
+        w.b(warp.numGroups <= 1);
         w.b(warp.pccUniform);
         putCapPipe(w, warp.fetchCap);
         w.u32(warp.fetchLo);
@@ -923,10 +927,11 @@ Sm::loadState(ByteReader &r)
             r.failWith("lane count mismatch");
             return false;
         }
+        LaneArray<uint32_t> pc{}, nest{};
         for (unsigned i = 0; i < lanes; ++i)
-            warp.pc[i] = r.u32();
+            pc[i] = r.u32();
         for (unsigned i = 0; i < lanes; ++i)
-            warp.nest[i] = r.u32();
+            nest[i] = r.u32();
         if (!getLaneMask(r, warp.halted, lanes))
             return false;
         for (unsigned i = 0; i < lanes; ++i)
@@ -943,7 +948,8 @@ Sm::loadState(ByteReader &r)
                        "lanes");
             return false;
         }
-        warp.regular = r.b();
+        warp.setLaneKeys(pc, nest, lowLanes(lanes) & ~warp.halted);
+        r.b(); // the host-only convergence flag
         warp.pccUniform = r.b();
         warp.fetchCap = getCapPipe(r);
         warp.fetchLo = r.u32();
@@ -1017,10 +1023,12 @@ Sm::archStateHash() const
         putCapPipe(w, scr);
     const unsigned lanes = cfg_.numLanes;
     for (const Warp &warp : warps_) {
+        LaneArray<uint32_t> pc, nest;
+        warp.laneKeys(pc, nest);
         for (unsigned i = 0; i < lanes; ++i)
-            w.u32(warp.pc[i]);
+            w.u32(pc[i]);
         for (unsigned i = 0; i < lanes; ++i)
-            w.u32(warp.nest[i]);
+            w.u32(nest[i]);
         putLaneMask(w, warp.halted, lanes);
         for (unsigned i = 0; i < lanes; ++i)
             putCapPipe(w, warp.pcc[i]);

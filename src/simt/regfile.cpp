@@ -27,7 +27,8 @@ unpackMeta(uint64_t v)
 }
 
 /** Does the first @p n lanes' data compress to base+stride with an
- *  8-bit stride? (Equal steps between neighbours is the closed form.) */
+ *  8-bit stride? (Equal steps between neighbours is the closed form.)
+ *  The line is a running sum, which vectorises without a multiply. */
 bool
 compressData(const LaneArray<uint32_t> &vals, unsigned n, uint32_t &base,
              int32_t &stride)
@@ -36,10 +37,11 @@ compressData(const LaneArray<uint32_t> &vals, unsigned n, uint32_t &base,
     stride = n > 1 ? static_cast<int32_t>(vals[1] - vals[0]) : 0;
     if (stride < -128 || stride > 127)
         return false;
-    uint32_t diff = 0;
-    for (unsigned i = 0; i < kMaxLanes; ++i)
-        diff |= (vals[i] ^ (base + static_cast<uint32_t>(stride) * i)) &
-                -static_cast<uint32_t>(i < n);
+    uint32_t diff = 0, line = base;
+    for (unsigned i = 0; i < kMaxLanes; ++i) {
+        diff |= (vals[i] ^ line) & -static_cast<uint32_t>(i < n);
+        line += static_cast<uint32_t>(stride);
+    }
     return diff == 0;
 }
 
@@ -52,15 +54,6 @@ lanesEqual(const LaneArray<CapMeta> &vals, const CapMeta &v)
     for (unsigned i = 0; i < kMaxLanes; ++i)
         m |= LaneMask{packMeta(vals[i]) == pv} << i;
     return m;
-}
-
-/** Lanes of @p mask take @p src, the rest keep @p dst. */
-void
-blend(LaneArray<uint32_t> &dst, const LaneArray<uint32_t> &src,
-      LaneMask mask)
-{
-    for (unsigned i = 0; i < kMaxLanes; ++i)
-        dst[i] = (dst[i] & ~laneWord(mask, i)) | (src[i] & laneWord(mask, i));
 }
 
 void
@@ -343,6 +336,45 @@ RegFileSystem::readData(unsigned warp, unsigned reg,
 }
 
 void
+RegFileSystem::mergeData(Entry &e, unsigned warp, unsigned reg,
+                         const LaneArray<uint32_t> &vals, LaneMask mask,
+                         RfAccess &acc)
+{
+    if (e.kind == Kind::Spilled)
+        unspill(e, false, warp, reg, acc);
+    // The old lanes -- a Vector entry's slot, or a Scalar entry's line --
+    // with the written lanes blended in, in one pass.
+    LaneArray<uint32_t> merged;
+    if (e.kind == Kind::Vector) {
+        const LaneArray<uint64_t> &slot = slots_[e.slot];
+        for (unsigned i = 0; i < kMaxLanes; ++i)
+            merged[i] = (static_cast<uint32_t>(slot[i]) & ~laneWord(mask, i)) |
+                        (vals[i] & laneWord(mask, i));
+    } else {
+        uint32_t line = e.base;
+        for (unsigned i = 0; i < kMaxLanes; ++i) {
+            merged[i] = (line & ~laneWord(mask, i)) |
+                        (vals[i] & laneWord(mask, i));
+            line += static_cast<uint32_t>(e.stride);
+        }
+    }
+
+    uint32_t base;
+    int32_t stride;
+    if (compressData(merged, cfg_.numLanes, base, stride)) {
+        compressTo(e, false, Entry{Kind::Scalar, base, stride});
+        return;
+    }
+    if (e.kind != Kind::Vector)
+        allocVector(e, false, warp, reg, acc);
+    slotInfo_[e.slot].lastUse = ++useClock_;
+    acc.dataFromVrf = true;
+    LaneArray<uint64_t> &slot = slots_[e.slot];
+    for (unsigned i = 0; i < kMaxLanes; ++i)
+        slot[i] = merged[i];
+}
+
+void
 RegFileSystem::writeData(unsigned warp, unsigned reg,
                          const LaneArray<uint32_t> &vals, LaneMask mask,
                          RfAccess &acc)
@@ -362,22 +394,14 @@ RegFileSystem::writeData(unsigned warp, unsigned reg,
     }
 
     Entry &e = dataEntries_[entryIndex(warp, reg)];
-
-    // Merge through a pointer: the full-mask write (the common case)
-    // uses the caller's buffer directly instead of copying it.
-    LaneArray<uint32_t> merge;
-    const LaneArray<uint32_t> *merged = src;
     if (mask != allLanes_) {
-        if (e.kind == Kind::Spilled)
-            unspill(e, false, warp, reg, acc);
-        expandData(e, merge);
-        blend(merge, *src, mask);
-        merged = &merge;
+        mergeData(e, warp, reg, *src, mask, acc);
+        return;
     }
 
     uint32_t base;
     int32_t stride;
-    if (compressData(*merged, cfg_.numLanes, base, stride)) {
+    if (compressData(*src, cfg_.numLanes, base, stride)) {
         compressTo(e, false, Entry{Kind::Scalar, base, stride});
         return;
     }
@@ -388,7 +412,7 @@ RegFileSystem::writeData(unsigned warp, unsigned reg,
     acc.dataFromVrf = true;
     LaneArray<uint64_t> &slot = slots_[e.slot];
     for (unsigned i = 0; i < kMaxLanes; ++i)
-        slot[i] = (*merged)[i];
+        slot[i] = (*src)[i];
 }
 
 void
@@ -418,23 +442,28 @@ RegFileSystem::writeMeta(unsigned warp, unsigned reg,
     panic_if(!cfg_.purecap, "metadata access without purecap");
     if (reg == 0)
         return;
-
-    const LaneArray<CapMeta> *src = &vals;
-    LaneArray<CapMeta> faulty;
     if (injector_ && injector_->shouldCorruptMetaWrite(warp, reg)) {
-        faulty = vals;
+        LaneArray<CapMeta> faulty = vals;
         injector_->corruptMeta(faulty[injector_->plan().lane % cfg_.numLanes]);
-        src = &faulty;
+        storeMeta(warp, reg, faulty, mask, acc);
+        return;
     }
+    storeMeta(warp, reg, vals, mask, acc);
+}
 
+void
+RegFileSystem::storeMeta(unsigned warp, unsigned reg,
+                         const LaneArray<CapMeta> &vals, LaneMask mask,
+                         RfAccess &acc)
+{
     bool any_nonnull = false;
     for (LaneMask m = mask; m != 0 && !any_nonnull; m &= m - 1)
-        any_nonnull = !(*src)[std::countr_zero(m)].isNull();
+        any_nonnull = !vals[std::countr_zero(m)].isNull();
     if (any_nonnull)
         noteCapWrite(reg);
 
     if (!cfg_.metaCompressed) {
-        blend(flatMeta_[entryIndex(warp, reg)], *src, mask);
+        blend(flatMeta_[entryIndex(warp, reg)], vals, mask);
         return;
     }
 
@@ -454,10 +483,10 @@ RegFileSystem::writeMeta(unsigned warp, unsigned reg,
         (e.kind == Kind::Scalar || e.kind == Kind::PartialNull)) {
         const LaneMask written = mask & allLanes_;
         const CapMeta value =
-            written != 0 ? (*src)[std::countr_zero(written)] : CapMeta{};
+            written != 0 ? vals[std::countr_zero(written)] : CapMeta{};
         bool one = true;
         for (LaneMask m = written; m != 0 && one; m &= m - 1)
-            one = (*src)[std::countr_zero(m)] == value;
+            one = vals[std::countr_zero(m)] == value;
         if (one && mergeMeta(e, value, written))
             return;
     }
@@ -465,12 +494,12 @@ RegFileSystem::writeMeta(unsigned warp, unsigned reg,
     // Merge through a pointer: the full-mask write (the common case)
     // uses the caller's buffer directly instead of copying it.
     LaneArray<CapMeta> merge;
-    const LaneArray<CapMeta> *mergedp = src;
+    const LaneArray<CapMeta> *mergedp = &vals;
     if (mask != allLanes_) {
         if (e.kind == Kind::Spilled)
             unspill(e, true, warp, reg, acc);
         expandMeta(e, merge);
-        blend(merge, *src, mask);
+        blend(merge, vals, mask);
         mergedp = &merge;
     }
     const LaneArray<CapMeta> &merged = *mergedp;
@@ -611,21 +640,17 @@ RegFileSystem::readMetaDesc(unsigned warp, unsigned reg,
 
 void
 RegFileSystem::writeDataAffine(unsigned warp, unsigned reg, uint32_t base,
-                               int32_t stride, RfAccess &acc)
+                               int32_t stride, LaneMask mask, RfAccess &acc)
 {
     if (reg == 0)
         return; // x0 is hardwired to zero
 
     if (injector_ && injector_->stuckLaneActive()) {
         // A stuck lane breaks the affine form: expand the sequence and
-        // take the general write path so the corrupted lane is stored
-        // (corruptLaneValue is idempotent, so the nested writeData call
-        // re-applying the stuck bit changes nothing).
+        // take the general write path, which stores the corrupted lane.
         LaneArray<uint32_t> vals;
         DataDesc{DataDesc::Kind::Affine, base, stride}.materialiseTo(vals);
-        injector_->corruptLaneValue(
-            vals[injector_->plan().lane % cfg_.numLanes]);
-        writeData(warp, reg, vals, allLanes_, acc);
+        writeData(warp, reg, vals, mask, acc);
         return;
     }
 
@@ -634,6 +659,16 @@ RegFileSystem::writeDataAffine(unsigned warp, unsigned reg, uint32_t base,
     // compressData of the expanded sequence: single-lane vectors always
     // compress with stride 0; otherwise the affine stride must fit 8 bits.
     const int32_t eff_stride = cfg_.numLanes > 1 ? stride : 0;
+    if (mask != allLanes_) {
+        // The same line into a Scalar entry leaves it as it is.
+        if (e.kind == Kind::Scalar && e.base == base &&
+            e.stride == eff_stride)
+            return;
+        LaneArray<uint32_t> vals;
+        DataDesc{DataDesc::Kind::Affine, base, stride}.materialiseTo(vals);
+        mergeData(e, warp, reg, vals, mask, acc);
+        return;
+    }
     if (eff_stride >= -128 && eff_stride <= 127) {
         compressTo(e, false, Entry{Kind::Scalar, base, eff_stride});
         return;
@@ -674,20 +709,25 @@ RegFileSystem::writeMetaUniform(unsigned warp, unsigned reg,
         return;
     }
 
-    CapMeta stored = value;
-    if (injector_ && injector_->shouldCorruptMetaWrite(warp, reg))
-        injector_->corruptMeta(stored);
+    if (injector_ && injector_->shouldCorruptMetaWrite(warp, reg)) {
+        // The flip strikes one lane, as it does through writeMeta.
+        LaneArray<CapMeta> vals;
+        vals.fill(value);
+        injector_->corruptMeta(vals[injector_->plan().lane % cfg_.numLanes]);
+        storeMeta(warp, reg, vals, allLanes_, acc);
+        return;
+    }
 
-    if (!stored.isNull())
+    if (!value.isNull())
         noteCapWrite(reg);
 
     if (!cfg_.metaCompressed) {
-        flatMeta_[entryIndex(warp, reg)].fill(stored);
+        flatMeta_[entryIndex(warp, reg)].fill(value);
         return;
     }
 
     compressTo(metaEntries_[entryIndex(warp, reg)], true,
-               Entry{Kind::Scalar, stored.meta, 0, stored.tag});
+               Entry{Kind::Scalar, value.meta, 0, value.tag});
 }
 
 uint64_t

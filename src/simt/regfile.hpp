@@ -152,9 +152,11 @@ struct DataDesc
                 detail::kOddInverse[gap >> t];
         }
         const uint32_t b = lanes[l0] - s * l0;
-        uint32_t bad = 0;
-        for (unsigned i = 0; i < kMaxLanes; ++i)
-            bad |= (lanes[i] ^ (b + s * i)) & laneWord(active, i);
+        uint32_t bad = 0, line = b;
+        for (unsigned i = 0; i < kMaxLanes; ++i) {
+            bad |= (lanes[i] ^ line) & laneWord(active, i);
+            line += s;
+        }
         if (bad != 0)
             return;
         kind = Kind::Affine;
@@ -176,8 +178,12 @@ struct DataDesc
                 std::copy(lanes, lanes + kMaxLanes, out.begin());
             return;
         }
-        for (unsigned lane = 0; lane < kMaxLanes; ++lane)
-            out[lane] = base + static_cast<uint32_t>(stride) * lane;
+        // A running sum, which vectorises without a multiply.
+        uint32_t v = base;
+        for (unsigned lane = 0; lane < kMaxLanes; ++lane) {
+            out[lane] = v;
+            v += static_cast<uint32_t>(stride);
+        }
     }
 };
 
@@ -300,9 +306,11 @@ class RegFileSystem
                       LaneArray<CapMeta> &scratch, MetaDesc &desc,
                       RfAccess &acc);
 
-    /** Full-mask affine write: equals writeData of the expanded sequence. */
+    /** Affine write of base + stride * lane to the @p mask lanes: equals
+     *  writeData of the expanded sequence. A partial write merges into
+     *  the entry without expanding it. */
     void writeDataAffine(unsigned warp, unsigned reg, uint32_t base,
-                         int32_t stride, RfAccess &acc);
+                         int32_t stride, LaneMask mask, RfAccess &acc);
 
     /** Uniform write of @p value to the @p mask lanes: equals writeMeta
      *  of the broadcast value. A partial write into a compressed entry
@@ -408,6 +416,22 @@ class RegFileSystem
      * nulls without NVO.
      */
     bool mergeMeta(Entry &e, const CapMeta &value, LaneMask written);
+
+    /**
+     * Write the @p mask lanes of @p vals to data entry @p e (a partial
+     * write), as expanding @p e, blending and classifying would: the old
+     * lanes come straight from a Vector entry's slot or a Scalar
+     * entry's line, and only a result that stays a vector is stored.
+     */
+    void mergeData(Entry &e, unsigned warp, unsigned reg,
+                   const LaneArray<uint32_t> &vals, LaneMask mask,
+                   RfAccess &acc);
+
+    /** writeMeta after its fault injection: store @p vals to the
+     *  @p mask lanes. */
+    void storeMeta(unsigned warp, unsigned reg,
+                   const LaneArray<CapMeta> &vals, LaneMask mask,
+                   RfAccess &acc);
 
     /** Reload a spilled entry into the VRF, charging traffic. */
     void unspill(Entry &e, bool for_meta, unsigned warp, unsigned reg,

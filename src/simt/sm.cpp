@@ -294,7 +294,7 @@ Sm::launch(uint32_t entry_pc, unsigned warps_per_block)
 
     warps_.assign(cfg_.numWarps, Warp{});
     for (auto &w : warps_) {
-        w.pc.fill(entry_pc);
+        w.place(allLanes_, entry_pc, 0);
         w.pcc.fill(code_cap);
         w.liveThreads = cfg_.numLanes;
     }
@@ -338,61 +338,30 @@ Sm::launch(uint32_t entry_pc, unsigned warps_per_block)
 int
 Sm::selectActive(Warp &w, unsigned &num_active, bool &fully_active)
 {
-    const bool check_pcc = cfg_.purecap && !cfg_.staticPcMeta;
-    const LaneMask live = allLanes_ & ~w.halted;
     num_active = 0;
     fully_active = false;
-    if (live == 0)
+    if (w.numGroups == 0)
         return -1;
-    if (cfg_.hostFastPath && w.regular && (!check_pcc || w.pccUniform)) {
-        // A regular warp has every live lane at the same (nest, pc) [and
-        // the same PCC when selection compares it], so the reduction
-        // below selects every live lane with the first as leader.
-        active_ = live;
-        num_active = w.liveThreads;
-        fully_active = true;
-        return std::countr_zero(live);
-    }
-
-    // Deepest nesting level first, then lowest PC (Section 2.3): a
-    // max-nest then a min-pc reduction over the live lanes, then the
-    // mask of lanes at that (nest, pc), whose lowest lane leads.
-    // Branch-free over the fixed lane arrays, so the compiler vectorises
-    // each loop.
-    uint32_t max_nest = 0;
-    for (unsigned lane = 0; lane < kMaxLanes; ++lane)
-        max_nest = std::max(max_nest, w.nest[lane] & laneWord(live, lane));
-    uint32_t min_pc = ~uint32_t{0};
-    for (unsigned lane = 0; lane < kMaxLanes; ++lane) {
-        const uint32_t deepest =
-            laneWord(live, lane) &
-            -static_cast<uint32_t>(w.nest[lane] == max_nest);
-        min_pc = std::min(min_pc, w.pc[lane] | ~deepest);
-    }
-    LaneMask at = 0;
-    for (unsigned lane = 0; lane < kMaxLanes; ++lane)
-        at |= kLaneBit[lane] &
-              -static_cast<uint32_t>((w.nest[lane] == max_nest) &
-                                     (w.pc[lane] == min_pc));
-    at &= live;
-    const int leader = std::countr_zero(at);
-    if (check_pcc) {
+    // Deepest nesting level first, then lowest PC (Section 2.3): the
+    // groups are kept in that order, so the first one issues, led by its
+    // lowest lane.
+    const LaneGroup &g = w.groups[0];
+    const int leader = std::countr_zero(g.lanes);
+    LaneMask at = g.lanes;
+    const bool check_pcc = cfg_.purecap && !cfg_.staticPcMeta;
+    if (check_pcc && !w.pccUniform) {
         // Dynamic PC metadata: active threads must agree on the whole
         // PCC, not just the address.
-        forLanes(at, [&](unsigned lane) {
+        forLanes(g.lanes, [&](unsigned lane) {
             if (!(w.pcc[lane] == w.pcc[leader]))
                 at &= ~(LaneMask{1} << lane);
         });
     }
     active_ = at;
     num_active = static_cast<unsigned>(std::popcount(at));
-    fully_active = at == live;
-    if (fully_active) {
-        // The issue covers every live lane: the warp has (re)converged.
-        w.regular = true;
-        if (check_pcc)
-            w.pccUniform = true;
-    }
+    fully_active = w.numGroups == 1 && at == g.lanes;
+    if (fully_active && check_pcc)
+        w.pccUniform = true;
     return leader;
 }
 
@@ -404,6 +373,7 @@ Sm::haltThread(unsigned warp, unsigned lane)
     if (w.halted & bit)
         return;
     w.halted |= bit;
+    w.halt(lane);
     --w.liveThreads;
     if (w.liveThreads == 0) {
         --liveWarps_;
@@ -767,7 +737,7 @@ Sm::runLoop(uint64_t max_cycles)
                 continue;
             firstTrap_.warp = wid;
             firstTrap_.lane = std::countr_zero(allLanes_ & ~w.halted);
-            firstTrap_.pc = w.pc[firstTrap_.lane];
+            firstTrap_.pc = w.pcOf(firstTrap_.lane);
             break;
         }
     }
@@ -843,7 +813,7 @@ Sm::runLoopCore(uint64_t max_cycles)
                         firstTrap_.addr = 0;
                         firstTrap_.lane =
                             std::countr_zero(allLanes_ & ~w.halted);
-                        firstTrap_.pc = w.pc[firstTrap_.lane];
+                        firstTrap_.pc = w.pcOf(firstTrap_.lane);
                         break;
                     }
                 }
@@ -1082,11 +1052,12 @@ struct Sm::Step
     // A constructor rather than aggregate initialisation: the latter
     // clears the whole (mostly zero) struct with a block store on every
     // warp-step, which costs more than the member stores.
-    Step(Warp &warp, unsigned warp_id, uint32_t issue_pc, const Instr &instr,
-         const OpTraits &traits, size_t index, int leader_lane,
-         unsigned num_active, bool fully_active, bool pcc_uniform,
-         bool rs1_is_cap, uint64_t ready)
-        : w(warp), wid(warp_id), pc(issue_pc), in(instr), op(instr.op),
+    Step(Warp &warp, unsigned warp_id, uint32_t issue_pc, uint32_t issue_nest,
+         const Instr &instr, const OpTraits &traits, size_t index,
+         int leader_lane, unsigned num_active, bool fully_active,
+         bool pcc_uniform, bool rs1_is_cap, uint64_t ready)
+        : w(warp), wid(warp_id), pc(issue_pc), nest(issue_nest), in(instr),
+          op(instr.op),
           tr(traits), idx(index), leader(leader_lane), numActive(num_active),
           fullyActive(fully_active), pccUniform(pcc_uniform),
           rs1IsCap(rs1_is_cap), finish(ready), writesRd(traits.usesRd)
@@ -1096,6 +1067,7 @@ struct Sm::Step
     Warp &w;
     const unsigned wid;
     const uint32_t pc;
+    const uint32_t nest; ///< the issuing group's nesting level
     const Instr &in;
     const Op op;
     const OpTraits &tr;
@@ -1117,8 +1089,7 @@ struct Sm::Step
     uint64_t finish;          ///< cycle the result is ready
     unsigned extraCycles = 0; ///< issue-slot cycles beyond the first
     bool writesRd;
-    bool fastHit = false;    ///< retired through an accelerated path
-    bool pcDiverged = false; ///< the active lanes left at different PCs
+    bool fastHit = false; ///< retired through an accelerated path
 
     // Result descriptor for writeback: with resAffine set, every active
     // lane's result is resBase + resStride * lane with metadata resMeta;
@@ -1151,7 +1122,8 @@ Sm::executeWarp(unsigned wid)
     bool fully_active;
     const int leader = selectActive(w, num_active, fully_active);
     panic_if(leader < 0, "executeWarp on a finished warp");
-    const uint32_t pc = w.pc[leader];
+    const uint32_t pc = w.groups[0].pc;
+    const uint32_t nest = w.groups[0].nest;
 
     // ---- Fetch ----
     // One instruction fetched and decoded per warp (control-flow
@@ -1204,7 +1176,7 @@ Sm::executeWarp(unsigned wid)
     // Descriptor reads are side-effect-identical to the eager readData /
     // readMeta calls; compressed registers stay in closed form until a
     // per-lane path actually needs the expansion.
-    Step s(w, wid, pc, in, tr, idx, leader, num_active, fully_active,
+    Step s(w, wid, pc, nest, in, tr, idx, leader, num_active, fully_active,
            check_pcc || w.pccUniform,
            cfg_.purecap &&
                (tr.memAccess || op == Op::JALR ||
@@ -1268,62 +1240,46 @@ Sm::executeWarp(unsigned wid)
     // (each lane a step drops from active_ has trapped and halted).
     const bool full_mask =
         num_active == cfg_.numLanes && w.liveThreads == cfg_.numLanes;
-    if (!tr.control) {
-        // Straight-line instructions fall through to the next one.
-        if (full_mask)
-            w.pc.fill(pc + 4);
-        else
-            forLanes(active_, [&](unsigned lane) { w.pc[lane] = pc + 4; });
-    }
-
-    // ---- Warp-regularity maintenance (host-only state) ----
-    // Regular iff the issue covered every live lane and no divergence was
-    // introduced; traps only shrink the live set, preserving uniformity.
-    w.regular = fully_active && !s.pcDiverged;
+    // Straight-line instructions fall through to the next one; the lanes
+    // that trapped have left the group.
+    if (!tr.control)
+        w.moveLead(active_, pc + 4, nest);
 
     // ---- Writeback ----
     RfAccess wb_acc;
     if (s.writesRd && in.rd != 0) {
-        if (s.resAffine && full_mask) {
+        if (s.resAffine)
             regfile_.writeDataAffine(wid, in.rd, s.resBase, s.resStride,
-                                     wb_acc);
-            if (cfg_.purecap)
+                                     active_, wb_acc);
+        else
+            regfile_.writeData(wid, in.rd, result_, active_, wb_acc);
+        // Writing a plain integer result sets the metadata to the null
+        // value with the tag cleared (Figure 4 caption).
+        if (cfg_.purecap) {
+            if (s.resAffine && full_mask) {
                 regfile_.writeMetaUniform(wid, in.rd, s.resMeta, allLanes_,
                                           wb_acc);
-        } else {
-            if (s.resAffine) {
-                // Partial mask: expand the closed form for the merge.
-                forLanes(active_, [&](unsigned lane) {
-                    result_[lane] =
-                        s.resBase + static_cast<uint32_t>(s.resStride) * lane;
-                });
-            }
-            regfile_.writeData(wid, in.rd, result_, active_, wb_acc);
-            if (cfg_.purecap) {
-                // Writing a plain integer result sets the metadata to
-                // the null value with the tag cleared (Figure 4 caption).
+            } else if (cfg_.hostFastPath && !injector_ &&
+                       (s.resAffine || !resultMetaDirty_)) {
                 // A clean dirty flag means no lane of resultMeta_ was
                 // written this step, so the vector is still all-null:
                 // with a closed-form result, the active lanes carry one
                 // value, and the write is its uniform broadcast (same
-                // entry state, stats and RfAccess effects).
-                // Engine-tier shortcut: the reference engine keeps the
-                // per-lane classify.
-                if (cfg_.hostFastPath && !injector_ &&
-                    (s.resAffine || !resultMetaDirty_)) {
-                    regfile_.writeMetaUniform(
-                        wid, in.rd, s.resAffine ? s.resMeta : CapMeta{},
-                        active_, wb_acc);
-                } else {
-                    if (s.resAffine) {
-                        resultMetaDirty_ = true;
-                        forLanes(active_, [&](unsigned lane) {
-                            resultMeta_[lane] = s.resMeta;
-                        });
-                    }
-                    regfile_.writeMeta(wid, in.rd, resultMeta_, active_,
-                                       wb_acc);
+                // entry state, stats and RfAccess effects). Engine-tier
+                // shortcut: the reference engine keeps the per-lane
+                // classify.
+                regfile_.writeMetaUniform(
+                    wid, in.rd, s.resAffine ? s.resMeta : CapMeta{},
+                    active_, wb_acc);
+            } else {
+                if (s.resAffine) {
+                    resultMetaDirty_ = true;
+                    forLanes(active_, [&](unsigned lane) {
+                        resultMeta_[lane] = s.resMeta;
+                    });
                 }
+                regfile_.writeMeta(wid, in.rd, resultMeta_, active_,
+                                   wb_acc);
             }
         }
     }
@@ -2101,24 +2057,36 @@ Sm::execControl(Step &s)
     Warp &w = s.w;
     const uint32_t pc = s.pc;
     const int32_t imm = s.in.imm;
+    // The lanes still active after the step move to their new key.
     const auto set_pc = [&](uint32_t target) {
-        forLanes(active_, [&](unsigned lane) { w.pc[lane] = target; });
+        w.moveLead(active_, target, s.nest);
     };
     switch (s.op) {
       case Op::BEQ: case Op::BNE: case Op::BLT: case Op::BGE:
       case Op::BLTU: case Op::BGEU: {
-        // Local copies: the PC stores below cannot alias them.
-        const DataDesc a = s.rs1d, b = s.rs2d;
-        const uint32_t taken_pc = pc + static_cast<uint32_t>(imm);
-        bool any_taken = false, any_not = false;
-        // One lane loop per predicate, so the loop carries no op switch.
+        const DataDesc &a = s.rs1d, &b = s.rs2d;
+        // One branch-free predicate pass builds the taken mask; uniform
+        // operands decide every lane at once.
+        LaneMask taken = 0;
         const auto each_lane = [&](auto taken_fn) {
-            forLanes(active_, [&](unsigned lane) {
-                const bool taken = taken_fn(a.at(lane), b.at(lane));
-                w.pc[lane] = taken ? taken_pc : pc + 4;
-                any_taken = any_taken || taken;
-                any_not = any_not || !taken;
-            });
+            if (a.isUniform() && b.isUniform()) {
+                taken = taken_fn(a.base, b.base) ? active_ : 0;
+                return;
+            }
+            LaneArray<uint32_t> ta, tb;
+            const uint32_t *xa = a.lanes, *xb = b.lanes;
+            if (a.isRegular()) {
+                a.materialiseTo(ta);
+                xa = ta.data();
+            }
+            if (b.isRegular()) {
+                b.materialiseTo(tb);
+                xb = tb.data();
+            }
+            for (unsigned lane = 0; lane < kMaxLanes; ++lane)
+                taken |= kLaneBit[lane] &
+                         -static_cast<uint32_t>(taken_fn(xa[lane], xb[lane]));
+            taken &= active_;
         };
         using U = uint32_t;
         using S = int32_t;
@@ -2142,12 +2110,21 @@ Sm::execControl(Step &s)
             each_lane([](U x, U y) { return x >= y; });
             break;
         }
-        s.pcDiverged = any_taken && any_not;
+        const uint32_t taken_pc = pc + static_cast<uint32_t>(imm);
+        const bool diverged = taken != 0 && taken != active_;
+        if (diverged) {
+            // The group splits in two.
+            w.release(0, active_);
+            w.place(taken, taken_pc, s.nest);
+            w.place(active_ & ~taken, pc + 4, s.nest);
+        } else {
+            set_pc(taken != 0 ? taken_pc : pc + 4);
+        }
         // Affine operands expand in closed form, so a coherent outcome
         // over them is an accelerated retirement (a loop branch on an
         // affine induction variable is the common case).
         s.fastHit = cfg_.hostFastPath && s.rs1d.isRegular() &&
-                    s.rs2d.isRegular() && !s.pcDiverged;
+                    s.rs2d.isRegular() && !diverged;
         return;
       }
       case Op::JAL: {
@@ -2201,8 +2178,7 @@ Sm::execControl(Step &s)
             // provably uniform.
             w.pccUniform = s.fullyActive;
         } else {
-            uint32_t tgt0 = 0;
-            bool first = true, tgt_uniform = true;
+            LaneArray<uint32_t> targets{};
             forLanes(active_, [&](unsigned lane) {
                 const uint32_t a = s.rs1d.at(lane);
                 const uint32_t target = (a + static_cast<uint32_t>(imm)) & ~1u;
@@ -2222,27 +2198,30 @@ Sm::execControl(Step &s)
                 } else {
                     result_[lane] = pc + 4;
                 }
-                w.pc[lane] = target;
-                tgt_uniform = tgt_uniform && (first || target == tgt0);
-                tgt0 = first ? target : tgt0;
-                first = false;
+                targets[lane] = target;
             });
-            s.pcDiverged = !tgt_uniform;
+            // The surviving lanes, grouped by target.
+            w.release(0, active_);
+            for (LaneMask left = active_; left != 0;) {
+                const uint32_t t = targets[std::countr_zero(left)];
+                LaneMask same = 0;
+                for (unsigned lane = 0; lane < kMaxLanes; ++lane)
+                    same |= kLaneBit[lane] &
+                            -static_cast<uint32_t>(targets[lane] == t);
+                same &= left;
+                w.place(same, t, s.nest);
+                left &= ~same;
+            }
             if (cfg_.purecap)
                 w.pccUniform = false;
         }
         return;
       case Op::SIMT_PUSH:
+        w.moveLead(active_, pc + 4, s.nest + 1);
+        return;
       case Op::SIMT_POP:
-        forLanes(active_, [&](unsigned lane) {
-            if (s.op == Op::SIMT_PUSH) {
-                ++w.nest[lane];
-            } else {
-                panic_if(w.nest[lane] == 0, "SIMT_POP at nesting level 0");
-                --w.nest[lane];
-            }
-            w.pc[lane] = pc + 4;
-        });
+        panic_if(s.nest == 0, "SIMT_POP at nesting level 0");
+        w.moveLead(active_, pc + 4, s.nest - 1);
         return;
       case Op::SIMT_HALT:
         forLanes(active_, [&](unsigned lane) { haltThread(s.wid, lane); });

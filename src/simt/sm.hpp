@@ -7,7 +7,8 @@
  *  - barrel scheduling with at most one instruction per warp in flight
  *    (a warp re-issues pipelineDepth cycles after issue);
  *  - per-thread PCs with active-thread selection by deepest nesting level
- *    then lowest PC (convergence for structured control flow);
+ *    then lowest PC (convergence for structured control flow), held as
+ *    groups of lanes sharing (nest, pc);
  *  - a coalescing unit packing per-lane accesses into aligned segments;
  *  - a banked scratchpad with conflict serialisation;
  *  - a shared function unit serialising requests over active lanes, used
@@ -22,6 +23,7 @@
 #ifndef CHERI_SIMT_SIMT_SM_HPP_
 #define CHERI_SIMT_SIMT_SM_HPP_
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -209,21 +211,35 @@ class Sm
     double avgMetaVectorsInVrf() const;
 
   private:
+    /** The live lanes of a warp at one (nest, pc). */
+    struct LaneGroup
+    {
+        LaneMask lanes = 0;
+        uint32_t pc = 0;
+        uint32_t nest = 0;
+    };
+
     struct Warp
     {
-        LaneArray<uint32_t> pc{};
-        LaneArray<uint32_t> nest{};
+        // Convergence state: the live lanes as groups, one per distinct
+        // (nest, pc), disjoint and together covering every live lane,
+        // kept in selection order -- deepest nest first, then lowest pc
+        // (Section 2.3) -- so groups[0] issues next. The per-lane
+        // (pc, nest) of the paper's SM is what laneKeys() writes out.
+        std::array<LaneGroup, kMaxLanes> groups{};
+        unsigned numGroups = 0;
         LaneMask halted = 0;
+        // The last (pc, nest) of each halted lane; meaningless for live
+        // lanes, whose keys are their group's.
+        LaneArray<uint32_t> haltPc{};
+        LaneArray<uint32_t> haltNest{};
         LaneArray<cap::CapPipe> pcc{};
         uint64_t readyAt = 0;
         bool atBarrier = false;
         unsigned liveThreads = 0;
 
-        // Host-side warp-regularity tracking (never affects modelled
-        // state): `regular` means every live lane shares (nest, pc), so
-        // active-thread selection reduces to "not halted"; `pccUniform`
-        // means every live lane shares the whole PCC.
-        bool regular = true;
+        // Host-side tracking (never affects modelled state): every live
+        // lane shares the whole PCC.
         bool pccUniform = true;
 
         // Host-side memo of the last successful purecap fetch check:
@@ -237,6 +253,128 @@ class Sm
         uint64_t fetchHi = 0;
 
         bool done() const { return liveThreads == 0; }
+
+        /** Does @p g issue before (@p pc, @p nest)? */
+        static bool
+        before(const LaneGroup &g, uint32_t pc, uint32_t nest)
+        {
+            return g.nest > nest || (g.nest == nest && g.pc < pc);
+        }
+
+        /** Add @p lanes (live, in no group) at (@p pc, @p nest), joining
+         *  the group already there. */
+        void
+        place(LaneMask lanes, uint32_t pc, uint32_t nest)
+        {
+            if (lanes == 0)
+                return;
+            unsigned i = 0;
+            while (i < numGroups && before(groups[i], pc, nest))
+                ++i;
+            if (i < numGroups && groups[i].nest == nest &&
+                groups[i].pc == pc) {
+                groups[i].lanes |= lanes;
+                return;
+            }
+            for (unsigned j = numGroups; j > i; --j)
+                groups[j] = groups[j - 1];
+            groups[i] = LaneGroup{lanes, pc, nest};
+            ++numGroups;
+        }
+
+        /** Take @p lanes out of group @p i, dropping it when empty. */
+        void
+        release(unsigned i, LaneMask lanes)
+        {
+            groups[i].lanes &= ~lanes;
+            if (groups[i].lanes != 0)
+                return;
+            --numGroups;
+            for (unsigned j = i; j < numGroups; ++j)
+                groups[j] = groups[j + 1];
+        }
+
+        /** Move @p lanes of the issuing group to (@p pc, @p nest). */
+        void
+        moveLead(LaneMask lanes, uint32_t pc, uint32_t nest)
+        {
+            if (lanes == 0)
+                return;
+            if (lanes != groups[0].lanes) {
+                release(0, lanes);
+                place(lanes, pc, nest);
+                return;
+            }
+            // The whole group moves: re-key it and sink it past the
+            // groups that now issue first, joining one at its new key.
+            unsigned i = 0;
+            while (i + 1 < numGroups && before(groups[i + 1], pc, nest)) {
+                groups[i] = groups[i + 1];
+                ++i;
+            }
+            if (i + 1 < numGroups && groups[i + 1].nest == nest &&
+                groups[i + 1].pc == pc) {
+                groups[i + 1].lanes |= lanes;
+                release(i, ~LaneMask{0});
+                return;
+            }
+            groups[i] = LaneGroup{lanes, pc, nest};
+        }
+
+        /** Take the halting @p lane out of its group, keeping its last
+         *  (pc, nest). */
+        void
+        halt(unsigned lane)
+        {
+            const LaneMask bit = LaneMask{1} << lane;
+            for (unsigned i = 0; i < numGroups; ++i) {
+                if (groups[i].lanes & bit) {
+                    haltPc[lane] = groups[i].pc;
+                    haltNest[lane] = groups[i].nest;
+                    release(i, bit);
+                    return;
+                }
+            }
+        }
+
+        /** Lane @p lane's pc, live or halted. */
+        uint32_t
+        pcOf(unsigned lane) const
+        {
+            for (unsigned i = 0; i < numGroups; ++i)
+                if ((groups[i].lanes >> lane) & 1)
+                    return groups[i].pc;
+            return haltPc[lane];
+        }
+
+        /** Write out every lane's (pc, nest), the paper's per-thread
+         *  state (checkpoints and the architectural hash). */
+        void
+        laneKeys(LaneArray<uint32_t> &pc, LaneArray<uint32_t> &nest) const
+        {
+            pc = haltPc;
+            nest = haltNest;
+            for (unsigned i = 0; i < numGroups; ++i) {
+                forLanes(groups[i].lanes, [&](unsigned lane) {
+                    pc[lane] = groups[i].pc;
+                    nest[lane] = groups[i].nest;
+                });
+            }
+        }
+
+        /** Rebuild the groups of the @p live lanes from per-lane keys
+         *  (checkpoint restore); other lanes keep theirs as halted. */
+        void
+        setLaneKeys(const LaneArray<uint32_t> &pc,
+                    const LaneArray<uint32_t> &nest, LaneMask live)
+        {
+            haltPc = pc;
+            haltNest = nest;
+            numGroups = 0;
+            forLanes(live, [&](unsigned lane) {
+                place(LaneMask{1} << lane, pc[lane], nest[lane]);
+            });
+        }
     };
 
     /** Halt one thread (idempotent); maintains live counters. */
@@ -259,9 +397,10 @@ class Sm
     }
 
     /**
-     * Select the active threads of a warp into active_; returns the
-     * leader lane (-1 for a finished warp). @p fully_active: the issue
-     * covers every live lane, which marks the warp regular again.
+     * Select the active threads of a warp into active_: the lanes of its
+     * first group (with dynamic PC metadata, those sharing the leader's
+     * PCC). Returns the leader, the group's lowest lane (-1 for a
+     * finished warp). @p fully_active: the issue covers every live lane.
      */
     int selectActive(Warp &w, unsigned &num_active, bool &fully_active);
 

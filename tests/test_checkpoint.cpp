@@ -44,6 +44,25 @@
 #include "support/journal.hpp"
 #include "support/serialize.hpp"
 
+namespace simt
+{
+
+/** Test seam declared as a friend of Sm (see sm.hpp). */
+struct SmTestAccess
+{
+    /** Warps of @p sm whose live lanes sit at more than one (nest, pc). */
+    static unsigned
+    divergentWarps(const Sm &sm)
+    {
+        unsigned n = 0;
+        for (const auto &w : sm.warps_)
+            n += w.numGroups > 1 ? 1 : 0;
+        return n;
+    }
+};
+
+} // namespace simt
+
 namespace
 {
 
@@ -206,6 +225,49 @@ INSTANTIATE_TEST_SUITE_P(
             name += std::string("_to_") + engineName(finish);
         return name + "_sms" + std::to_string(std::get<2>(info.param));
     });
+
+TEST(DivergentRestore, BitonicLaMidKernelFinishesBitIdentically)
+{
+    // A snapshot while warps sit split over several (nest, pc) groups:
+    // the image holds per-lane keys and the restore rebuilds the groups,
+    // so the resumed run -- on either engine -- must match.
+    const std::string bench = "BitonicLa";
+    const simt::SmConfig cfg = makeCfg(true, 1);
+    const Reference ref = runUninterrupted(bench, cfg);
+    ASSERT_TRUE(ref.run.completed);
+    ASSERT_TRUE(ref.verified);
+
+    for (const bool finish_fast : {true, false}) {
+        SCOPED_TRACE(engineName(finish_fast));
+        Leg leg = makeLeg(bench, cfg);
+        auto launch =
+            leg.dev->beginStepped(leg.compiled, leg.prep.cfg, leg.prep.args);
+        // Past a third of the run, step to the first point where at
+        // least two warps are divergent.
+        uint64_t at = ref.run.cycles / 3;
+        launch->runUntil(at);
+        while (!launch->done() &&
+               simt::SmTestAccess::divergentWarps(leg.dev->sm()) < 2)
+            launch->runUntil(at += 7);
+        ASSERT_FALSE(launch->done());
+        const std::vector<uint8_t> image = launch->saveCheckpoint();
+
+        Device fresh(makeCfg(finish_fast, 1), Mode::Purecap);
+        simt::ckpt::Error err;
+        auto restored = fresh.restoreStepped(image, &err);
+        ASSERT_NE(restored, nullptr) << err.message;
+        EXPECT_EQ(fresh.sm().archStateHash(), leg.dev->sm().archStateHash());
+        EXPECT_EQ(simt::SmTestAccess::divergentWarps(fresh.sm()),
+                  simt::SmTestAccess::divergentWarps(leg.dev->sm()));
+        const RunResult got = restored->finish(LaunchPolicy{}.maxCycles);
+        EXPECT_EQ(got.completed, ref.run.completed);
+        EXPECT_EQ(got.trapped, ref.run.trapped);
+        EXPECT_EQ(got.cycles, ref.run.cycles);
+        EXPECT_EQ(modelledStats(got.stats), modelledStats(ref.run.stats));
+        EXPECT_EQ(fresh.dram().contentHash(), ref.dramHash);
+        EXPECT_TRUE(leg.prep.verify(fresh));
+    }
+}
 
 // ------------------------------------------------ structured refusal
 

@@ -29,7 +29,6 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cmath>
 #include <map>
 #include <optional>
 #include <random>
@@ -647,30 +646,6 @@ TEST(AluTable, TransferRulesMatchLaneFunctions)
                                        Op::SUB, Op::MUL, Op::CGETADDR}));
 }
 
-/**
- * Bit-equal, or both NaN from an op with a float result, or both zeros
- * from FMIN/FMAX. The host picks a NaN's payload and the sign of
- * fmin(-0, +0), and GCC treats these ops as commutative, so two compiled
- * copies of one lane function may order the operands differently.
- */
-bool
-sameLaneResult(Op op, uint32_t got, uint32_t want)
-{
-    const auto nan = [](uint32_t v) {
-        return std::isnan(std::bit_cast<float>(v));
-    };
-    const bool zeros = ((got | want) & 0x7fffffffu) == 0;
-    switch (op) {
-      case Op::FMIN_S: case Op::FMAX_S:
-        return got == want || (nan(got) && nan(want)) || zeros;
-      case Op::FADD_S: case Op::FSUB_S: case Op::FMUL_S: case Op::FDIV_S:
-      case Op::FSQRT_S:
-        return got == want || (nan(got) && nan(want));
-      default:
-        return got == want;
-    }
-}
-
 bool
 cpuHasAvx2()
 {
@@ -724,14 +699,91 @@ TEST(AluTable, HandlersMatchLaneFunctionsOnEdgeOperands)
                 LaneArray<uint32_t> got = old;
                 fn(simt::engine::AluCtx{&d1, &d2, mask, got.data(), imm});
                 for (unsigned l = 0; l < kMaxLanes; ++l) {
-                    ASSERT_TRUE(sameLaneResult(op, got[l], want[l]))
-                        << got[l] << " != " << want[l] << ": "
+                    ASSERT_EQ(got[l], want[l])
                         << isa::opName(op) << (fn == packed ? " avx2" : "")
                         << " trial " << trial << " lane " << l << " a "
                         << d1.at(l) << " b " << d2.at(l) << " imm " << imm;
                 }
             }
         }
+    }
+}
+
+/** RISC-V's answers on float edges; every copy of the lane function
+ *  (the table and the scalar handler) must give exactly these. */
+TEST(AluTable, FloatRowsGiveRiscVEdgeAnswers)
+{
+    constexpr uint32_t kNan = 0x7fc00000u, kInf = 0x7f800000u,
+                       kNegInf = 0xff800000u, kNegZero = 0x80000000u,
+                       kOne = 0x3f800000u, kTwo = 0x40000000u;
+    struct Case
+    {
+        Op op;
+        uint32_t a, b, want;
+    };
+    const Case cases[] = {
+        // NaN results are canonical, whatever the operands' payloads.
+        {Op::FADD_S, 0x7fffffffu, 0xffffffffu, kNan},
+        {Op::FADD_S, 0xffffffffu, 0x7fffffffu, kNan},
+        {Op::FADD_S, kInf, kNegInf, kNan},
+        {Op::FSUB_S, kInf, kInf, kNan},
+        {Op::FSUB_S, 0xffc00001u, kOne, kNan},
+        {Op::FMUL_S, 0, kInf, kNan},
+        {Op::FMUL_S, 0x7f800001u, kTwo, kNan},
+        {Op::FDIV_S, 0, 0, kNan},
+        {Op::FDIV_S, kInf, kNegInf, kNan},
+        {Op::FSQRT_S, 0xbf800000u, 0, kNan},
+        {Op::FSQRT_S, 0xffffffffu, 0, kNan},
+        {Op::FADD_S, kOne, kTwo, 0x40400000u},
+        {Op::FSQRT_S, kNegZero, 0, kNegZero},
+        // -0 orders below +0; a number beats a NaN; two NaNs give the
+        // canonical NaN.
+        {Op::FMIN_S, kNegZero, 0, kNegZero},
+        {Op::FMIN_S, 0, kNegZero, kNegZero},
+        {Op::FMAX_S, kNegZero, 0, 0},
+        {Op::FMAX_S, 0, kNegZero, 0},
+        {Op::FMIN_S, 0x7fffffffu, kOne, kOne},
+        {Op::FMIN_S, kOne, 0xffffffffu, kOne},
+        {Op::FMAX_S, 0x7f800001u, kTwo, kTwo},
+        {Op::FMAX_S, kNegInf, 0x7fc00001u, kNegInf},
+        {Op::FMIN_S, 0x7fffffffu, 0xffffffffu, kNan},
+        {Op::FMAX_S, 0x7f800001u, 0x7fc00000u, kNan},
+        {Op::FMIN_S, kOne, kTwo, kOne},
+        {Op::FMAX_S, kOne, kTwo, kTwo},
+        // Conversions round toward zero and saturate; NaN gives the
+        // maximum.
+        {Op::FCVT_W_S, 0x7fffffffu, 0, 0x7fffffffu},
+        {Op::FCVT_W_S, 0xffffffffu, 0, 0x7fffffffu},
+        {Op::FCVT_W_S, kInf, 0, 0x7fffffffu},
+        {Op::FCVT_W_S, kNegInf, 0, 0x80000000u},
+        {Op::FCVT_W_S, 0x4f000000u, 0, 0x7fffffffu},  // 2^31
+        {Op::FCVT_W_S, 0x4effffffu, 0, 0x7fffff80u},  // 2^31 - 128
+        {Op::FCVT_W_S, 0xcf000000u, 0, 0x80000000u},  // -2^31
+        {Op::FCVT_W_S, 0xcf000001u, 0, 0x80000000u},  // below -2^31
+        {Op::FCVT_W_S, 0xbfc00000u, 0, 0xffffffffu},  // -1.5
+        {Op::FCVT_W_S, 0x3fc00000u, 0, 1},            // 1.5
+        {Op::FCVT_WU_S, 0x7fffffffu, 0, 0xffffffffu},
+        {Op::FCVT_WU_S, kInf, 0, 0xffffffffu},
+        {Op::FCVT_WU_S, kNegInf, 0, 0},
+        {Op::FCVT_WU_S, 0x4f800000u, 0, 0xffffffffu}, // 2^32
+        {Op::FCVT_WU_S, 0x4f7fffffu, 0, 0xffffff00u}, // 2^32 - 256
+        {Op::FCVT_WU_S, 0xbf800000u, 0, 0},           // -1
+        {Op::FCVT_WU_S, 0xbf000000u, 0, 0},           // -0.5
+        {Op::FCVT_WU_S, 0x3fc00000u, 0, 1},           // 1.5
+    };
+    for (const Case &c : cases) {
+        EXPECT_EQ(alu::lane(c.op, c.a, c.b, 0), c.want)
+            << isa::opName(c.op) << " " << std::hex << c.a << " " << c.b;
+        const simt::engine::AluLoopFn fn = simt::engine::aluLoopHandler(c.op);
+        ASSERT_NE(fn, nullptr) << isa::opName(c.op);
+        LaneArray<uint32_t> a{}, b{}, got{};
+        a.fill(c.a);
+        b.fill(c.b);
+        DataDesc d1{DataDesc::Kind::Lanes, 0, 0, a.data()};
+        DataDesc d2{DataDesc::Kind::Lanes, 0, 0, b.data()};
+        fn(simt::engine::AluCtx{&d1, &d2, ~LaneMask{0}, got.data(), 0});
+        for (unsigned l = 0; l < kMaxLanes; ++l)
+            EXPECT_EQ(got[l], c.want) << isa::opName(c.op) << " handler";
     }
 }
 

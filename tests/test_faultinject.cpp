@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "bench/faultcampaign.hpp"
 #include "kc/codegen.hpp"
 #include "kc/kernel.hpp"
@@ -168,13 +171,15 @@ struct CopyRun
     std::vector<uint32_t> out;
 };
 
-/** Run FiCopy on a fresh device under @p plan (purecap or baseline). */
+/** Run FiCopy on a fresh device under @p plan (purecap or baseline) on
+ *  the accelerated or the reference engine. */
 CopyRun
-runCopy(const FaultPlan &plan, bool cheri)
+runCopy(const FaultPlan &plan, bool cheri, bool accelerated = true)
 {
     simt::SmConfig cfg = cheri ? simt::SmConfig::cheriOptimised()
                                : simt::SmConfig::baseline();
     cfg.numWarps = 1;
+    cfg.hostFastPath = accelerated;
     cfg.faultPlan = plan;
     Device dev(cfg, cheri ? Mode::Purecap : Mode::Baseline);
     Buffer bi = dev.alloc(32 * 4);
@@ -288,6 +293,42 @@ TEST(FaultInject, MetaRfFlipIsNeverSilentAndReplays)
     EXPECT_EQ(a.run.trapAddr, b.run.trapAddr);
     EXPECT_EQ(a.run.faultInjections, b.run.faultInjections);
     EXPECT_EQ(a.out, b.out);
+}
+
+TEST(FaultInject, MetaRfFlipStrikesBothEnginesAlike)
+{
+    // The flip lands on one lane of the written register whichever
+    // write path (per-lane or closed-form) retires the result, so the
+    // engines agree on every plan.
+    const auto modelled = [](const support::StatSet &st) {
+        std::map<std::string, uint64_t> m;
+        for (const auto &[name, value] : st.all())
+            if (name.rfind("simhost_", 0) != 0)
+                m[name] = value;
+        return m;
+    };
+    unsigned differing = 0;
+    for (uint64_t nth = 1; nth <= 40; ++nth) {
+        for (const uint32_t bit : {0u, 7u, 20u, 27u}) {
+            FaultPlan plan;
+            plan.site = FaultSite::MetaRfFlip;
+            plan.nthEvent = nth;
+            plan.bit = bit;
+            const CopyRun ref = runCopy(plan, true, false);
+            const CopyRun acc = runCopy(plan, true, true);
+            const bool same =
+                ref.run.trapped == acc.run.trapped &&
+                ref.run.trapKind == acc.run.trapKind &&
+                ref.run.trapAddr == acc.run.trapAddr &&
+                ref.run.cycles == acc.run.cycles &&
+                ref.run.faultInjections == acc.run.faultInjections &&
+                ref.out == acc.out &&
+                modelled(ref.run.stats) == modelled(acc.run.stats);
+            EXPECT_TRUE(same) << "nthEvent " << nth << " bit " << bit;
+            differing += same ? 0 : 1;
+        }
+    }
+    EXPECT_EQ(differing, 0u);
 }
 
 TEST(FaultInject, StuckLaneFiresAndReplays)

@@ -19,6 +19,7 @@
 #include "simt/regfile.hpp"
 #include "simt/scratchpad.hpp"
 #include "simt/sm.hpp"
+#include "support/serialize.hpp"
 
 namespace simt
 {
@@ -37,6 +38,10 @@ struct SmTestAccess
     }
 
     static LaneMask active(const Sm &sm) { return sm.active_; }
+
+    /** Execute one instruction of warp @p wid, whether or not the
+     *  scheduler would issue it now. */
+    static void executeWarp(Sm &sm, unsigned wid) { sm.executeWarp(wid); }
 };
 
 /** Test seam declared as a friend of RegFileSystem (see regfile.hpp):
@@ -81,6 +86,20 @@ struct RegFileTestAccess
                 live -= e.kind == RegFileSystem::Kind::Spilled;
         }
         return live;
+    }
+
+    /** The VRF slot of data register @p reg of @p warp (-1 if none) and
+     *  a slot's stored lanes. */
+    static int
+    dataSlot(const RegFileSystem &rf, unsigned warp, unsigned reg)
+    {
+        return rf.dataEntries_[rf.entryIndex(warp, reg)].slot;
+    }
+
+    static LaneArray<uint64_t>
+    slotLanes(const RegFileSystem &rf, int slot)
+    {
+        return rf.slots_.at(static_cast<size_t>(slot));
     }
 };
 
@@ -634,6 +653,16 @@ spillTarget(const SmConfig &cfg, WriteVector &&write_vector)
         write_vector(r);
 }
 
+/** The full register-file image (entries, slots, LRU clock, free lists
+ *  and spill store). */
+std::vector<uint8_t>
+rfImage(const RegFileSystem &rf)
+{
+    support::ByteWriter w;
+    rf.saveState(w);
+    return w.data();
+}
+
 TEST(RegFileProperty, WriteDataMatchesExpandMergeClassify)
 {
     std::mt19937 rng(2026);
@@ -645,7 +674,7 @@ TEST(RegFileProperty, WriteDataMatchesExpandMergeClassify)
                 v[i] = static_cast<uint32_t>(rng());
             return v;
         };
-        for (unsigned trial = 0; trial < 2000; ++trial) {
+        for (unsigned trial = 0; trial < 3000; ++trial) {
             support::StatSet stats;
             RegFileSystem rf(cfg, stats);
             RfAccess setup;
@@ -657,8 +686,13 @@ TEST(RegFileProperty, WriteDataMatchesExpandMergeClassify)
             LaneArray<uint32_t> init{};
             for (unsigned i = 0; i < n; ++i)
                 init[i] = base + static_cast<uint32_t>(stride) * i;
-            if (want != 0)
+            if (want == 1 && rng() % 2) {
+                // One lane off the line: a vector that a write of the
+                // line over that lane compresses, freeing the slot.
+                init[rng() % n] ^= 1 + rng() % 255;
+            } else if (want != 0) {
                 init = random_vector();
+            }
             rf.writeData(0, kTarget, init, all, setup);
             if (want == 2) {
                 spillTarget(cfg, [&](unsigned r) {
@@ -671,17 +705,56 @@ TEST(RegFileProperty, WriteDataMatchesExpandMergeClassify)
                               : want == 1 ? RfKind::Vector
                                           : RfKind::Spilled);
 
+            // The written lanes: random, one lane, or all but one.
+            LaneMask mask = randomMask(rng, n);
+            const LaneMask one = LaneMask{1} << (rng() % n);
+            switch (rng() % 4) {
+              case 0:
+                mask = one;
+                break;
+              case 1:
+                mask = n > 1 ? all & ~one : all;
+                break;
+              default:
+                break;
+            }
             // New values: the old sequence continued, a constant, or
-            // random lanes.
-            const LaneMask mask = randomMask(rng, n);
+            // random lanes; or, for a closed-form (writeDataAffine)
+            // result, the old line itself, a small-stride line or a
+            // stride past 8 bits.
+            const bool closed_form = trial % 2 == 1;
             LaneArray<uint32_t> vals = random_vector();
-            if (rng() % 3 == 0)
+            uint32_t new_base = 0;
+            int32_t new_stride = 0;
+            if (closed_form) {
+                switch (rng() % 3) {
+                  case 0:
+                    new_base = base;
+                    new_stride = stride;
+                    break;
+                  case 1:
+                    new_base = static_cast<uint32_t>(rng() % 4);
+                    new_stride = static_cast<int32_t>(rng() % 9) - 4;
+                    break;
+                  default:
+                    new_base = static_cast<uint32_t>(rng());
+                    new_stride = static_cast<int32_t>(rng());
+                    break;
+                }
+                for (unsigned i = 0; i < kMaxLanes; ++i)
+                    vals[i] = new_base + static_cast<uint32_t>(new_stride) * i;
+            } else if (rng() % 3 == 0) {
                 vals = init;
-            else if (rng() % 2 == 0)
+            } else if (rng() % 2 == 0) {
                 vals.fill(static_cast<uint32_t>(rng() % 4));
+            }
 
             const LaneArray<uint32_t> old =
                 RegFileTestAccess::data(rf, 0, kTarget);
+            const int old_slot = RegFileTestAccess::dataSlot(rf, 0, kTarget);
+            const LaneArray<uint64_t> old_slot_lanes =
+                old_slot >= 0 ? RegFileTestAccess::slotLanes(rf, old_slot)
+                              : LaneArray<uint64_t>{};
             LaneArray<uint32_t> merged{};
             for (unsigned i = 0; i < n; ++i)
                 merged[i] = (mask >> i) & 1 ? vals[i] : old[i];
@@ -691,11 +764,28 @@ TEST(RegFileProperty, WriteDataMatchesExpandMergeClassify)
                               rf.dataVectorsInVrf(), rf.vrfSlotsInUse(), cfg,
                               false);
 
+            // A twin from the same image and counters takes the per-lane
+            // write of the expanded values: the closed-form write must
+            // leave the identical image (slot contents, LRU order, free
+            // lists) and counters.
+            support::StatSet twin_stats;
+            RegFileSystem twin(cfg, twin_stats);
+            const std::vector<uint8_t> image = rfImage(rf);
+            support::ByteReader reader(image);
+            ASSERT_TRUE(twin.loadState(reader));
+            for (const auto &[name, value] : stats.all())
+                twin_stats.set(name, value);
+
             RfAccess acc;
-            rf.writeData(0, kTarget, vals, mask, acc);
+            if (closed_form)
+                rf.writeDataAffine(0, kTarget, new_base, new_stride, mask,
+                                   acc);
+            else
+                rf.writeData(0, kTarget, vals, mask, acc);
             SCOPED_TRACE(testing::Message()
                          << "lanes " << n << " trial " << trial << " mask 0x"
-                         << std::hex << mask);
+                         << std::hex << mask << " closed form "
+                         << closed_form);
             EXPECT_EQ(RegFileTestAccess::kind(rf, false, 0, kTarget), after);
             const LaneArray<uint32_t> got =
                 RegFileTestAccess::data(rf, 0, kTarget);
@@ -704,6 +794,20 @@ TEST(RegFileProperty, WriteDataMatchesExpandMergeClassify)
             EXPECT_EQ(rf.dataVectorsInVrf(), e.vectors);
             expectAccess(acc, e.acc);
             EXPECT_EQ(RegFileTestAccess::leakedSpillVectors(rf), 0);
+            // A vector that compresses frees its slot with the old lanes
+            // still in it, as checkpoint images have always recorded.
+            if (old_slot >= 0 && after == RfKind::Scalar) {
+                EXPECT_EQ(RegFileTestAccess::slotLanes(rf, old_slot),
+                          old_slot_lanes);
+            }
+
+            if (closed_form) {
+                RfAccess twin_acc;
+                twin.writeData(0, kTarget, vals, mask, twin_acc);
+                EXPECT_EQ(rfImage(rf), rfImage(twin));
+                expectAccess(acc, twin_acc);
+                EXPECT_EQ(stats.all(), twin_stats.all());
+            }
         }
     }
 }
@@ -1290,6 +1394,27 @@ TEST(SmLanesDeath, RefusesLaneCountsAMaskCannotHold)
 
 // ---------------------------------------------------- Active-thread selection
 
+/** A warp as the paper's SM holds it: every lane's (pc, nest), PCC and
+ *  halted bit. */
+struct LaneModel
+{
+    LaneArray<uint32_t> pc{}, nest{};
+    LaneArray<cap::CapPipe> pcc{};
+    LaneMask halted = 0;
+};
+
+/** Seed warp @p wid of @p sm from @p m through the restore-time rebuild
+ *  of its lane groups. */
+void
+seedWarp(Sm &sm, unsigned wid, const LaneModel &m, unsigned n)
+{
+    auto &w = SmTestAccess::warp(sm, wid);
+    w.halted = m.halted;
+    w.setLaneKeys(m.pc, m.nest, lowLanes(n) & ~m.halted);
+    w.pcc = m.pcc;
+    w.liveThreads = n - static_cast<unsigned>(std::popcount(m.halted));
+}
+
 /** The selection rule of Section 2.3 as a plain scan: the first live
  *  lane of deepest nest then lowest PC leads; every live lane at its
  *  (nest, pc) -- and, with dynamic PC metadata, its PCC -- issues. */
@@ -1301,9 +1426,8 @@ struct NaiveSelection
     bool fullyActive = false;
 };
 
-template <typename WarpState>
 NaiveSelection
-naiveSelect(const WarpState &w, unsigned n, bool check_pcc)
+naiveSelect(const LaneModel &w, unsigned n, bool check_pcc)
 {
     NaiveSelection r;
     unsigned live = 0;
@@ -1352,27 +1476,24 @@ TEST(SelectActiveProperty, MatchesNaiveScan)
                 a.emit(Op::SIMT_HALT, 0, 0, 0);
                 sm.loadProgram(a.finalize());
                 sm.launch(0, 1);
-                auto &w = SmTestAccess::warp(sm, 0);
                 for (unsigned trial = 0; trial < 1000; ++trial) {
                     // A regular warp shares (nest, pc, pcc) on every
                     // lane; a divergent one draws them per lane.
                     const bool regular = trial % 2 == 0;
                     const uint32_t nest0 = rng() % 3;
                     const uint32_t pc0 = 4 * (rng() % 4);
+                    LaneModel w;
                     for (unsigned lane = 0; lane < n; ++lane) {
                         w.nest[lane] = regular ? nest0 : rng() % 3;
                         w.pc[lane] = regular ? pc0 : 4 * (rng() % 4);
                         w.pcc[lane] = regular || rng() % 4 ? pcc_a : pcc_b;
                     }
-                    w.halted = 0;
                     if (rng() % 2)
                         w.halted = static_cast<LaneMask>(rng()) & lowLanes(n);
                     if (w.halted == lowLanes(n))
                         w.halted &= ~LaneMask{1}; // keep a lane live
-                    w.liveThreads = n - static_cast<unsigned>(
-                                            std::popcount(w.halted));
-                    w.regular = regular;
-                    w.pccUniform = regular;
+                    seedWarp(sm, 0, w, n);
+                    SmTestAccess::warp(sm, 0).pccUniform = regular;
 
                     const NaiveSelection want =
                         naiveSelect(w, n, dynamic_pcc);
@@ -1388,6 +1509,217 @@ TEST(SelectActiveProperty, MatchesNaiveScan)
                     ASSERT_EQ(SmTestAccess::active(sm), want.active);
                     ASSERT_EQ(num_active, want.numActive);
                     ASSERT_EQ(fully_active, want.fullyActive);
+                }
+            }
+        }
+    }
+}
+
+/** The groups of @p w are a canonical form of its live lanes' keys:
+ *  non-empty, disjoint, covering exactly the live lanes, and strictly
+ *  ordered by (deepest nest, lowest pc), so no two share a key. */
+template <typename Warp>
+void
+expectCanonicalGroups(const Warp &w, unsigned n)
+{
+    LaneMask seen = 0;
+    for (unsigned i = 0; i < w.numGroups; ++i) {
+        const auto &g = w.groups[i];
+        ASSERT_NE(g.lanes, 0u) << "group " << i;
+        ASSERT_EQ(g.lanes & seen, 0u) << "group " << i;
+        seen |= g.lanes;
+        if (i > 0) {
+            const auto &p = w.groups[i - 1];
+            ASSERT_TRUE(p.nest > g.nest || (p.nest == g.nest && p.pc < g.pc))
+                << "groups " << i - 1 << " and " << i << " out of order";
+        }
+    }
+    ASSERT_EQ(seen, lowLanes(n) & ~w.halted);
+}
+
+TEST(LaneGroupsProperty, TransitionsMatchPerLaneModel)
+{
+    // A random program over 64 slots -- branch splits on per-lane
+    // operands, SIMT_PUSH/POP, JAL, JALR to scattered per-lane targets,
+    // halts, software traps and barriers -- stepped through the SM while
+    // a per-lane (pc, nest) model applies the paper's rules to the lanes
+    // naiveSelect issues. Runs start from random divergent states seeded
+    // through the restore-time rebuild, deep enough that no POP reaches
+    // nest 0; a pc past the program traps the lanes at fetch.
+    constexpr unsigned kSlots = 64;
+    std::mt19937 rng(2025);
+    for (const unsigned n : {1u, 7u, 32u}) {
+        for (const bool dynamic_pcc : {false, true}) {
+            SmConfig cfg =
+                dynamic_pcc ? SmConfig::cheri() : SmConfig::cheriOptimised();
+            cfg.numWarps = 1;
+            cfg.numLanes = n;
+            cfg.stackCacheLineBytes = 64 * n; // a whole number per lane
+            MainMemory dram;
+            MemShard mem(dram);
+            Sm sm(cfg, mem);
+
+            Assembler a;
+            std::vector<kc::Label> at(kSlots);
+            for (auto &l : at)
+                l = a.newLabel();
+            std::vector<Op> ops(kSlots);
+            std::vector<unsigned> target(kSlots);
+            for (unsigned k = 0; k < kSlots; ++k) {
+                a.place(at[k]);
+                static constexpr Op kPool[] = {
+                    Op::BLT,       Op::BNE,      Op::BEQ,      Op::BGEU,
+                    Op::BLT,       Op::BNE,      Op::JAL,      Op::JALR,
+                    Op::JALR,      Op::SIMT_PUSH, Op::SIMT_PUSH, Op::SIMT_POP,
+                    Op::SIMT_POP,  Op::SIMT_POP, Op::ADDI,     Op::ADDI,
+                    Op::SIMT_BARRIER, Op::SIMT_HALT, Op::SIMT_TRAP};
+                ops[k] = kPool[rng() % std::size(kPool)];
+                target[k] = rng() % kSlots;
+                switch (ops[k]) {
+                  case Op::BLT: case Op::BNE: case Op::BEQ: case Op::BGEU:
+                    a.emitBranch(ops[k], 1, 2, at[target[k]]);
+                    break;
+                  case Op::JAL:
+                    a.emitJump(0, at[target[k]]);
+                    break;
+                  case Op::JALR:
+                    a.emitI(Op::JALR, 0, 5, 0);
+                    break;
+                  case Op::ADDI:
+                    a.emitI(Op::ADDI, 10, 10, 1);
+                    break;
+                  default:
+                    a.emit(ops[k], 0, 0, 0);
+                    break;
+                }
+            }
+            sm.loadProgram(a.finalize());
+
+            for (unsigned trial = 0; trial < 150; ++trial) {
+                sm.launch(0, 1);
+                auto &w = SmTestAccess::warp(sm, 0);
+                const cap::CapPipe code_cap = w.pcc[0];
+                LaneModel m;
+                m.pcc = w.pcc;
+                const unsigned starts = 1 + rng() % 4;
+                for (unsigned lane = 0; lane < n; ++lane) {
+                    m.pc[lane] = 4 * (rng() % starts);
+                    m.nest[lane] = 1000 + rng() % 2;
+                }
+                if (rng() % 4 == 0)
+                    m.halted = static_cast<LaneMask>(rng()) & lowLanes(n) &
+                               ~LaneMask{1};
+                seedWarp(sm, 0, m, n);
+                ASSERT_NO_FATAL_FAILURE(expectCanonicalGroups(w, n));
+
+                RfAccess acc;
+                LaneArray<uint32_t> x1{}, x2{}, x5{};
+                for (unsigned step = 0; step < 120 && !w.done(); ++step) {
+                    // Fresh operands: per-lane or uniform branch inputs,
+                    // and jump targets drawn from a few slots.
+                    const bool uniform = rng() % 3 == 0;
+                    uint32_t jt[3];
+                    for (uint32_t &t : jt)
+                        t = 4 * (rng() % kSlots);
+                    for (unsigned lane = 0; lane < kMaxLanes; ++lane) {
+                        x1[lane] = uniform ? x1[0] : rng() % 4;
+                        x2[lane] = rng() % 4;
+                        x5[lane] = uniform ? jt[0] : jt[rng() % 3];
+                    }
+                    sm.regfile().writeData(0, 1, x1, ~LaneMask{0}, acc);
+                    sm.regfile().writeData(0, 2, x2, ~LaneMask{0}, acc);
+                    sm.regfile().writeData(0, 5, x5, ~LaneMask{0}, acc);
+                    LaneArray<CapMeta> x5m;
+                    x5m.fill(CapMeta{
+                        static_cast<uint32_t>(cap::toMem(code_cap).bits >> 32),
+                        true});
+                    sm.regfile().writeMeta(0, 5, x5m, ~LaneMask{0}, acc);
+
+                    const NaiveSelection want = naiveSelect(m, n, dynamic_pcc);
+                    unsigned num_active = 0;
+                    bool fully_active = false;
+                    const int leader = SmTestAccess::selectActive(
+                        sm, 0, num_active, fully_active);
+                    SCOPED_TRACE(testing::Message()
+                                 << "lanes " << n << " dynamic_pcc "
+                                 << dynamic_pcc << " trial " << trial
+                                 << " step " << step);
+                    ASSERT_EQ(leader, want.leader);
+                    ASSERT_EQ(SmTestAccess::active(sm), want.active);
+                    ASSERT_EQ(num_active, want.numActive);
+                    ASSERT_EQ(fully_active, want.fullyActive);
+
+                    // The model's step over the issuing lanes.
+                    const uint32_t pc = m.pc[static_cast<unsigned>(leader)];
+                    const unsigned k = pc / 4;
+                    forLanes(want.active, [&](unsigned lane) {
+                        const LaneMask bit = LaneMask{1} << lane;
+                        if (k >= kSlots) {
+                            m.halted |= bit; // fetch past the program
+                            return;
+                        }
+                        const uint32_t taken = 4 * target[k];
+                        switch (ops[k]) {
+                          case Op::BLT:
+                            m.pc[lane] = int32_t(x1[lane]) < int32_t(x2[lane])
+                                             ? taken : pc + 4;
+                            break;
+                          case Op::BNE:
+                            m.pc[lane] = x1[lane] != x2[lane] ? taken : pc + 4;
+                            break;
+                          case Op::BEQ:
+                            m.pc[lane] = x1[lane] == x2[lane] ? taken : pc + 4;
+                            break;
+                          case Op::BGEU:
+                            m.pc[lane] = x1[lane] >= x2[lane] ? taken : pc + 4;
+                            break;
+                          case Op::JAL:
+                            m.pc[lane] = taken;
+                            break;
+                          case Op::JALR:
+                            m.pc[lane] = x5[lane] & ~1u;
+                            break;
+                          case Op::SIMT_PUSH:
+                            ++m.nest[lane];
+                            m.pc[lane] = pc + 4;
+                            break;
+                          case Op::SIMT_POP:
+                            --m.nest[lane];
+                            m.pc[lane] = pc + 4;
+                            break;
+                          case Op::SIMT_HALT:
+                          case Op::SIMT_TRAP:
+                            m.halted |= bit;
+                            break;
+                          default:
+                            m.pc[lane] = pc + 4;
+                            break;
+                        }
+                    });
+                    SmTestAccess::executeWarp(sm, 0);
+                    m.pcc = w.pcc; // JALR's new PCCs: not group state
+
+                    ASSERT_EQ(w.halted, m.halted);
+                    ASSERT_EQ(w.liveThreads,
+                              n - static_cast<unsigned>(
+                                      std::popcount(m.halted)));
+                    ASSERT_NO_FATAL_FAILURE(expectCanonicalGroups(w, n));
+                    LaneArray<uint32_t> pcs, nests;
+                    w.laneKeys(pcs, nests);
+                    for (unsigned lane = 0; lane < n; ++lane) {
+                        ASSERT_EQ(pcs[lane], m.pc[lane]) << "lane " << lane;
+                        ASSERT_EQ(nests[lane], m.nest[lane]) << "lane " << lane;
+                    }
+                    // Rebuilding from the written-out keys (a checkpoint
+                    // restore) gives the same groups.
+                    auto rebuilt = w;
+                    rebuilt.setLaneKeys(pcs, nests, lowLanes(n) & ~w.halted);
+                    ASSERT_EQ(rebuilt.numGroups, w.numGroups);
+                    for (unsigned i = 0; i < w.numGroups; ++i) {
+                        ASSERT_EQ(rebuilt.groups[i].lanes, w.groups[i].lanes);
+                        ASSERT_EQ(rebuilt.groups[i].pc, w.groups[i].pc);
+                        ASSERT_EQ(rebuilt.groups[i].nest, w.groups[i].nest);
+                    }
                 }
             }
         }
