@@ -1,7 +1,7 @@
 #include "nocl/nocl.hpp"
 
+#include <bit>
 #include <chrono>
-#include <cstring>
 #include <thread>
 
 #include "isa/encoding.hpp"
@@ -186,8 +186,7 @@ Device::alloc(uint32_t bytes)
     Buffer b;
     b.addr = base;
     b.bytes = bytes;
-    for (uint32_t a = base; a < base + len; a += 4)
-        dram().store32(a, 0);
+    dram().zeroData(base, len);
     return b;
 }
 
@@ -195,16 +194,17 @@ void
 Device::write8(const Buffer &b, const std::vector<uint8_t> &data)
 {
     panic_if(data.size() > b.bytes, "write exceeds buffer");
-    for (size_t i = 0; i < data.size(); ++i)
-        dram().store8(b.addr + static_cast<uint32_t>(i), data[i]);
+    dram().writeData(b.addr, data.data(), static_cast<uint32_t>(data.size()));
 }
 
 void
 Device::write32(const Buffer &b, const std::vector<uint32_t> &data)
 {
     panic_if(data.size() * 4 > b.bytes, "write exceeds buffer");
-    for (size_t i = 0; i < data.size(); ++i)
-        dram().store32(b.addr + static_cast<uint32_t>(i) * 4, data[i]);
+    // DRAM is little-endian, like the host, so the words copy as bytes.
+    static_assert(std::endian::native == std::endian::little);
+    dram().writeData(b.addr, data.data(),
+                     static_cast<uint32_t>(data.size() * 4));
 }
 
 void
@@ -708,18 +708,17 @@ SteppedLaunch::snapshotPageAt(uint32_t addr)
 {
     if (!simt::MainMemory::contains(addr))
         return;
-    const uint32_t page =
-        (addr - simt::kDramBase) >> simt::MemShard::kPageShift;
+    const uint32_t page = simt::MainMemory::pageOf(addr);
     if (undo_.count(page))
         return;
     const uint32_t base =
-        simt::kDramBase + page * simt::MemShard::kPageBytes;
+        simt::kDramBase + page * simt::MainMemory::kPageBytes;
     UndoPage up;
-    up.data.resize(simt::MemShard::kPageBytes);
-    dev_.dram().copyOut(base, up.data.data(), simt::MemShard::kPageBytes);
-    up.tags.resize(simt::MemShard::kPageWords);
-    for (uint32_t wi = 0; wi < simt::MemShard::kPageWords; ++wi)
-        up.tags[wi] = dev_.dram().wordTag(base + wi * 4) ? 1 : 0;
+    up.data.resize(simt::MainMemory::kPageBytes);
+    dev_.dram().copyOut(base, up.data.data(), simt::MainMemory::kPageBytes);
+    up.tags.resize(simt::MainMemory::kPageTagWords);
+    dev_.dram().copyTagsOut(base, up.tags.data(),
+                            simt::MainMemory::kPageBytes);
     undo_.emplace(page, std::move(up));
 }
 
@@ -837,12 +836,9 @@ SteppedLaunch::restoreBase()
         finished_ = true;
     }
     for (const auto &[page, up] : undo_) {
-        const uint32_t base =
-            simt::kDramBase + page * simt::MemShard::kPageBytes;
-        std::memcpy(dev_.dram().rawData(base), up.data.data(),
-                    simt::MemShard::kPageBytes);
-        for (uint32_t wi = 0; wi < simt::MemShard::kPageWords; ++wi)
-            dev_.dram().setWordTag(base + wi * 4, up.tags[wi] != 0);
+        dev_.dram().writePage(
+            simt::kDramBase + page * simt::MainMemory::kPageBytes,
+            up.data.data(), up.tags.data());
     }
     undo_.clear();
 }

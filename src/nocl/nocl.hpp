@@ -244,7 +244,7 @@ class SteppedLaunch
     struct UndoPage
     {
         std::vector<uint8_t> data;
-        std::vector<uint8_t> tags; ///< one byte per 32-bit word
+        std::vector<uint64_t> tags; ///< packed like MainMemory::copyTagsOut
     };
 
     Device &dev_;

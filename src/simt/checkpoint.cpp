@@ -334,50 +334,42 @@ readImage(const std::vector<uint8_t> &image, std::vector<Section> &out)
 // MainMemory (sparse by 4 KiB page)
 // ---------------------------------------------------------------------
 
-namespace
-{
-constexpr uint32_t kMemPageBytes = 4096;
-constexpr uint32_t kMemPageWords = kMemPageBytes / 4;
-} // namespace
-
 void
 MainMemory::saveState(ByteWriter &w) const
 {
-    static const uint8_t zero_page[kMemPageBytes] = {};
-    constexpr uint32_t num_pages = kDramSize / kMemPageBytes;
-    constexpr uint32_t tag_words_per_page = kMemPageWords / 64;
+    static const uint8_t zero_page[kPageBytes] = {};
 
     // First pass: count non-trivial pages (all-zero, tag-free pages are
-    // implied by the loader's reset). A page's tags are 16 bitmap words.
+    // implied by the loader's reset). Only a written page can be one; a
+    // written page may have been written back to zero, so it is tested.
     std::vector<uint32_t> live;
-    for (uint32_t p = 0; p < num_pages; ++p) {
-        const uint64_t *tags = tags_ + p * tag_words_per_page;
+    for (uint32_t p = nextWritten(0); p < kNumPages; p = nextWritten(p + 1)) {
+        const uint64_t *tags = tags_ + size_t{p} * kPageTagWords;
         bool interesting = false;
-        for (uint32_t g = 0; g < tag_words_per_page && !interesting; ++g)
+        for (uint32_t g = 0; g < kPageTagWords && !interesting; ++g)
             interesting = tags[g] != 0;
         if (!interesting)
-            interesting = std::memcmp(data_ + p * kMemPageBytes, zero_page,
-                                      kMemPageBytes) != 0;
+            interesting = std::memcmp(data_ + size_t{p} * kPageBytes,
+                                      zero_page, kPageBytes) != 0;
         if (interesting)
             live.push_back(p);
     }
 
-    w.u32(num_pages);
+    w.u32(kNumPages);
     w.u32(static_cast<uint32_t>(live.size()));
     for (uint32_t p : live) {
         w.u32(p);
-        w.bytes(data_ + p * kMemPageBytes, kMemPageBytes);
-        for (uint32_t g = 0; g < tag_words_per_page; ++g)
-            w.u64(tags_[p * tag_words_per_page + g]);
+        w.bytes(data_ + size_t{p} * kPageBytes, kPageBytes);
+        for (uint32_t g = 0; g < kPageTagWords; ++g)
+            w.u64(tags_[size_t{p} * kPageTagWords + g]);
     }
 }
 
 bool
 MainMemory::loadState(ByteReader &r)
 {
-    constexpr uint32_t tag_words_per_page = kMemPageWords / 64;
     const uint32_t num_pages = r.u32();
-    if (num_pages != kDramSize / kMemPageBytes) {
+    if (num_pages != kNumPages) {
         r.failWith("main-memory geometry mismatch");
         return false;
     }
@@ -390,13 +382,14 @@ MainMemory::loadState(ByteReader &r)
             r.failWith("main-memory page index out of range");
             return false;
         }
-        if (!r.bytes(data_ + static_cast<size_t>(p) * kMemPageBytes,
-                     kMemPageBytes))
+        const size_t base = size_t{p} * kPageBytes;
+        markWritten(base);
+        if (!r.bytes(data_ + base, kPageBytes))
             return false;
-        for (uint32_t g = 0; g < tag_words_per_page; ++g) {
+        for (uint32_t g = 0; g < kPageTagWords; ++g) {
             const uint64_t bits = r.u64();
             if (bits != 0)
-                tags_[p * tag_words_per_page + g] = bits;
+                tags_[size_t{p} * kPageTagWords + g] = bits;
         }
     }
     return !r.failed();

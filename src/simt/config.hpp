@@ -191,8 +191,11 @@ struct SmConfig
      * stackCacheLineBytes of warp stack data -- numLanes threads each
      * contributing stackCacheLineBytes / numLanes bytes -- and a miss
      * transfers the full line to/from DRAM. Must be a multiple of
-     * 4 * numLanes. The default (512 = 32 lanes x 16 B) matches the
-     * compiler's 16-byte stack slot granule.
+     * numLanes and at least 4 * numLanes. The default (512 = 32 lanes x
+     * 16 B) matches the compiler's 16-byte stack slot granule, and holds
+     * only for a numLanes that divides 512 (1, 2, 4, 8, 16 or 32); any
+     * other lane count must set it, to 16 * numLanes for the same
+     * granule.
      */
     unsigned stackCacheLines = 256;
     unsigned stackCacheLineBytes = 512;

@@ -18,6 +18,22 @@ namespace
 
 constexpr size_t kTagBytes = kDramSize / 4 / 8;
 
+constexpr uint64_t kFnvOffset = 1469598103934665603ull;
+constexpr uint64_t kFnvPrime = 1099511628211ull;
+
+/** kFnvPrime to the @p n (mod 2^64): what FNV-1a does to a hash over @p n
+ *  zero bytes (or zero chunks), since h ^ 0 == h. */
+uint64_t
+fnvPrimePow(uint64_t n)
+{
+    uint64_t result = 1;
+    for (uint64_t base = kFnvPrime; n != 0; n >>= 1, base *= base) {
+        if (n & 1)
+            result *= base;
+    }
+    return result;
+}
+
 /**
  * A private anonymous mapping of @p bytes. The host kernel zero-fills
  * each page on first touch; reads of an untouched page map the shared
@@ -51,6 +67,7 @@ MainMemory::MainMemory(MainMemory &&other) noexcept : MainMemory()
 {
     std::swap(data_, other.data_);
     std::swap(tags_, other.tags_);
+    std::swap(written_, other.written_);
 }
 
 MainMemory &
@@ -58,6 +75,7 @@ MainMemory::operator=(MainMemory &&other) noexcept
 {
     std::swap(data_, other.data_);
     std::swap(tags_, other.tags_);
+    std::swap(written_, other.written_);
     return *this;
 }
 
@@ -75,6 +93,22 @@ MainMemory::zeroAll()
     panic_if(madvise(data_, kDramSize, MADV_DONTNEED) != 0 ||
                  madvise(tags_, kTagBytes, MADV_DONTNEED) != 0,
              "cannot release simulated DRAM pages");
+    written_.fill(0);
+}
+
+uint32_t
+MainMemory::nextWritten(uint32_t page_index) const
+{
+    if (page_index >= kNumPages)
+        return kNumPages;
+    size_t e = page_index / 64;
+    uint64_t bits = written_[e] & (~uint64_t{0} << (page_index % 64));
+    while (bits == 0) {
+        if (++e == kWrittenWords)
+            return kNumPages;
+        bits = written_[e];
+    }
+    return static_cast<uint32_t>(e * 64 + std::countr_zero(bits));
 }
 
 size_t
@@ -110,7 +144,9 @@ MainMemory::load32(uint32_t addr) const
 void
 MainMemory::store8(uint32_t addr, uint8_t value)
 {
-    data_[index(addr)] = value;
+    const size_t i = index(addr);
+    data_[i] = value;
+    markWritten(i);
 }
 
 void
@@ -119,6 +155,8 @@ MainMemory::store16(uint32_t addr, uint16_t value)
     const size_t i = index(addr);
     data_[i] = static_cast<uint8_t>(value);
     data_[i + 1] = static_cast<uint8_t>(value >> 8);
+    markWritten(i);
+    markWritten(i + 1);
 }
 
 void
@@ -129,6 +167,8 @@ MainMemory::store32(uint32_t addr, uint32_t value)
     data_[i + 1] = static_cast<uint8_t>(value >> 8);
     data_[i + 2] = static_cast<uint8_t>(value >> 16);
     data_[i + 3] = static_cast<uint8_t>(value >> 24);
+    markWritten(i);
+    markWritten(i + 3);
 }
 
 bool
@@ -145,11 +185,14 @@ MainMemory::setWordTag(uint32_t addr, bool tag)
     const uint64_t bit = uint64_t{1} << (w % 64);
     uint64_t &entry = tags_[w / 64];
     // Clearing an already-clear tag must not write: a write would back
-    // the tag page of capability-free data with a resident page.
-    if (tag)
+    // the tag page of capability-free data with a resident page. Nor
+    // need it mark the page: a set tag lies in a written page already.
+    if (tag) {
         entry |= bit;
-    else if (entry & bit)
+        markWritten(w * 4);
+    } else if (entry & bit) {
         entry &= ~bit;
+    }
 }
 
 cap::CapMem
@@ -184,10 +227,67 @@ MainMemory::clearTagForStore(uint32_t addr, unsigned bytes)
         setWordTag(a, false);
 }
 
-uint8_t *
-MainMemory::rawData(uint32_t addr)
+void
+MainMemory::writePage(uint32_t page_addr, const uint8_t *data,
+                      const uint64_t *tags, const uint64_t *mask)
 {
-    return &data_[index(addr)];
+    panic_if(page_addr % kPageBytes != 0,
+             "page write at 0x%08x is not page-aligned", page_addr);
+    const size_t i = index(page_addr);
+    uint8_t *dst = data_ + i;
+    uint64_t *dst_tags = tags_ + i / 256;
+    bool any = false;
+    for (uint32_t mw = 0; mw < kPageTagWords; ++mw) {
+        const uint64_t m = mask != nullptr ? mask[mw] : ~uint64_t{0};
+        if (m == 0)
+            continue;
+        any = true;
+        const uint32_t off = mw * 256; // 64 words
+        if (m == ~uint64_t{0}) {
+            std::memcpy(dst + off, data + off, 256);
+        } else {
+            for (uint64_t bits = m; bits != 0; bits &= bits - 1) {
+                const uint32_t o = off + 4 * std::countr_zero(bits);
+                std::memcpy(dst + o, data + o, 4);
+            }
+        }
+        // As in setWordTag: leave an unchanged tag entry unwritten.
+        const uint64_t t = (dst_tags[mw] & ~m) | (tags[mw] & m);
+        if (t != dst_tags[mw])
+            dst_tags[mw] = t;
+    }
+    if (any)
+        markWritten(i);
+}
+
+void
+MainMemory::writeData(uint32_t addr, const void *src, uint32_t bytes)
+{
+    if (bytes == 0)
+        return;
+    const size_t i = index(addr);
+    panic_if(i + bytes > kDramSize, "write past the end of DRAM");
+    std::memcpy(data_ + i, src, bytes);
+    for (size_t page = i >> kPageShift; page <= (i + bytes - 1) >> kPageShift;
+         ++page)
+        markWritten(page << kPageShift);
+}
+
+void
+MainMemory::zeroData(uint32_t addr, uint32_t bytes)
+{
+    if (bytes == 0)
+        return;
+    const size_t i = index(addr);
+    panic_if(i + bytes > kDramSize, "zero-fill past the end of DRAM");
+    const size_t end = i + bytes;
+    const uint32_t last = static_cast<uint32_t>((end - 1) >> kPageShift);
+    for (uint32_t p = nextWritten(static_cast<uint32_t>(i >> kPageShift));
+         p <= last; p = nextWritten(p + 1)) {
+        const size_t lo = std::max(i, size_t{p} << kPageShift);
+        const size_t hi = std::min(end, size_t{p + 1} << kPageShift);
+        std::memset(data_ + lo, 0, hi - lo);
+    }
 }
 
 void
@@ -213,21 +313,31 @@ MainMemory::copyTagsOut(uint32_t addr, uint64_t *out, uint32_t bytes) const
 uint64_t
 MainMemory::contentHash() const
 {
-    // FNV-1a over the data bytes (word-at-a-time for speed) and the
-    // indices of the set word tags.
-    constexpr uint64_t kPrime = 1099511628211ull;
-    uint64_t h = 1469598103934665603ull;
-    const size_t words = kDramSize / 8;
-    for (size_t i = 0; i < words; ++i) {
-        uint64_t chunk = 0;
-        for (unsigned b = 0; b < 8; ++b)
-            chunk |= static_cast<uint64_t>(data_[i * 8 + b]) << (8 * b);
-        h = (h ^ chunk) * kPrime;
+    // FNV-1a over the data bytes, 8 at a time as little-endian chunks,
+    // and then the indices of the set word tags. A page outside the
+    // written set is 512 zero chunks and carries no tags.
+    static_assert(std::endian::native == std::endian::little);
+    constexpr uint32_t chunks_per_page = kPageBytes / 8;
+    uint64_t h = kFnvOffset;
+    uint32_t next = 0; // first page not yet folded in
+    for (uint32_t p = nextWritten(0); p < kNumPages; p = nextWritten(p + 1)) {
+        h *= fnvPrimePow(uint64_t{chunks_per_page} * (p - next));
+        const uint8_t *page = data_ + size_t{p} * kPageBytes;
+        for (uint32_t c = 0; c < chunks_per_page; ++c) {
+            uint64_t chunk;
+            std::memcpy(&chunk, page + c * 8, 8);
+            h = (h ^ chunk) * kFnvPrime;
+        }
+        next = p + 1;
     }
-    for (size_t e = 0; e < kTagWords; ++e) {
-        for (uint64_t bits = tags_[e]; bits != 0; bits &= bits - 1) {
-            const size_t w = e * 64 + std::countr_zero(bits);
-            h = (h ^ (w + 1)) * kPrime;
+    h *= fnvPrimePow(uint64_t{chunks_per_page} * (kNumPages - next));
+    for (uint32_t p = nextWritten(0); p < kNumPages; p = nextWritten(p + 1)) {
+        for (uint32_t g = 0; g < kPageTagWords; ++g) {
+            const size_t e = size_t{p} * kPageTagWords + g;
+            for (uint64_t bits = tags_[e]; bits != 0; bits &= bits - 1) {
+                const size_t w = e * 64 + std::countr_zero(bits);
+                h = (h ^ (w + 1)) * kFnvPrime;
+            }
         }
     }
     return h;
@@ -237,15 +347,48 @@ uint64_t
 MainMemory::dataHash(uint32_t addr, uint32_t bytes, uint32_t exclude_addr,
                      uint32_t exclude_bytes) const
 {
-    constexpr uint64_t kPrime = 1099511628211ull;
-    uint64_t h = 1469598103934665603ull;
-    for (uint32_t a = addr; a < addr + bytes; ++a) {
-        if (exclude_bytes != 0 && a >= exclude_addr &&
-            a < exclude_addr + exclude_bytes)
-            continue;
-        if (!contains(a))
-            continue;
-        h = (h ^ load8(a)) * kPrime;
+    // FNV-1a over the bytes of [addr, addr+bytes) that lie in DRAM and
+    // outside the exclusion window, in address order. Both windows end
+    // where their uint32_t sum ends, so one that wraps past 2^32 is
+    // empty. A byte in a page outside the written set is zero, which
+    // only multiplies the hash, so a run of such bytes folds in as one
+    // power of the prime.
+    uint64_t h = kFnvOffset;
+    auto hash_range = [&](uint32_t lo, uint32_t hi) {
+        uint32_t a = lo;
+        while (a < hi) {
+            const uint32_t page = pageOf(a);
+            const uint32_t next = nextWritten(page);
+            const uint32_t zero_end =
+                next == kNumPages ? hi
+                                  : std::min(hi, kDramBase + next * kPageBytes);
+            if (zero_end > a) {
+                h *= fnvPrimePow(zero_end - a);
+                a = zero_end;
+                continue;
+            }
+            const uint32_t page_end =
+                std::min(hi, kDramBase + (page + 1) * kPageBytes);
+            for (const uint8_t *b = data_ + (a - kDramBase),
+                               *e = data_ + (page_end - kDramBase);
+                 b != e; ++b)
+                h = (h ^ *b) * kFnvPrime;
+            a = page_end;
+        }
+    };
+    const uint32_t end = addr + bytes;
+    if (end <= addr)
+        return h;
+    const uint32_t lo = std::max(addr, kDramBase);
+    const uint32_t hi = std::min(end, kDramBase + kDramSize);
+    if (lo >= hi)
+        return h;
+    const uint32_t exclude_end = exclude_addr + exclude_bytes;
+    if (exclude_bytes == 0 || exclude_end <= exclude_addr) {
+        hash_range(lo, hi);
+    } else {
+        hash_range(lo, std::min(hi, exclude_addr));
+        hash_range(std::max(lo, exclude_end), hi);
     }
     return h;
 }

@@ -13,6 +13,7 @@
 #ifndef CHERI_SIMT_SIMT_MEM_HPP_
 #define CHERI_SIMT_SIMT_MEM_HPP_
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -39,10 +40,23 @@ namespace simt
  * untagged while costing no resident pages until it is written
  * (DESIGN.md section 7). A memory cannot be copied; every object owns
  * its own mappings for its whole lifetime.
+ *
+ * The memory also keeps the set of 4 KiB pages written since it was
+ * built or last reset, with one invariant: a page outside the set is
+ * all-zero and its tags are clear. Every host-side walk over DRAM (the
+ * checkpoint serialiser, the content and data hashes) visits only the
+ * pages in the set.
  */
 class MainMemory
 {
   public:
+    static constexpr uint32_t kPageShift = 12;
+    static constexpr uint32_t kPageBytes = 1u << kPageShift; // 4 KiB
+    static constexpr uint32_t kPageWords = kPageBytes / 4;
+    /** Tag-bitmap entries per page: one bit per word, 64 per entry. */
+    static constexpr uint32_t kPageTagWords = kPageWords / 64;
+    static constexpr uint32_t kNumPages = kDramSize / kPageBytes;
+
     MainMemory();
     MainMemory(const MainMemory &) = delete;
     MainMemory(MainMemory &&other) noexcept;
@@ -54,6 +68,13 @@ class MainMemory
     contains(uint32_t addr)
     {
         return addr >= kDramBase && addr < kDramBase + kDramSize;
+    }
+
+    /** Page index (DRAM-relative) of @p addr, which must be in DRAM. */
+    static uint32_t
+    pageOf(uint32_t addr)
+    {
+        return (addr - kDramBase) >> kPageShift;
     }
 
     uint8_t load8(uint32_t addr) const;
@@ -79,22 +100,39 @@ class MainMemory
     void clearTagForStore(uint32_t addr, unsigned bytes);
 
     /**
-     * Raw backing-store pointer for @p addr (bounds-checked like every
-     * other accessor), for host-side bulk writes such as restoring a
-     * saved page. The backing store is a flat little-endian byte array.
-     * Tag maintenance stays with the caller.
+     * Host-side bulk write of the page at @p page_addr (page-aligned):
+     * copies the data word and the tag bit of every word in @p mask
+     * from @p data (kPageBytes, little-endian) and @p tags
+     * (kPageTagWords entries, packed like copyTagsOut). A null @p mask
+     * writes the whole page.
      */
-    uint8_t *rawData(uint32_t addr);
+    void writePage(uint32_t page_addr, const uint8_t *data,
+                   const uint64_t *tags, const uint64_t *mask = nullptr);
+
+    /** Host-side bulk copy of @p bytes from @p src to @p addr, as a
+     *  run of store8 calls would write it: tags are left unchanged. */
+    void writeData(uint32_t addr, const void *src, uint32_t bytes);
+
+    /** Zero the data bytes of [addr, addr+bytes), tags unchanged; pages
+     *  outside the written set are zero already and are skipped. */
+    void zeroData(uint32_t addr, uint32_t bytes);
+
+    /** Whether page @p page_index is in the written set. */
+    bool
+    pageWritten(uint32_t page_index) const
+    {
+        return (written_[page_index / 64] >> (page_index % 64)) & 1;
+    }
 
     /** Order-dependent hash of all bytes and word tags (parity tests). */
     uint64_t contentHash() const;
 
     /**
      * Data-only hash of [addr, addr+bytes), skipping the (optional)
-     * exclusion window [exclude_addr, exclude_addr+exclude_bytes). Tag
-     * bits are not hashed. Used by the fault-injection campaign to
-     * compare architectural output while masking out the word the fault
-     * itself corrupted.
+     * exclusion window [exclude_addr, exclude_addr+exclude_bytes) and
+     * every byte outside DRAM. Tag bits are not hashed. Used by the
+     * fault-injection campaign to compare architectural output while
+     * masking out the word the fault itself corrupted.
      */
     uint64_t dataHash(uint32_t addr, uint32_t bytes,
                       uint32_t exclude_addr = 0,
@@ -117,8 +155,21 @@ class MainMemory
   private:
     /** Tag bitmap length: one bit per 32-bit word, 64 words per entry. */
     static constexpr size_t kTagWords = kDramSize / 4 / 64;
+    /** Written-set length: one bit per page, 64 pages per entry. */
+    static constexpr size_t kWrittenWords = kNumPages / 64;
 
     size_t index(uint32_t addr) const;
+
+    void
+    markWritten(size_t index)
+    {
+        const size_t page = index >> kPageShift;
+        written_[page / 64] |= uint64_t{1} << (page % 64);
+    }
+
+    /** The first page at or after @p page_index in the written set, or
+     *  kNumPages when there is none. */
+    uint32_t nextWritten(uint32_t page_index) const;
 
     /** Reset every byte and tag to zero, releasing all resident pages. */
     void zeroAll();
@@ -126,6 +177,9 @@ class MainMemory
     uint8_t *data_;  // kDramSize bytes, demand-zero
     uint64_t *tags_; // kTagWords entries, demand-zero; word w is bit w % 64
                      // of entry w / 64
+    // Pages written since the last reset: page p is bit p % 64 of entry
+    // p / 64. A page outside the set is all-zero and tag-free.
+    std::array<uint64_t, kWrittenWords> written_{};
 };
 
 /**

@@ -1,6 +1,7 @@
 #include "simt/memsys.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "support/logging.hpp"
 #include "support/trace.hpp"
@@ -292,6 +293,29 @@ MemorySystem::commitEpoch()
     MergeReport report;
     const unsigned ns = numShards();
 
+    // Both passes visit the pages some shard touched, in address order;
+    // no other page can hold anything to check or commit.
+    std::vector<uint32_t> pages;
+    for (const auto &shard : shards_)
+        pages.insert(pages.end(), shard->touched_.begin(),
+                     shard->touched_.end());
+    std::sort(pages.begin(), pages.end());
+    pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
+
+    // The shards' private copies of page @p pi (null where untouched);
+    // returns how many there are.
+    std::vector<const MemShard::Page *> touchers(ns, nullptr);
+    auto gather = [&](uint32_t pi) {
+        unsigned num_touchers = 0;
+        for (unsigned s = 0; s < ns; ++s) {
+            const int32_t slot = shards_[s]->map_[pi];
+            touchers[s] = slot < 0 ? nullptr : shards_[s]->pages_[slot].get();
+            if (touchers[s])
+                ++num_touchers;
+        }
+        return num_touchers;
+    };
+
     // Pass 1: scan for cross-SM conflicts. Nothing is committed unless
     // the whole epoch is conflict-free, so a conflicting parallel run
     // leaves the base memory exactly as it was before the launch.
@@ -304,17 +328,9 @@ MemorySystem::commitEpoch()
     //   - A in several shards, nowhere W or R: mediated iff every logged
     //     operation on the word is the same order-insensitive kind and
     //     none consumes its result; otherwise conflict.
-    std::vector<const MemShard::Page *> touchers(ns, nullptr);
-    for (uint32_t pi = 0; pi < MemShard::kNumPages && !report.conflict;
-         ++pi) {
-        unsigned num_touchers = 0;
-        for (unsigned s = 0; s < ns; ++s) {
-            const int32_t slot = shards_[s]->map_[pi];
-            touchers[s] = slot < 0 ? nullptr : shards_[s]->pages_[slot].get();
-            if (touchers[s])
-                ++num_touchers;
-        }
-        if (num_touchers < 2)
+    for (size_t k = 0; k < pages.size() && !report.conflict; ++k) {
+        const uint32_t pi = pages[k];
+        if (gather(pi) < 2)
             continue;
         for (uint32_t mw = 0; mw < MemShard::kMaskWords && !report.conflict;
              ++mw) {
@@ -413,81 +429,47 @@ MemorySystem::commitEpoch()
 
     // Pass 2: commit, in SM index order within each page, pages in
     // address order -- a fixed order independent of host scheduling.
-    for (uint32_t pi = 0; pi < MemShard::kNumPages; ++pi) {
-        unsigned num_touchers = 0;
-        for (unsigned s = 0; s < ns; ++s) {
-            const int32_t slot = shards_[s]->map_[pi];
-            touchers[s] = slot < 0 ? nullptr : shards_[s]->pages_[slot].get();
-            if (touchers[s])
-                ++num_touchers;
-        }
-        if (num_touchers == 0)
-            continue;
-        ++report.pagesTouched;
+    // Pass 1 guarantees that a plainly written word has a single writer
+    // and that an atomic word is neither written nor read by another
+    // shard, so every committed word has exactly one source (a shard's
+    // page, or the mediator) and the copies below commute.
+    report.pagesTouched = pages.size();
+    for (const uint32_t pi : pages) {
+        gather(pi);
         const uint32_t page_base = kDramBase + pi * MemShard::kPageBytes;
-        // Plain writes first (pass 1 guarantees each written word has a
-        // single writer, so the order across shards is immaterial; SM
-        // index order keeps it fixed anyway).
-        for (unsigned s = 0; s < ns; ++s) {
-            const MemShard::Page *p = touchers[s];
+        // Atomic words of one shard (`sole`) commit that shard's local
+        // value; those of several (`shared`) are mediated below.
+        std::array<uint64_t, MemShard::kMaskWords> seen{}, shared{};
+        for (const MemShard::Page *p : touchers) {
             if (!p)
                 continue;
             for (uint32_t mw = 0; mw < MemShard::kMaskWords; ++mw) {
-                uint64_t bits = p->dirty[mw];
-                while (bits) {
-                    const uint32_t b =
-                        static_cast<uint32_t>(__builtin_ctzll(bits));
-                    bits &= bits - 1;
-                    const uint32_t wi = mw * 64 + b;
-                    const uint32_t addr = page_base + wi * 4;
-                    const uint32_t off = wi * 4;
-                    const uint32_t v =
-                        static_cast<uint32_t>(p->data[off]) |
-                        (static_cast<uint32_t>(p->data[off + 1]) << 8) |
-                        (static_cast<uint32_t>(p->data[off + 2]) << 16) |
-                        (static_cast<uint32_t>(p->data[off + 3]) << 24);
-                    base_.store32(addr, v);
-                    base_.setWordTag(addr, (p->tag[mw] >> b) & 1);
-                    ++report.wordsCommitted;
-                }
+                shared[mw] |= seen[mw] & p->atomic[mw];
+                seen[mw] |= p->atomic[mw];
             }
         }
-        // Atomic words: a single-shard atomic word commits that shard's
-        // local value; a multi-shard one is mediated by replaying every
-        // log entry against the base value in (smId, program) order.
-        for (uint32_t mw = 0; mw < MemShard::kMaskWords; ++mw) {
-            uint64_t atomic_any = 0;
-            for (unsigned s = 0; s < ns; ++s) {
-                if (touchers[s])
-                    atomic_any |= touchers[s]->atomic[mw];
+        // Each shard's plainly written and sole atomic words: one masked
+        // copy of its data and tag words. A word in both sets counts
+        // twice in wordsCommitted.
+        for (const MemShard::Page *p : touchers) {
+            if (!p)
+                continue;
+            std::array<uint64_t, MemShard::kMaskWords> mask;
+            for (uint32_t mw = 0; mw < MemShard::kMaskWords; ++mw) {
+                const uint64_t sole = p->atomic[mw] & ~shared[mw];
+                mask[mw] = p->dirty[mw] | sole;
+                report.wordsCommitted +=
+                    std::popcount(p->dirty[mw]) + std::popcount(sole);
             }
-            while (atomic_any) {
-                const uint32_t b =
-                    static_cast<uint32_t>(__builtin_ctzll(atomic_any));
-                atomic_any &= atomic_any - 1;
-                const uint32_t wi = mw * 64 + b;
-                const uint32_t addr = page_base + wi * 4;
-                unsigned num_atomic = 0;
-                const MemShard::Page *only = nullptr;
-                for (unsigned s = 0; s < ns; ++s) {
-                    const MemShard::Page *p = touchers[s];
-                    if (p && ((p->atomic[mw] >> b) & 1)) {
-                        ++num_atomic;
-                        only = p;
-                    }
-                }
-                if (num_atomic == 1) {
-                    const uint32_t off = wi * 4;
-                    const uint32_t v =
-                        static_cast<uint32_t>(only->data[off]) |
-                        (static_cast<uint32_t>(only->data[off + 1]) << 8) |
-                        (static_cast<uint32_t>(only->data[off + 2]) << 16) |
-                        (static_cast<uint32_t>(only->data[off + 3]) << 24);
-                    base_.store32(addr, v);
-                    base_.setWordTag(addr, (only->tag[mw] >> b) & 1);
-                    ++report.wordsCommitted;
-                    continue;
-                }
+            base_.writePage(page_base, p->data.data(), p->tag.data(),
+                            mask.data());
+        }
+        // Shared atomic words: replay every log entry against the base
+        // value in (smId, program) order.
+        for (uint32_t mw = 0; mw < MemShard::kMaskWords; ++mw) {
+            for (uint64_t bits = shared[mw]; bits != 0; bits &= bits - 1) {
+                const uint32_t addr =
+                    page_base + (mw * 64 + std::countr_zero(bits)) * 4;
                 uint32_t v = base_.load32(addr);
                 for (unsigned s = 0; s < ns; ++s) {
                     for (const auto &rec : shards_[s]->amoLog_) {

@@ -72,11 +72,12 @@ uint32_t amoApply(isa::Op op, uint32_t old, uint32_t operand);
 class MemShard
 {
   public:
-    static constexpr uint32_t kPageShift = 12;
-    static constexpr uint32_t kPageBytes = 1u << kPageShift; // 4 KiB
-    static constexpr uint32_t kPageWords = kPageBytes / 4;
-    static constexpr uint32_t kMaskWords = kPageWords / 64;
-    static constexpr uint32_t kNumPages = kDramSize / kPageBytes;
+    // A shard page is a MainMemory page (4 KiB).
+    static constexpr uint32_t kPageShift = MainMemory::kPageShift;
+    static constexpr uint32_t kPageBytes = MainMemory::kPageBytes;
+    static constexpr uint32_t kPageWords = MainMemory::kPageWords;
+    static constexpr uint32_t kMaskWords = MainMemory::kPageTagWords;
+    static constexpr uint32_t kNumPages = MainMemory::kNumPages;
 
     explicit MemShard(const MainMemory &base);
 
@@ -141,6 +142,9 @@ class MemShard
 
   private:
     friend class MemorySystem;
+    // Test seam for the merge's reference model; defined by test
+    // translation units only.
+    friend struct MemShardTestAccess;
 
     struct Page
     {

@@ -235,8 +235,9 @@ Sm::Sm(const SmConfig &cfg, MemShard &mem)
                       4 * cfg_.numLanes ||
                   cfg_.stackCacheLineBytes % cfg_.numLanes != 0),
              "stackCacheLineBytes (%u) must be a multiple of the lane "
-             "count (%u) covering at least one word per lane",
-             cfg_.stackCacheLineBytes, cfg_.numLanes);
+             "count (%u) covering at least one word per lane; %u (16 x "
+             "numLanes) keeps the 16-byte stack slot granule",
+             cfg_.stackCacheLineBytes, cfg_.numLanes, 16 * cfg_.numLanes);
     for (auto &scr : scrs_)
         scr = cap::nullCapPipe();
 

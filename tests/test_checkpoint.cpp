@@ -26,6 +26,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -42,6 +44,7 @@
 #include "simt/mem.hpp"
 #include "simt/sm.hpp"
 #include "support/journal.hpp"
+#include "support/rng.hpp"
 #include "support/serialize.hpp"
 
 namespace simt
@@ -517,6 +520,371 @@ TEST(MainMemoryBacking, HashAndImageMatchRecordedValues)
     EXPECT_EQ(m.contentHash(), 0x872a1a9203a8f5c2ull);
     EXPECT_EQ(w.size(), 8u + 6u * (4u + 4096u + 16u * 8u)); // 6 live pages
     EXPECT_EQ(support::crc32(w.data().data(), w.size()), 0x680f0324u);
+}
+
+// ---------------------------------------------- the written-page set
+
+constexpr uint32_t kPageBytes = simt::MainMemory::kPageBytes;
+constexpr uint32_t kNumPages = simt::MainMemory::kNumPages;
+constexpr uint32_t kDramEnd = simt::kDramBase + simt::kDramSize;
+using PageTags = std::array<uint64_t, simt::MainMemory::kPageTagWords>;
+
+/** The full-scan serialiser MainMemory::saveState replaced: every page
+ *  of DRAM in index order, kept when it is not all-zero and tag-free.
+ *  The oracle for the walk over the written pages. */
+std::vector<uint8_t>
+fullScanImage(const simt::MainMemory &m)
+{
+    std::vector<uint8_t> data(kPageBytes);
+    PageTags tags{};
+    support::ByteWriter pages;
+    uint32_t live = 0;
+    for (uint32_t p = 0; p < kNumPages; ++p) {
+        const uint32_t base = simt::kDramBase + p * kPageBytes;
+        m.copyOut(base, data.data(), kPageBytes);
+        m.copyTagsOut(base, tags.data(), kPageBytes);
+        const auto nonzero = [](auto x) { return x != 0; };
+        if (std::none_of(tags.begin(), tags.end(), nonzero) &&
+            std::none_of(data.begin(), data.end(), nonzero))
+            continue;
+        ++live;
+        pages.u32(p);
+        pages.bytes(data.data(), kPageBytes);
+        for (const uint64_t t : tags)
+            pages.u64(t);
+    }
+    support::ByteWriter w;
+    w.u32(kNumPages);
+    w.u32(live);
+    w.bytes(pages.data().data(), pages.size());
+    return w.take();
+}
+
+/** The byte-loop contentHash: FNV-1a over every 8-byte little-endian
+ *  chunk of DRAM, then over the index + 1 of every set word tag. */
+uint64_t
+fullScanContentHash(const simt::MainMemory &m)
+{
+    constexpr uint64_t kPrime = 1099511628211ull;
+    uint64_t h = 1469598103934665603ull;
+    std::vector<uint8_t> data(kPageBytes);
+    for (uint32_t p = 0; p < kNumPages; ++p) {
+        m.copyOut(simt::kDramBase + p * kPageBytes, data.data(), kPageBytes);
+        for (uint32_t c = 0; c < kPageBytes; c += 8) {
+            uint64_t chunk = 0;
+            for (unsigned b = 0; b < 8; ++b)
+                chunk |= static_cast<uint64_t>(data[c + b]) << (8 * b);
+            h = (h ^ chunk) * kPrime;
+        }
+    }
+    PageTags tags{};
+    for (uint32_t p = 0; p < kNumPages; ++p) {
+        m.copyTagsOut(simt::kDramBase + p * kPageBytes, tags.data(),
+                      kPageBytes);
+        for (uint32_t g = 0; g < tags.size(); ++g) {
+            for (uint64_t bits = tags[g]; bits != 0; bits &= bits - 1) {
+                const uint64_t w = (uint64_t{p} * tags.size() + g) * 64 +
+                                   std::countr_zero(bits);
+                h = (h ^ (w + 1)) * kPrime;
+            }
+        }
+    }
+    return h;
+}
+
+/** The byte-loop dataHash, one load8 per byte in DRAM. */
+uint64_t
+byteLoopDataHash(const simt::MainMemory &m, uint32_t addr, uint32_t bytes,
+                 uint32_t exclude_addr, uint32_t exclude_bytes)
+{
+    constexpr uint64_t kPrime = 1099511628211ull;
+    uint64_t h = 1469598103934665603ull;
+    for (uint32_t a = addr; a < addr + bytes; ++a) {
+        if (exclude_bytes != 0 && a >= exclude_addr &&
+            a < exclude_addr + exclude_bytes)
+            continue;
+        if (!simt::MainMemory::contains(a))
+            continue;
+        h = (h ^ m.load8(a)) * kPrime;
+    }
+    return h;
+}
+
+/** Pages outside the written set that are not zero or not tag-free. */
+unsigned
+dirtyUnwrittenPages(const simt::MainMemory &m)
+{
+    std::vector<uint8_t> data(kPageBytes);
+    PageTags tags{};
+    unsigned bad = 0;
+    for (uint32_t p = 0; p < kNumPages; ++p) {
+        if (m.pageWritten(p))
+            continue;
+        const uint32_t base = simt::kDramBase + p * kPageBytes;
+        m.copyOut(base, data.data(), kPageBytes);
+        m.copyTagsOut(base, tags.data(), kPageBytes);
+        const auto nonzero = [](auto x) { return x != 0; };
+        if (std::any_of(data.begin(), data.end(), nonzero) ||
+            std::any_of(tags.begin(), tags.end(), nonzero))
+            ++bad;
+    }
+    return bad;
+}
+
+/** Pages the random writers aim at: both ends of DRAM, neighbours (so
+ *  multi-byte stores straddle a page boundary) and a few lone pages. */
+constexpr uint32_t kPagePool[] = {0,    1,    2,    7,    100,
+                                  4095, 4096, 9000, kNumPages - 2,
+                                  kNumPages - 1};
+
+/** An address in a pool page, biased to the page's ends, with room for
+ *  a @p width-byte access before the end of DRAM. */
+uint32_t
+poolAddr(support::Rng &rng, uint32_t width)
+{
+    const uint32_t page = kPagePool[rng.nextBounded(std::size(kPagePool))];
+    uint32_t off;
+    switch (rng.nextBounded(3)) {
+    case 0: off = rng.nextBounded(8); break;
+    case 1: off = kPageBytes - 1 - rng.nextBounded(4); break;
+    default: off = rng.nextBounded(kPageBytes); break;
+    }
+    return std::min(simt::kDramBase + page * kPageBytes + off,
+                    kDramEnd - width);
+}
+
+/** A value that is zero one time in three (zero writes must not break
+ *  the image: a written page may be all-zero again). */
+uint32_t
+sparseValue(support::Rng &rng)
+{
+    return rng.nextBounded(3) == 0 ? 0 : rng.next();
+}
+
+/** One random operation through one of MainMemory's write paths. */
+void
+randomWrite(simt::MainMemory &m, support::Rng &rng)
+{
+    switch (rng.nextBounded(14)) {
+    case 0:
+        m.store8(poolAddr(rng, 1), static_cast<uint8_t>(sparseValue(rng)));
+        break;
+    case 1:
+        m.store16(poolAddr(rng, 2), static_cast<uint16_t>(sparseValue(rng)));
+        break;
+    case 2: m.store32(poolAddr(rng, 4), sparseValue(rng)); break;
+    case 3: {
+        cap::CapMem c;
+        c.bits = uint64_t{sparseValue(rng)} << 32 | sparseValue(rng);
+        c.tag = rng.nextBounded(2) != 0;
+        m.storeCap(poolAddr(rng, 8) & ~7u, c);
+        break;
+    }
+    case 4: m.setWordTag(poolAddr(rng, 4), true); break;
+    case 5: m.setWordTag(poolAddr(rng, 4), false); break;
+    case 6: m.clearTagForStore(poolAddr(rng, 4), 1 + rng.nextBounded(4)); break;
+    case 7: {
+        std::vector<uint8_t> data(kPageBytes, 0);
+        PageTags tags{}, mask{};
+        for (unsigned k = rng.nextBounded(64); k > 0; --k)
+            data[rng.nextBounded(kPageBytes)] =
+                static_cast<uint8_t>(sparseValue(rng));
+        for (uint64_t &t : tags)
+            t = uint64_t{sparseValue(rng)} << 32 | sparseValue(rng);
+        for (uint64_t &x : mask)
+            x = rng.nextBounded(4) == 0 ? ~uint64_t{0}
+                                        : uint64_t{rng.next()} << 32 |
+                                              sparseValue(rng);
+        const bool whole = rng.nextBounded(3) == 0;
+        m.writePage(poolAddr(rng, 1) & ~(kPageBytes - 1), data.data(),
+                    tags.data(), whole ? nullptr : mask.data());
+        break;
+    }
+    case 8:
+    case 9: {
+        const uint32_t addr = poolAddr(rng, 1);
+        const uint32_t bytes =
+            std::min(1 + rng.nextBounded(3 * kPageBytes), kDramEnd - addr);
+        if (rng.nextBounded(2) == 0) {
+            m.zeroData(addr, bytes);
+        } else {
+            std::vector<uint8_t> data(bytes);
+            for (uint8_t &b : data)
+                b = static_cast<uint8_t>(rng.next() % 4 == 0 ? 0 : rng.next());
+            m.writeData(addr, data.data(), bytes);
+        }
+        break;
+    }
+    case 10: {
+        // Moves swap the set with the mappings.
+        simt::MainMemory other(std::move(m));
+        m = std::move(other);
+        break;
+    }
+    case 11: {
+        simt::MainMemory other;
+        other = std::move(m);
+        m = std::move(other);
+        break;
+    }
+    case 12: {
+        // loadState resets (zeroAll) and marks the image's pages: load a
+        // memory's own image back, or that of a small random memory.
+        support::ByteWriter w;
+        if (rng.nextBounded(2) == 0) {
+            m.saveState(w);
+        } else {
+            simt::MainMemory src;
+            for (unsigned k = rng.nextBounded(4); k > 0; --k)
+                src.store32(poolAddr(rng, 4), sparseValue(rng));
+            src.setWordTag(poolAddr(rng, 4), rng.nextBounded(2) != 0);
+            src.saveState(w);
+        }
+        support::ByteReader r(w.data().data(), w.size());
+        ASSERT_TRUE(m.loadState(r)) << r.error();
+        break;
+    }
+    default: {
+        // A page written back to zero stays in the set.
+        const uint32_t page = poolAddr(rng, 1) & ~(kPageBytes - 1);
+        const std::vector<uint8_t> zero(kPageBytes, 0);
+        const PageTags no_tags{};
+        m.writePage(page, zero.data(), no_tags.data());
+        break;
+    }
+    }
+}
+
+/** A dataHash window: random, near the pool pages, or across an end of
+ *  DRAM or of the 32-bit address space. */
+std::pair<uint32_t, uint32_t>
+randomWindow(support::Rng &rng)
+{
+    switch (rng.nextBounded(5)) {
+    case 0: return {kDramEnd - rng.nextBounded(3 * kPageBytes),
+                    rng.nextBounded(6 * kPageBytes)};
+    case 1: return {simt::kDramBase - rng.nextBounded(2 * kPageBytes),
+                    rng.nextBounded(5 * kPageBytes)};
+    case 2: return {0xffffffffu - rng.nextBounded(kPageBytes),
+                    rng.nextBounded(2 * kPageBytes)};
+    default: {
+        const uint32_t a = poolAddr(rng, 1) - rng.nextBounded(kPageBytes);
+        return {a, rng.nextBounded(4 * kPageBytes)};
+    }
+    }
+}
+
+TEST(MainMemoryWrittenSet, RandomWritesKeepInvariantImageAndHashes)
+{
+    support::Rng rng(2028);
+    for (unsigned seq = 0; seq < 10; ++seq) {
+        simt::MainMemory m;
+        const unsigned ops = 1 + rng.nextBounded(80);
+        for (unsigned k = 0; k < ops; ++k) {
+            randomWrite(m, rng);
+            ASSERT_FALSE(HasFatalFailure());
+        }
+        EXPECT_EQ(dirtyUnwrittenPages(m), 0u) << "sequence " << seq;
+        support::ByteWriter w;
+        m.saveState(w);
+        EXPECT_EQ(w.data(), fullScanImage(m)) << "sequence " << seq;
+        EXPECT_EQ(m.contentHash(), fullScanContentHash(m))
+            << "sequence " << seq;
+        for (unsigned k = 0; k < 24; ++k) {
+            const auto [addr, bytes] = randomWindow(rng);
+            uint32_t ex_addr = 0, ex_bytes = 0;
+            if (rng.nextBounded(3) != 0) {
+                const auto window = randomWindow(rng);
+                ex_addr = rng.nextBounded(2) == 0
+                              ? addr + rng.nextBounded(bytes + 1)
+                              : window.first;
+                ex_bytes = window.second;
+            }
+            EXPECT_EQ(m.dataHash(addr, bytes, ex_addr, ex_bytes),
+                      byteLoopDataHash(m, addr, bytes, ex_addr, ex_bytes))
+                << "sequence " << seq << std::hex << " window 0x" << addr
+                << "+0x" << bytes << " excluding 0x" << ex_addr << "+0x"
+                << ex_bytes;
+        }
+    }
+}
+
+TEST(MainMemoryWrittenSet, StoresAcrossAPageEndMarkBothPages)
+{
+    simt::MainMemory m;
+    const uint32_t page7 = simt::kDramBase + 7 * kPageBytes;
+    m.store16(page7 + kPageBytes - 1, 0xabcd);
+    m.store32(page7 + 3 * kPageBytes - 2, 0x12345678);
+    for (const uint32_t p : {7u, 8u, 9u, 10u})
+        EXPECT_TRUE(m.pageWritten(p)) << p;
+    EXPECT_FALSE(m.pageWritten(6));
+    EXPECT_FALSE(m.pageWritten(11));
+    EXPECT_EQ(dirtyUnwrittenPages(m), 0u);
+}
+
+TEST(MainMemoryWrittenSet, WholeDramWindowsMatchByteLoop)
+{
+    // Windows over all of DRAM and past both of its ends, with an
+    // exclusion inside and one that wraps (and so excludes nothing).
+    simt::MainMemory m = handBuiltMemory();
+    EXPECT_EQ(dirtyUnwrittenPages(m), 0u);
+    const uint32_t below = simt::kDramBase - 64;
+    const uint32_t all = simt::kDramSize + 128;
+    for (const auto &[ex_addr, ex_bytes] :
+         std::vector<std::pair<uint32_t, uint32_t>>{
+             {0, 0}, {kFirstWord + 2, 4099}, {0xfffffff0u, 0x20}}) {
+        EXPECT_EQ(m.dataHash(below, all, ex_addr, ex_bytes),
+                  byteLoopDataHash(m, below, all, ex_addr, ex_bytes))
+            << std::hex << ex_addr;
+    }
+    EXPECT_EQ(m.dataHash(0xfffff000u, 0x2000), byteLoopDataHash(
+                                                   m, 0xfffff000u, 0x2000,
+                                                   0, 0));
+    const simt::MainMemory fresh;
+    EXPECT_EQ(fresh.contentHash(), fullScanContentHash(fresh));
+    EXPECT_EQ(fresh.dataHash(below, all), byteLoopDataHash(fresh, below,
+                                                           all, 0, 0));
+}
+
+TEST(MainMemoryWrittenSet, SuiteSteppedImagesMatchFullScanOracle)
+{
+    // For every suite kernel: the image of a stepped launch caught
+    // mid-kernel equals the one with its base memory serialised by the
+    // full scan, and so does the base memory after finish() committed
+    // the epoch and after restoreBase() rewound it.
+    namespace ckpt = simt::ckpt;
+    const simt::SmConfig cfg = makeCfg(true, 1);
+    for (const auto &b : kernels::makeSuite()) {
+        SCOPED_TRACE(b->name());
+        Leg leg = makeLeg(b->name(), cfg);
+        const uint64_t before = leg.dev->dram().contentHash();
+        EXPECT_EQ(before, fullScanContentHash(leg.dev->dram()));
+        auto launch =
+            leg.dev->beginStepped(leg.compiled, leg.prep.cfg, leg.prep.args);
+        launch->runUntil(200);
+        const std::vector<uint8_t> image = launch->saveCheckpoint();
+        std::vector<ckpt::Section> sections;
+        ASSERT_TRUE(ckpt::readImage(image, sections));
+        support::ByteWriter oracle;
+        oracle.bytes(reinterpret_cast<const uint8_t *>(ckpt::kMagic),
+                     ckpt::kMagicLen);
+        oracle.u32(ckpt::kVersion);
+        for (const ckpt::Section &sec : sections) {
+            ckpt::writeSection(oracle, sec.id,
+                               sec.id == ckpt::kSectionBaseMem
+                                   ? fullScanImage(leg.dev->dram())
+                                   : sec.payload);
+        }
+        EXPECT_EQ(oracle.data(), image);
+
+        launch->finish(LaunchPolicy{}.maxCycles);
+        support::ByteWriter committed;
+        leg.dev->dram().saveState(committed);
+        EXPECT_EQ(committed.data(), fullScanImage(leg.dev->dram()));
+        EXPECT_EQ(dirtyUnwrittenPages(leg.dev->dram()), 0u);
+        launch->restoreBase();
+        EXPECT_EQ(leg.dev->dram().contentHash(), before);
+    }
 }
 
 // ------------------------------------------------------------ Sm images

@@ -27,7 +27,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -39,6 +41,7 @@
 #include "nocl/nocl.hpp"
 #include "simt/memsys.hpp"
 #include "simt/sm.hpp"
+#include "support/rng.hpp"
 #include "support/serialize.hpp"
 
 namespace simt
@@ -54,6 +57,171 @@ struct SmTestAccess
             sm.warps_[wid].atBarrier = true;
             sm.schedUpdate(wid);
         }
+    }
+};
+
+namespace
+{
+
+bool
+isOrderInsensitive(isa::Op op)
+{
+    using isa::Op;
+    switch (op) {
+    case Op::AMOADD_W:
+    case Op::AMOAND_W:
+    case Op::AMOOR_W:
+    case Op::AMOXOR_W:
+    case Op::AMOMIN_W:
+    case Op::AMOMAX_W:
+    case Op::AMOMINU_W:
+    case Op::AMOMAXU_W: return true;
+    default: return false;
+    }
+}
+
+} // namespace
+
+/** Test seam declared as a friend of MemShard (see memsys.hpp). */
+struct MemShardTestAccess
+{
+    /**
+     * The per-page-index merge that MemorySystem::commitEpoch replaced,
+     * kept as its reference: both passes visit every page index of DRAM
+     * x every shard, and every word commits through store32 +
+     * setWordTag.
+     */
+    static MemorySystem::MergeReport
+    referenceCommit(MemorySystem &ms)
+    {
+        MemorySystem::MergeReport report;
+        const unsigned ns = ms.numShards();
+        MainMemory &base = ms.base();
+        std::vector<const MemShard::Page *> touchers(ns, nullptr);
+        auto gather = [&](uint32_t pi) {
+            unsigned n = 0;
+            for (unsigned s = 0; s < ns; ++s) {
+                const MemShard &sh = ms.shard(s);
+                const int32_t slot = sh.map_[pi];
+                touchers[s] = slot < 0 ? nullptr : sh.pages_[slot].get();
+                n += touchers[s] != nullptr;
+            }
+            return n;
+        };
+        auto fail = [&](uint32_t addr, const char *reason) {
+            report.conflict = true;
+            report.conflictAddr = addr;
+            report.reason = reason;
+        };
+        for (uint32_t pi = 0; pi < MemShard::kNumPages && !report.conflict;
+             ++pi) {
+            if (gather(pi) < 2)
+                continue;
+            for (uint32_t wi = 0;
+                 wi < MemShard::kPageWords && !report.conflict; ++wi) {
+                const uint32_t mw = wi / 64, b = wi % 64;
+                const uint32_t addr =
+                    kDramBase + pi * MemShard::kPageBytes + wi * 4;
+                unsigned sharers = 0, writers = 0, readers = 0, atomics = 0;
+                for (const MemShard::Page *p : touchers) {
+                    if (!p)
+                        continue;
+                    const uint64_t w = (p->dirty[mw] >> b) & 1;
+                    const uint64_t r = (p->read[mw] >> b) & 1;
+                    const uint64_t a = (p->atomic[mw] >> b) & 1;
+                    sharers += (w | r | a) != 0;
+                    writers += w;
+                    readers += r;
+                    atomics += a;
+                }
+                // A word one shard alone touches never conflicts.
+                if (sharers < 2)
+                    continue;
+                if (writers > 0) {
+                    fail(addr, "cross-SM write to a shared word");
+                } else if (atomics > 0 && readers > 0) {
+                    fail(addr, "cross-SM plain read of an atomically "
+                               "updated word");
+                } else if (atomics > 1) {
+                    isa::Op kind = isa::Op::ILLEGAL;
+                    for (unsigned s = 0; s < ns && !report.conflict; ++s) {
+                        for (const auto &rec : ms.shard(s).amoLog_) {
+                            if (rec.addr != addr)
+                                continue;
+                            if (rec.resultUsed)
+                                fail(addr,
+                                     "cross-SM atomic consumes its result");
+                            else if (!isOrderInsensitive(rec.op))
+                                fail(addr, "cross-SM order-sensitive atomic");
+                            else if (kind != isa::Op::ILLEGAL &&
+                                     kind != rec.op)
+                                fail(addr, "cross-SM mixed atomic kinds");
+                            kind = rec.op;
+                            if (report.conflict)
+                                break;
+                        }
+                    }
+                }
+            }
+        }
+        if (report.conflict)
+            return report;
+
+        for (uint32_t pi = 0; pi < MemShard::kNumPages; ++pi) {
+            if (gather(pi) == 0)
+                continue;
+            ++report.pagesTouched;
+            const uint32_t page_base = kDramBase + pi * MemShard::kPageBytes;
+            auto word = [](const MemShard::Page *p, uint32_t wi) {
+                uint32_t v;
+                std::memcpy(&v, p->data.data() + wi * 4, 4);
+                return v;
+            };
+            for (const MemShard::Page *p : touchers) {
+                if (!p)
+                    continue;
+                for (uint32_t wi = 0; wi < MemShard::kPageWords; ++wi) {
+                    if (!((p->dirty[wi / 64] >> (wi % 64)) & 1))
+                        continue;
+                    base.store32(page_base + wi * 4, word(p, wi));
+                    base.setWordTag(page_base + wi * 4,
+                                    (p->tag[wi / 64] >> (wi % 64)) & 1);
+                    ++report.wordsCommitted;
+                }
+            }
+            for (uint32_t wi = 0; wi < MemShard::kPageWords; ++wi) {
+                const uint32_t addr = page_base + wi * 4;
+                unsigned num_atomic = 0;
+                const MemShard::Page *only = nullptr;
+                for (const MemShard::Page *p : touchers) {
+                    if (p && ((p->atomic[wi / 64] >> (wi % 64)) & 1)) {
+                        ++num_atomic;
+                        only = p;
+                    }
+                }
+                if (num_atomic == 0)
+                    continue;
+                ++report.wordsCommitted;
+                if (num_atomic == 1) {
+                    base.store32(addr, word(only, wi));
+                    base.setWordTag(addr,
+                                    (only->tag[wi / 64] >> (wi % 64)) & 1);
+                    continue;
+                }
+                uint32_t v = base.load32(addr);
+                for (unsigned s = 0; s < ns; ++s) {
+                    for (const auto &rec : ms.shard(s).amoLog_) {
+                        if (rec.addr == addr) {
+                            v = amoApply(rec.op, v, rec.operand);
+                            ++report.amosMediated;
+                        }
+                    }
+                }
+                base.store32(addr, v);
+                base.setWordTag(addr, false);
+            }
+        }
+        return report;
     }
 };
 
@@ -286,6 +454,135 @@ TEST(MemorySystem, SingleSmAtomicCommitsLocalValue)
     const auto rep = ms.commitEpoch();
     EXPECT_FALSE(rep.conflict);
     EXPECT_EQ(base.load32(kA), 77u);
+}
+
+/** One shard access of a random epoch. */
+struct ShardOp
+{
+    unsigned shard = 0;
+    unsigned kind = 0;
+    uint32_t addr = 0;
+    uint32_t value = 0;
+    Op amo = Op::AMOADD_W;
+    bool flag = false;
+};
+
+void
+applyShardOp(simt::MemorySystem &ms, const ShardOp &op)
+{
+    simt::MemShard &sh = ms.shard(op.shard);
+    switch (op.kind) {
+    case 0: (void)sh.load8(op.addr); break;
+    case 1: (void)sh.load16(op.addr); break;
+    case 2: (void)sh.load32(op.addr); break;
+    case 3: sh.store8(op.addr, static_cast<uint8_t>(op.value)); break;
+    case 4: sh.store16(op.addr, static_cast<uint16_t>(op.value)); break;
+    case 5: sh.store32(op.addr, op.value); break;
+    case 6: {
+        cap::CapMem c;
+        c.bits = uint64_t{op.value} * 0x9e3779b97f4a7c15ull;
+        c.tag = op.flag;
+        sh.storeCap(op.addr & ~7u, c);
+        break;
+    }
+    case 7: sh.setWordTag(op.addr, op.flag); break;
+    case 8: (void)sh.wordTag(op.addr); break;
+    case 9:
+        // A packed access of up to 8 words within the page.
+        sh.markWords(op.addr & ~3u,
+                     std::min((op.addr & ~3u) + 4 * (op.value % 8),
+                              (op.addr | (simt::MemShard::kPageBytes - 1)) &
+                                  ~3u),
+                     op.flag);
+        break;
+    default: (void)sh.amo32(op.amo, op.addr & ~3u, op.value, op.flag); break;
+    }
+}
+
+TEST(MemorySystem, RandomEpochsCommitLikePerPageReference)
+{
+    // Random 1-, 2- and 4-shard epochs over a few shared pages, replayed
+    // on two identical memory systems: one merges with commitEpoch, the
+    // other with the per-page-index reference. Base data, tags and every
+    // MergeReport field must agree, conflicts included.
+    constexpr uint32_t kPages[] = {0, 1, 5, 300,
+                                   simt::MemShard::kNumPages - 1};
+    constexpr Op kAtomics[] = {Op::AMOADD_W,  Op::AMOAND_W, Op::AMOOR_W,
+                               Op::AMOXOR_W,  Op::AMOMIN_W, Op::AMOMAX_W,
+                               Op::AMOMINU_W, Op::AMOMAXU_W, Op::AMOSWAP_W};
+    support::Rng rng(28);
+    unsigned conflicts = 0, mediated = 0, clean = 0;
+    for (const unsigned ns : {1u, 2u, 4u}) {
+        simt::MemorySystem got(ns), want(ns);
+        // Shared base contents: data, capabilities and stray tags.
+        for (unsigned k = 0; k < 200; ++k) {
+            const uint32_t page = kPages[rng.nextBounded(std::size(kPages))];
+            const uint32_t addr = simt::kDramBase +
+                                  page * simt::MemShard::kPageBytes +
+                                  4 * rng.nextBounded(64);
+            const uint32_t v = rng.next();
+            const bool tag = rng.nextBounded(3) == 0;
+            for (simt::MemorySystem *ms : {&got, &want}) {
+                ms->base().store32(addr, v);
+                ms->base().setWordTag(addr, tag);
+            }
+        }
+        for (unsigned epoch = 0; epoch < 40; ++epoch) {
+            // Mode 0 keeps each shard on its own words (clean merges of
+            // shared pages), mode 1 adds atomics of one kind on shared
+            // words (mediated), mode 2 lets anything touch anything.
+            const unsigned mode = rng.nextBounded(3);
+            const Op shared_kind = kAtomics[rng.nextBounded(8)];
+            std::vector<ShardOp> ops(1 + rng.nextBounded(120));
+            for (ShardOp &op : ops) {
+                op.shard = rng.nextBounded(ns);
+                const uint32_t page =
+                    kPages[rng.nextBounded(std::size(kPages))];
+                uint32_t word = rng.nextBounded(64);
+                if (mode != 2)
+                    word = op.shard * 64 + word; // private words
+                op.kind = rng.nextBounded(11);
+                op.value = rng.nextBounded(4) == 0 ? 0 : rng.next();
+                op.flag = rng.nextBounded(2) != 0;
+                op.amo = kAtomics[rng.nextBounded(std::size(kAtomics))];
+                if (mode == 1 && op.kind == 10 && rng.nextBounded(2) == 0) {
+                    word = 1000 + rng.nextBounded(4); // shared atomic
+                    op.amo = shared_kind;
+                    op.flag = false;
+                }
+                op.addr = simt::kDramBase +
+                          page * simt::MemShard::kPageBytes + word * 4 +
+                          (op.kind < 6 ? rng.nextBounded(4) : 0);
+            }
+            for (simt::MemorySystem *ms : {&got, &want}) {
+                ms->beginEpoch();
+                for (const ShardOp &op : ops)
+                    applyShardOp(*ms, op);
+            }
+            const auto g = got.commitEpoch();
+            const auto w = simt::MemShardTestAccess::referenceCommit(want);
+            SCOPED_TRACE(::testing::Message()
+                         << ns << " shards, epoch " << epoch);
+            EXPECT_EQ(g.conflict, w.conflict);
+            EXPECT_EQ(g.conflictAddr, w.conflictAddr);
+            EXPECT_STREQ(g.reason, w.reason);
+            EXPECT_EQ(g.wordsCommitted, w.wordsCommitted);
+            EXPECT_EQ(g.amosMediated, w.amosMediated);
+            EXPECT_EQ(g.pagesTouched, w.pagesTouched);
+            EXPECT_EQ(got.base().contentHash(), want.base().contentHash());
+            support::ByteWriter gi, wi;
+            got.base().saveState(gi);
+            want.base().saveState(wi);
+            EXPECT_EQ(gi.data(), wi.data());
+            conflicts += g.conflict;
+            mediated += g.amosMediated != 0;
+            clean += !g.conflict && g.wordsCommitted != 0;
+        }
+    }
+    // The draw must reach every kind of outcome.
+    EXPECT_GT(conflicts, 0u);
+    EXPECT_GT(mediated, 0u);
+    EXPECT_GT(clean, 0u);
 }
 
 // =========================================== benchmark-suite parity
