@@ -217,10 +217,14 @@ void printHeader(const std::string &id, const std::string &caption);
  *                "stack_cache_hit_rate": number,
  *                "dram_bytes_per_transaction": number,
  *                "top_pcs": [ { "pc": "0x...", "count": int,
- *                               "instr": "<disassembly>" }, ... ] }
+ *                               "instr": "<disassembly>" }, ... ],
+ *                "ops": { "<op>": { "steps": int, "misses": int },
+ *                         ... } }
  *
  * where top_pcs lists the 8 hottest PCs by executed-instruction count
- * (ties broken by lower PC).
+ * (ties broken by lower PC), and ops gives, for every executed op, its
+ * warp steps and the steps among them that missed the accelerated
+ * engine's fast paths (its steps sum to instructions).
  */
 class Harness
 {

@@ -9,7 +9,9 @@
  *    subset invariants: packed-memory steps within scalarised steps
  *    within retired steps, fused steps within retired steps), and
  *    (when present) well-formed per-kernel "profile" objects including
- *    the packed_mem_share / fusion_hit_rate ratios in [0, 1];
+ *    the packed_mem_share / fusion_hit_rate ratios in [0, 1] and per-op
+ *    steps and fast-path misses, misses within steps and steps summing
+ *    to instructions;
  *  - "cheri-simt-trace-v1": Chrome-trace-event exports -- a traceEvents
  *    array of M/X/i/C events with integer pid/tid/ts, durations on
  *    complete events, and metadata naming every process.
@@ -90,6 +92,22 @@ checkProfile(const Value &r, const std::string &where)
     if (top_sum > prof.get("instructions").asUint())
         return fail(where +
                     ".profile: top_pcs counts exceed instructions");
+    const Value &ops = prof.get("ops");
+    if (!ops.isObject())
+        return fail(where + ".profile.ops is not an object");
+    uint64_t step_sum = 0;
+    for (const auto &[name, op] : ops.members()) {
+        const std::string at = where + ".profile.ops." + name;
+        if (!op.get("steps").isInt() || op.get("steps").asUint() == 0)
+            return fail(at + ".steps is not a positive integer");
+        if (!op.get("misses").isInt() ||
+            op.get("misses").asUint() > op.get("steps").asUint())
+            return fail(at + ".misses is not an integer within steps");
+        step_sum += op.get("steps").asUint();
+    }
+    if (step_sum != prof.get("instructions").asUint())
+        return fail(where +
+                    ".profile: ops steps do not sum to instructions");
     return 0;
 }
 

@@ -47,6 +47,16 @@ disasmOf(const kc::CompiledKernel &compiled, bool purecap)
     return out;
 }
 
+/** The name of every op, as the op_<name> stats spell it. */
+std::vector<std::string>
+opNamesOf(bool purecap)
+{
+    std::vector<std::string> out;
+    for (size_t i = 0; i < static_cast<size_t>(isa::Op::NUM_OPS); ++i)
+        out.push_back(isa::opName(static_cast<isa::Op>(i), purecap));
+    return out;
+}
+
 /** Reset @p sm to the start of a launch: zeroed scratchpad, then
  *  Sm::launch. */
 void
@@ -548,7 +558,7 @@ Device::launchCompiled(
         }
         for (unsigned k = 0; k < numSms(); ++k)
             sms_[k]->attachTrace(trace_->smBuffer(k),
-                                 trace_->pcScratch(k, compiled.code.size()));
+                                 trace_->stepScratch(k, compiled.code.size()));
     }
 
     // ---- Run ----
@@ -582,9 +592,11 @@ Device::launchCompiled(
                                 Value::boolean(res.completed));
             e.args.emplace_back("trapped", Value::boolean(res.trapped));
         }
-        if (trace_->profiling())
-            trace_->setDisasm(disasmOf(
-                compiled, mode_ == kc::CompileOptions::Mode::Purecap));
+        if (trace_->profiling()) {
+            const bool purecap = mode_ == kc::CompileOptions::Mode::Purecap;
+            trace_->setDisasm(disasmOf(compiled, purecap),
+                              opNamesOf(purecap));
+        }
         trace_->foldProfile();
         memsys_->attachTrace(nullptr);
         trace_->commitAttempt(res.cycles);

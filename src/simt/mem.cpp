@@ -347,35 +347,15 @@ uint64_t
 MainMemory::dataHash(uint32_t addr, uint32_t bytes, uint32_t exclude_addr,
                      uint32_t exclude_bytes) const
 {
-    // FNV-1a over the bytes of [addr, addr+bytes) that lie in DRAM and
-    // outside the exclusion window, in address order. Both windows end
-    // where their uint32_t sum ends, so one that wraps past 2^32 is
-    // empty. A byte in a page outside the written set is zero, which
-    // only multiplies the hash, so a run of such bytes folds in as one
-    // power of the prime.
+    // FNV-1a over 64-bit words: each aligned 8-byte word of DRAM holding
+    // a hashed byte -- one in [addr, addr+bytes), in DRAM and outside
+    // the exclusion window -- in address order, little-endian, with its
+    // other bytes read as zero. Both windows end where their uint32_t
+    // sum ends, so one that wraps past 2^32 is empty. A word in a page
+    // outside the written set is zero, which only multiplies the hash,
+    // so a run of such words folds in as one power of the prime.
+    static_assert(std::endian::native == std::endian::little);
     uint64_t h = kFnvOffset;
-    auto hash_range = [&](uint32_t lo, uint32_t hi) {
-        uint32_t a = lo;
-        while (a < hi) {
-            const uint32_t page = pageOf(a);
-            const uint32_t next = nextWritten(page);
-            const uint32_t zero_end =
-                next == kNumPages ? hi
-                                  : std::min(hi, kDramBase + next * kPageBytes);
-            if (zero_end > a) {
-                h *= fnvPrimePow(zero_end - a);
-                a = zero_end;
-                continue;
-            }
-            const uint32_t page_end =
-                std::min(hi, kDramBase + (page + 1) * kPageBytes);
-            for (const uint8_t *b = data_ + (a - kDramBase),
-                               *e = data_ + (page_end - kDramBase);
-                 b != e; ++b)
-                h = (h ^ *b) * kFnvPrime;
-            a = page_end;
-        }
-    };
     const uint32_t end = addr + bytes;
     if (end <= addr)
         return h;
@@ -383,12 +363,64 @@ MainMemory::dataHash(uint32_t addr, uint32_t bytes, uint32_t exclude_addr,
     const uint32_t hi = std::min(end, kDramBase + kDramSize);
     if (lo >= hi)
         return h;
-    const uint32_t exclude_end = exclude_addr + exclude_bytes;
-    if (exclude_bytes == 0 || exclude_end <= exclude_addr) {
-        hash_range(lo, hi);
-    } else {
-        hash_range(lo, std::min(hi, exclude_addr));
-        hash_range(std::max(lo, exclude_end), hi);
+    uint32_t xlo = exclude_addr, xhi = exclude_addr + exclude_bytes;
+    if (exclude_bytes == 0 || xhi <= xlo)
+        xlo = xhi = 0;
+    const auto hashed = [&](uint32_t a) {
+        return a >= lo && a < hi && (a < xlo || a >= xhi);
+    };
+
+    // The whole words [w, run_end), all hashed, page by page.
+    const auto hash_run = [&](uint32_t w, uint32_t run_end) {
+        while (w < run_end) {
+            const uint32_t page = pageOf(w);
+            const uint32_t next = nextWritten(page);
+            const uint32_t zero_end =
+                next == kNumPages
+                    ? run_end
+                    : std::min(run_end, kDramBase + next * kPageBytes);
+            if (zero_end > w) {
+                h *= fnvPrimePow((zero_end - w) / 8);
+                w = zero_end;
+                continue;
+            }
+            const uint32_t page_end =
+                std::min(run_end, kDramBase + (page + 1) * kPageBytes);
+            for (const uint8_t *b = data_ + (w - kDramBase),
+                               *e = data_ + (page_end - kDramBase);
+                 b != e; b += 8) {
+                uint64_t word;
+                std::memcpy(&word, b, 8);
+                h = (h ^ word) * kFnvPrime;
+            }
+            w = page_end;
+        }
+    };
+
+    for (uint32_t w = lo & ~7u; w < hi;) {
+        if (w >= xlo && w + 8 <= xhi) {
+            w = xhi & ~7u; // every byte excluded
+        } else if (w >= lo && w + 8 <= hi && (w + 8 <= xlo || w >= xhi)) {
+            // Whole words up to the window's end or the exclusion.
+            uint32_t run_end = hi & ~7u;
+            if (w < xlo)
+                run_end = std::min(run_end, xlo & ~7u);
+            hash_run(w, run_end);
+            w = run_end;
+        } else {
+            // A word the windows cut: its hashed bytes, the rest zero.
+            uint64_t word = 0;
+            bool any = false;
+            for (unsigned k = 0; k < 8; ++k) {
+                if (hashed(w + k)) {
+                    any = true;
+                    word |= uint64_t{data_[w + k - kDramBase]} << (8 * k);
+                }
+            }
+            if (any)
+                h = (h ^ word) * kFnvPrime;
+            w += 8;
+        }
     }
     return h;
 }

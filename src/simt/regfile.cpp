@@ -110,7 +110,8 @@ RegFileSystem::reset()
         }
         std::fill(flatMeta_.begin(), flatMeta_.end(), LaneArray<CapMeta>{});
     }
-    slots_.clear();
+    dataSlots_.clear();
+    metaSlots_.clear();
     slotInfo_.clear();
     freeSlots_.clear();
     spillStore_.clear();
@@ -152,9 +153,15 @@ RegFileSystem::allocSlot(bool for_meta, RfAccess &acc)
         slot = freeSlots_.back();
         freeSlots_.pop_back();
     } else {
-        slot = static_cast<int>(slots_.size());
-        slots_.emplace_back();
+        slot = static_cast<int>(slotInfo_.size());
         slotInfo_.emplace_back();
+    }
+    // Only the file the slot now serves needs storage under its id.
+    if (for_meta) {
+        if (static_cast<size_t>(slot) >= metaSlots_.size())
+            metaSlots_.resize(static_cast<size_t>(slot) + 1);
+    } else if (static_cast<size_t>(slot) >= dataSlots_.size()) {
+        dataSlots_.resize(static_cast<size_t>(slot) + 1);
     }
     ++usedSlots_;
     if (for_meta)
@@ -186,7 +193,7 @@ RegFileSystem::spillVictim(bool for_meta, RfAccess &acc)
     // only vectors of the requesting file free usable space.
     int victim = -1;
     uint64_t best = std::numeric_limits<uint64_t>::max();
-    for (size_t s = 0; s < slots_.size(); ++s) {
+    for (size_t s = 0; s < slotInfo_.size(); ++s) {
         if (std::find(freeSlots_.begin(), freeSlots_.end(),
                       static_cast<int>(s)) != freeSlots_.end())
             continue;
@@ -202,22 +209,28 @@ RegFileSystem::spillVictim(bool for_meta, RfAccess &acc)
     const SlotInfo &info = slotInfo_[victim];
     Entry &e = (info.isMeta ? metaEntries_ : dataEntries_)
         [entryIndex(info.warp, info.reg)];
-    panic_if(e.kind != Kind::Vector || e.slot != victim,
+    panic_if(e.kind != Kind::Vector || e.index != victim,
              "inconsistent VRF slot mapping");
 
     int spill_id;
     if (!freeSpillIds_.empty()) {
         spill_id = freeSpillIds_.back();
         freeSpillIds_.pop_back();
-        spillStore_[spill_id] = slots_[victim];
     } else {
         spill_id = static_cast<int>(spillStore_.size());
-        spillStore_.push_back(slots_[victim]);
+        spillStore_.emplace_back();
+    }
+    LaneArray<uint64_t> &spill = spillStore_[spill_id];
+    if (info.isMeta) {
+        spill = metaSlots_[victim];
+    } else {
+        const LaneArray<uint32_t> &v = dataSlots_[victim];
+        for (unsigned i = 0; i < kMaxLanes; ++i)
+            spill[i] = v[i];
     }
 
     e.kind = Kind::Spilled;
-    e.spillId = spill_id;
-    e.slot = -1;
+    e.index = spill_id;
     if (info.isMeta)
         --metaVecCount_;
     else
@@ -243,10 +256,10 @@ RegFileSystem::expandData(const Entry &e, LaneArray<uint32_t> &out) const
         break;
       }
       case Kind::Vector:
+        out = dataSlots_[e.index];
+        break;
       case Kind::Spilled: {
-        const LaneArray<uint64_t> &v = e.kind == Kind::Vector
-                                           ? slots_[e.slot]
-                                           : spillStore_[e.spillId];
+        const LaneArray<uint64_t> &v = spillStore_[e.index];
         for (unsigned i = 0; i < kMaxLanes; ++i)
             out[i] = static_cast<uint32_t>(v[i]);
         break;
@@ -271,8 +284,8 @@ RegFileSystem::expandMeta(const Entry &e, LaneArray<CapMeta> &out) const
       case Kind::Vector:
       case Kind::Spilled: {
         const LaneArray<uint64_t> &v = e.kind == Kind::Vector
-                                           ? slots_[e.slot]
-                                           : spillStore_[e.spillId];
+                                           ? metaSlots_[e.index]
+                                           : spillStore_[e.index];
         for (unsigned i = 0; i < kMaxLanes; ++i)
             out[i] = unpackMeta(v[i]);
         break;
@@ -288,10 +301,9 @@ RegFileSystem::allocVector(Entry &e, bool for_meta, unsigned warp,
 {
     const int slot = allocSlot(for_meta, acc);
     if (e.kind == Kind::Spilled)
-        freeSpillIds_.push_back(e.spillId);
+        freeSpillIds_.push_back(e.index);
     e.kind = Kind::Vector;
-    e.slot = slot;
-    e.spillId = -1;
+    e.index = slot;
     slotInfo_[slot].warp = warp;
     slotInfo_[slot].reg = reg;
     ++(for_meta ? metaVecCount_ : dataVecCount_);
@@ -301,10 +313,10 @@ RegFileSystem::allocVector(Entry &e, bool for_meta, unsigned warp,
 RegFileSystem::compressTo(Entry &e, bool for_meta, const Entry &value)
 {
     if (e.kind == Kind::Vector) {
-        freeSlot(e.slot, for_meta);
+        freeSlot(e.index, for_meta);
         --(for_meta ? metaVecCount_ : dataVecCount_);
     } else if (e.kind == Kind::Spilled) {
-        freeSpillIds_.push_back(e.spillId);
+        freeSpillIds_.push_back(e.index);
     }
     e = value;
 }
@@ -313,9 +325,16 @@ void
 RegFileSystem::unspill(Entry &e, bool for_meta, unsigned warp, unsigned reg,
                        RfAccess &acc)
 {
-    const int spill_id = e.spillId;
+    const int spill_id = e.index;
     allocVector(e, for_meta, warp, reg, acc);
-    slots_[e.slot] = spillStore_[spill_id];
+    const LaneArray<uint64_t> &spill = spillStore_[spill_id];
+    if (for_meta) {
+        metaSlots_[e.index] = spill;
+    } else {
+        LaneArray<uint32_t> &v = dataSlots_[e.index];
+        for (unsigned i = 0; i < kMaxLanes; ++i)
+            v[i] = static_cast<uint32_t>(spill[i]);
+    }
     ++acc.reloads;
     acc.dramBytes += cfg_.numLanes * (for_meta ? 8 : 4);
     (for_meta ? statMetaReloads_ : statDataReloads_).add();
@@ -330,7 +349,7 @@ RegFileSystem::readData(unsigned warp, unsigned reg,
         unspill(e, false, warp, reg, acc);
     if (e.kind == Kind::Vector) {
         acc.dataFromVrf = true;
-        slotInfo_[e.slot].lastUse = ++useClock_;
+        slotInfo_[e.index].lastUse = ++useClock_;
     }
     expandData(e, out);
 }
@@ -346,9 +365,9 @@ RegFileSystem::mergeData(Entry &e, unsigned warp, unsigned reg,
     // with the written lanes blended in, in one pass.
     LaneArray<uint32_t> merged;
     if (e.kind == Kind::Vector) {
-        const LaneArray<uint64_t> &slot = slots_[e.slot];
+        const LaneArray<uint32_t> &slot = dataSlots_[e.index];
         for (unsigned i = 0; i < kMaxLanes; ++i)
-            merged[i] = (static_cast<uint32_t>(slot[i]) & ~laneWord(mask, i)) |
+            merged[i] = (slot[i] & ~laneWord(mask, i)) |
                         (vals[i] & laneWord(mask, i));
     } else {
         uint32_t line = e.base;
@@ -362,16 +381,14 @@ RegFileSystem::mergeData(Entry &e, unsigned warp, unsigned reg,
     uint32_t base;
     int32_t stride;
     if (compressData(merged, cfg_.numLanes, base, stride)) {
-        compressTo(e, false, Entry{Kind::Scalar, base, stride});
+        compressTo(e, false, Entry::dataScalar(base, stride));
         return;
     }
     if (e.kind != Kind::Vector)
         allocVector(e, false, warp, reg, acc);
-    slotInfo_[e.slot].lastUse = ++useClock_;
+    slotInfo_[e.index].lastUse = ++useClock_;
     acc.dataFromVrf = true;
-    LaneArray<uint64_t> &slot = slots_[e.slot];
-    for (unsigned i = 0; i < kMaxLanes; ++i)
-        slot[i] = merged[i];
+    dataSlots_[e.index] = merged;
 }
 
 void
@@ -402,17 +419,15 @@ RegFileSystem::writeData(unsigned warp, unsigned reg,
     uint32_t base;
     int32_t stride;
     if (compressData(*src, cfg_.numLanes, base, stride)) {
-        compressTo(e, false, Entry{Kind::Scalar, base, stride});
+        compressTo(e, false, Entry::dataScalar(base, stride));
         return;
     }
 
     if (e.kind != Kind::Vector)
         allocVector(e, false, warp, reg, acc);
-    slotInfo_[e.slot].lastUse = ++useClock_;
+    slotInfo_[e.index].lastUse = ++useClock_;
     acc.dataFromVrf = true;
-    LaneArray<uint64_t> &slot = slots_[e.slot];
-    for (unsigned i = 0; i < kMaxLanes; ++i)
-        slot[i] = (*src)[i];
+    dataSlots_[e.index] = *src;
 }
 
 void
@@ -429,7 +444,7 @@ RegFileSystem::readMeta(unsigned warp, unsigned reg,
         unspill(e, true, warp, reg, acc);
     if (e.kind == Kind::Vector) {
         acc.metaFromVrf = true;
-        slotInfo_[e.slot].lastUse = ++useClock_;
+        slotInfo_[e.index].lastUse = ++useClock_;
     }
     expandMeta(e, out);
 }
@@ -473,7 +488,7 @@ RegFileSystem::storeMeta(unsigned warp, unsigned reg,
     // already the uniform null scalar: merging and re-classifying would
     // rebuild exactly this representation, with no occupancy-counter or
     // RfAccess side effects, so the write is a no-op. (A Scalar entry
-    // always has slot == -1, and nullMask is ignored for scalars.)
+    // always has index == -1, and nullMask is ignored for scalars.)
     if (!any_nonnull && e.kind == Kind::Scalar && !e.tag && e.base == 0)
         return;
 
@@ -507,8 +522,7 @@ RegFileSystem::storeMeta(unsigned warp, unsigned reg,
     // Classify: uniform; else (with NVO) one non-null value plus nulls;
     // else a general vector.
     if ((lanesEqual(merged, merged[0]) & allLanes_) == allLanes_) {
-        compressTo(e, true,
-                   Entry{Kind::Scalar, merged[0].meta, 0, merged[0].tag});
+        compressTo(e, true, Entry::metaScalar(merged[0]));
         return;
     }
 
@@ -518,8 +532,7 @@ RegFileSystem::storeMeta(unsigned warp, unsigned reg,
         const CapMeta value = merged[std::countr_zero(allLanes_ & ~nulls)];
         if (((lanesEqual(merged, value) | nulls) & allLanes_) ==
             allLanes_) {
-            compressTo(e, true, Entry{Kind::PartialNull, value.meta, 0,
-                                      value.tag, nulls});
+            compressTo(e, true, Entry::metaScalar(value, nulls));
             statNvoHits_.add();
             return;
         }
@@ -527,9 +540,9 @@ RegFileSystem::storeMeta(unsigned warp, unsigned reg,
 
     if (e.kind != Kind::Vector)
         allocVector(e, true, warp, reg, acc);
-    slotInfo_[e.slot].lastUse = ++useClock_;
+    slotInfo_[e.index].lastUse = ++useClock_;
     acc.metaFromVrf = true;
-    LaneArray<uint64_t> &slot = slots_[e.slot];
+    LaneArray<uint64_t> &slot = metaSlots_[e.index];
     for (unsigned i = 0; i < kMaxLanes; ++i)
         slot[i] = packMeta(merged[i]);
 }
@@ -561,13 +574,13 @@ RegFileSystem::mergeMeta(Entry &e, const CapMeta &value, LaneMask written)
     }
     const LaneMask nulls = allLanes_ & ~held;
     if (held == 0) {
-        e = Entry{Kind::Scalar, 0, 0, false};
+        e = Entry::metaScalar(CapMeta{});
     } else if (nulls == 0) {
-        e = Entry{Kind::Scalar, v.meta, 0, v.tag};
+        e = Entry::metaScalar(v);
     } else {
         if (!cfg_.nvo)
             return false;
-        e = Entry{Kind::PartialNull, v.meta, 0, v.tag, nulls};
+        e = Entry::metaScalar(v, nulls);
         statNvoHits_.add();
     }
     return true;
@@ -583,8 +596,8 @@ RegFileSystem::readDataDesc(unsigned warp, unsigned reg,
         unspill(e, false, warp, reg, acc);
     if (e.kind == Kind::Vector) {
         acc.dataFromVrf = true;
-        slotInfo_[e.slot].lastUse = ++useClock_;
-        expandData(e, scratch);
+        slotInfo_[e.index].lastUse = ++useClock_;
+        scratch = dataSlots_[e.index];
         desc.kind = DataDesc::Kind::Lanes;
         desc.lanes = scratch.data();
         return;
@@ -620,7 +633,7 @@ RegFileSystem::readMetaDesc(unsigned warp, unsigned reg,
         unspill(e, true, warp, reg, acc);
     if (e.kind == Kind::Vector) {
         acc.metaFromVrf = true;
-        slotInfo_[e.slot].lastUse = ++useClock_;
+        slotInfo_[e.index].lastUse = ++useClock_;
         expandMeta(e, scratch);
         desc.kind = MetaDesc::Kind::Lanes;
         desc.lanes = scratch.data();
@@ -670,17 +683,16 @@ RegFileSystem::writeDataAffine(unsigned warp, unsigned reg, uint32_t base,
         return;
     }
     if (eff_stride >= -128 && eff_stride <= 127) {
-        compressTo(e, false, Entry{Kind::Scalar, base, eff_stride});
+        compressTo(e, false, Entry::dataScalar(base, eff_stride));
         return;
     }
 
     if (e.kind != Kind::Vector)
         allocVector(e, false, warp, reg, acc);
-    slotInfo_[e.slot].lastUse = ++useClock_;
+    slotInfo_[e.index].lastUse = ++useClock_;
     acc.dataFromVrf = true;
-    LaneArray<uint64_t> &slot = slots_[e.slot];
-    for (unsigned i = 0; i < kMaxLanes; ++i)
-        slot[i] = base + static_cast<uint32_t>(stride) * i;
+    DataDesc{DataDesc::Kind::Affine, base, stride}.materialiseTo(
+        dataSlots_[e.index]);
 }
 
 void
@@ -727,7 +739,7 @@ RegFileSystem::writeMetaUniform(unsigned warp, unsigned reg,
     }
 
     compressTo(metaEntries_[entryIndex(warp, reg)], true,
-               Entry{Kind::Scalar, value.meta, 0, value.tag});
+               Entry::metaScalar(value));
 }
 
 uint64_t

@@ -365,16 +365,43 @@ class RegFileSystem
         Flat,        ///< meta only: uncompressed dedicated storage
     };
 
+    /**
+     * One SRF entry, 16 bytes. As in the paper's SRF, a data scalar keeps
+     * an 8-bit stride (compressData refuses wider ones). One index serves
+     * both non-SRF kinds: a Vector's VRF slot, a Spilled entry's spill
+     * id; it is -1 for every other kind.
+     */
     struct Entry
     {
+        uint32_t base = 0;     ///< data scalar base / meta uniform value
+        LaneMask nullMask = 0; ///< meta PartialNull: the null lanes (NVO)
+        int32_t index = -1;    ///< Vector: VRF slot; Spilled: spill id
+        int8_t stride = 0;     ///< data scalar stride
         Kind kind = Kind::Scalar;
-        uint32_t base = 0;  ///< data scalar base / meta uniform value
-        int32_t stride = 0; ///< data scalar stride
-        bool tag = false;   ///< meta uniform tag
-        LaneMask nullMask = 0;
-        int slot = -1;
-        int spillId = -1;
+        bool tag = false; ///< meta uniform tag
+
+        static Entry
+        dataScalar(uint32_t base, int32_t stride)
+        {
+            Entry e;
+            e.base = base;
+            e.stride = static_cast<int8_t>(stride);
+            return e;
+        }
+
+        /** A uniform metadata value, or with @p nulls a PartialNull. */
+        static Entry
+        metaScalar(const CapMeta &value, LaneMask nulls = 0)
+        {
+            Entry e;
+            e.base = value.meta;
+            e.tag = value.tag;
+            e.nullMask = nulls;
+            e.kind = nulls != 0 ? Kind::PartialNull : Kind::Scalar;
+            return e;
+        }
     };
+    static_assert(sizeof(Entry) == 16);
 
     struct SlotInfo
     {
@@ -458,9 +485,13 @@ class RegFileSystem
     std::vector<Entry> dataEntries_;
     std::vector<Entry> metaEntries_;
 
-    // VRF storage: one buffer of lane values per slot. Data uses the low
-    // 32 bits; metadata packs {tag, meta} into the low 33 bits.
-    std::vector<LaneArray<uint64_t>> slots_;
+    // VRF storage: one buffer of lane values per slot id, in the file
+    // the slot was last allocated to (SlotInfo::isMeta). Data lanes are
+    // 32 bits; metadata packs {tag, meta} into the low 33 bits of 64.
+    // Each file's table grows to the highest slot id it has used, so
+    // the ids, LRU and occupancy stay shared.
+    std::vector<LaneArray<uint32_t>> dataSlots_;
+    std::vector<LaneArray<uint64_t>> metaSlots_;
     std::vector<SlotInfo> slotInfo_;
     std::vector<int> freeSlots_;
     unsigned usedSlots_ = 0;
@@ -475,7 +506,7 @@ class RegFileSystem
     // lane array per register.
     std::vector<LaneArray<CapMeta>> flatMeta_;
 
-    // Spill backing store.
+    // Spill backing store, each lane widened to 64 bits as saved.
     std::vector<LaneArray<uint64_t>> spillStore_;
     std::vector<int> freeSpillIds_;
 

@@ -278,6 +278,20 @@ Sm::setScr(isa::Scr scr, const CapPipe &value)
 }
 
 void
+Sm::attachTrace(support::trace::Buffer *buf,
+                support::trace::StepProfile *profile)
+{
+    trace_ = buf;
+    profile_ = profile;
+    if (profile_ != nullptr) {
+        profile_->opSteps.resize(static_cast<size_t>(Op::NUM_OPS), 0);
+        profile_->opMisses.resize(static_cast<size_t>(Op::NUM_OPS), 0);
+    }
+    if (injector_)
+        injector_->attachTrace(buf);
+}
+
+void
 Sm::launch(uint32_t entry_pc, unsigned warps_per_block)
 {
     fatal_if(warps_per_block == 0 || cfg_.numWarps % warps_per_block != 0,
@@ -1134,21 +1148,30 @@ Sm::executeWarp(unsigned wid)
         trapActive(wid, pc, Op::ILLEGAL, pc, TrapKind::BadFetchPc);
         return 1;
     }
-    if (cfg_.purecap) {
+    if (cfg_.purecap && !(((w.fetchLanes >> leader) & 1) &&
+                          pc >= w.fetchLo &&
+                          static_cast<uint64_t>(pc) + 4 <= w.fetchHi)) {
         const CapPipe &pcc = w.pcc[leader];
-        if (!(pcc == w.fetchCap && pc >= w.fetchLo &&
-              static_cast<uint64_t>(pc) + 4 <= w.fetchHi)) {
-            if (!pcc.tag || !(pcc.perms & cap::PERM_EXECUTE) ||
-                !cap::isRangeInBounds(pcc, pc, 4)) {
-                trapActive(wid, pc, Op::ILLEGAL, pc, TrapKind::PccViolation,
-                           nullptr, &pcc);
-                return 1;
-            }
-            const cap::Bounds fb = cap::getBounds(pcc);
-            w.fetchCap = pcc;
-            w.fetchLo = fb.base;
-            w.fetchHi = fb.top;
+        if (!pcc.tag || !(pcc.perms & cap::PERM_EXECUTE) ||
+            !cap::isRangeInBounds(pcc, pc, 4)) {
+            trapActive(wid, pc, Op::ILLEGAL, pc, TrapKind::PccViolation,
+                       nullptr, &pcc);
+            return 1;
         }
+        if (!(pcc == w.fetchCap)) {
+            w.fetchCap = pcc;
+            w.fetchLanes = 0;
+        }
+        // The lanes known to hold this PCC: every live one when the
+        // warp's PCCs are uniform, else the selected lanes, which
+        // selection matched against the leader's PCC (dynamic PC
+        // metadata) or, under static PC metadata, the leader alone.
+        w.fetchLanes |= w.pccUniform ? allLanes_ & ~w.halted
+                        : check_pcc  ? active_
+                                     : LaneMask{1} << leader;
+        const cap::Bounds fb = cap::getBounds(pcc);
+        w.fetchLo = fb.base;
+        w.fetchHi = fb.top;
     }
 
     const Instr &in = decoded_->instrs[idx];
@@ -1167,8 +1190,8 @@ Sm::executeWarp(unsigned wid)
         ++ctrFused_;
     opCounts_[static_cast<size_t>(op)]++;
     // Per-PC profile histogram (observational; nullptr unless --profile).
-    if (profilePc_ != nullptr && idx < profilePc_->size())
-        (*profilePc_)[idx]++;
+    if (profile_ != nullptr && idx < profile_->pcCounts.size())
+        profile_->pcCounts[idx]++;
     const OpTraits &tr = opTraits(op);
     if (tr.cheri)
         ++ctrCheriInstrs_;
@@ -1287,6 +1310,10 @@ Sm::executeWarp(unsigned wid)
 
     if (s.fastHit)
         ++ctrFastpath_;
+    if (profile_ != nullptr) {
+        ++profile_->opSteps[static_cast<size_t>(op)];
+        profile_->opMisses[static_cast<size_t>(op)] += !s.fastHit;
+    }
 
     // Register-file spill/reload traffic goes through DRAM.
     const unsigned rf_bytes = fetch_acc.dramBytes + wb_acc.dramBytes;
@@ -2174,6 +2201,7 @@ Sm::execControl(Step &s)
             capToParts(linkCap(w.pcc[s.leader], pc), d, m);
             s.result(d, 0, m);
             forLanes(active_, [&](unsigned lane) { w.pcc[lane] = c; });
+            w.fetchLanes &= ~active_;
             set_pc(target);
             // Only a jump covering every live lane keeps the warp's PCCs
             // provably uniform.
@@ -2196,6 +2224,7 @@ Sm::execControl(Step &s)
                     capToParts(linkCap(w.pcc[lane], pc), result_[lane],
                                resultMeta_[lane]);
                     w.pcc[lane] = c;
+                    w.fetchLanes &= ~(LaneMask{1} << lane);
                 } else {
                     result_[lane] = pc + 4;
                 }

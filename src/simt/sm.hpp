@@ -49,6 +49,7 @@ class ByteReader;
 namespace trace
 {
 class Buffer;
+struct StepProfile;
 } // namespace trace
 } // namespace support
 
@@ -105,20 +106,14 @@ class Sm
 
     /**
      * Attach (or detach, with nullptr) a trace buffer and optional
-     * per-PC profile histogram (indexed pc / 4, sized to the code
-     * image). Observational only: no modelled state ever depends on
-     * whether tracing is attached -- the hook sites are cold paths plus
-     * one predicted branch per warp instruction for the histogram.
+     * profile scratch (its per-PC histogram sized to the code image;
+     * the SM sizes the per-op counts). Observational only: no modelled
+     * state ever depends on whether tracing is attached -- the hook
+     * sites are cold paths plus two predicted branches per warp
+     * instruction for the profile. Defined in sm.cpp.
      */
-    void
-    attachTrace(support::trace::Buffer *buf,
-                std::vector<uint64_t> *pc_hist = nullptr)
-    {
-        trace_ = buf;
-        profilePc_ = pc_hist;
-        if (injector_)
-            injector_->attachTrace(buf);
-    }
+    void attachTrace(support::trace::Buffer *buf,
+                     support::trace::StepProfile *profile = nullptr);
 
     Scratchpad &scratchpad() { return scratchpad_; }
     RegFileSystem &regfile() { return regfile_; }
@@ -221,36 +216,41 @@ class Sm
 
     struct Warp
     {
-        // Convergence state: the live lanes as groups, one per distinct
-        // (nest, pc), disjoint and together covering every live lane,
-        // kept in selection order -- deepest nest first, then lowest pc
-        // (Section 2.3) -- so groups[0] issues next. The per-lane
-        // (pc, nest) of the paper's SM is what laneKeys() writes out.
-        std::array<LaneGroup, kMaxLanes> groups{};
+        // The fields every step reads come first, in the warp's first
+        // cache line; the lane tables follow.
         unsigned numGroups = 0;
         LaneMask halted = 0;
-        // The last (pc, nest) of each halted lane; meaningless for live
-        // lanes, whose keys are their group's.
-        LaneArray<uint32_t> haltPc{};
-        LaneArray<uint32_t> haltNest{};
-        LaneArray<cap::CapPipe> pcc{};
         uint64_t readyAt = 0;
-        bool atBarrier = false;
         unsigned liveThreads = 0;
+        bool atBarrier = false;
 
         // Host-side tracking (never affects modelled state): every live
         // lane shares the whole PCC.
         bool pccUniform = true;
 
         // Host-side memo of the last successful purecap fetch check:
-        // when the leader's PCC equals fetchCap bit for bit, any pc
-        // with fetchLo <= pc && pc + 4 <= fetchHi passes the
-        // EXECUTE/bounds check without re-decoding the bounds. The
-        // window starts empty, so the first fetch (and any fetch under
-        // a changed PCC) takes the full check.
-        cap::CapPipe fetchCap{};
+        // fetchLanes holds lanes whose PCC is known to equal fetchCap
+        // bit for bit, and for a leader among them any pc with
+        // fetchLo <= pc && pc + 4 <= fetchHi passes the EXECUTE/bounds
+        // check without re-decoding the bounds. A PCC write clears its
+        // lane; launch and restore clear them all, so the first fetch
+        // (and any fetch under a changed PCC) takes the full check.
+        LaneMask fetchLanes = 0;
         uint32_t fetchLo = 1;
         uint64_t fetchHi = 0;
+
+        // Convergence state: the live lanes as groups, one per distinct
+        // (nest, pc), disjoint and together covering every live lane,
+        // kept in selection order -- deepest nest first, then lowest pc
+        // (Section 2.3) -- so groups[0] issues next. The per-lane
+        // (pc, nest) of the paper's SM is what laneKeys() writes out.
+        std::array<LaneGroup, kMaxLanes> groups{};
+        // The last (pc, nest) of each halted lane; meaningless for live
+        // lanes, whose keys are their group's.
+        LaneArray<uint32_t> haltPc{};
+        LaneArray<uint32_t> haltNest{};
+        LaneArray<cap::CapPipe> pcc{};
+        cap::CapPipe fetchCap{};
 
         bool done() const { return liveThreads == 0; }
 
@@ -516,10 +516,10 @@ class Sm
     support::StatSet stats_;
     MemShard &mem_;
 
-    // Observational trace sink and per-PC profile histogram (both
-    // nullptr unless a trace session is attached; see attachTrace()).
+    // Observational trace sink and profile scratch (both nullptr unless
+    // a trace session is attached; see attachTrace()).
     support::trace::Buffer *trace_ = nullptr;
-    std::vector<uint64_t> *profilePc_ = nullptr;
+    support::trace::StepProfile *profile_ = nullptr;
 
     // Runtime fault injection (nullptr unless cfg_.faultPlan arms a
     // runtime site that applies to this SM). Owned here; attached to the

@@ -136,15 +136,18 @@ Session::droppedEvents() const
 
 // --- profiler --------------------------------------------------------
 
-std::vector<uint64_t> *
-Session::pcScratch(unsigned sm, size_t code_words)
+StepProfile *
+Session::stepScratch(unsigned sm, size_t code_words)
 {
     if (!cfg_.profile)
         return nullptr;
-    while (pcScratch_.size() <= sm)
-        pcScratch_.emplace_back();
-    pcScratch_[sm].assign(code_words, 0);
-    return &pcScratch_[sm];
+    while (stepScratch_.size() <= sm)
+        stepScratch_.emplace_back();
+    StepProfile &scratch = stepScratch_[sm];
+    scratch.pcCounts.assign(code_words, 0);
+    scratch.opSteps.clear();
+    scratch.opMisses.clear();
+    return &scratch;
 }
 
 void
@@ -153,24 +156,33 @@ Session::foldProfile()
     if (!cfg_.profile || !haveTrack_)
         return;
     KernelProfile &prof = profiles_[trackNames_[curTrack_]];
-    for (auto &scratch : pcScratch_) {
-        if (scratch.size() > prof.pcCounts.size())
-            prof.pcCounts.resize(scratch.size(), 0);
-        for (size_t i = 0; i < scratch.size(); ++i)
-            prof.pcCounts[i] += scratch[i];
-        scratch.clear();
+    const auto fold = [](std::vector<uint64_t> &into,
+                         std::vector<uint64_t> &from) {
+        if (from.size() > into.size())
+            into.resize(from.size(), 0);
+        for (size_t i = 0; i < from.size(); ++i)
+            into[i] += from[i];
+        from.clear();
+    };
+    for (StepProfile &scratch : stepScratch_) {
+        fold(prof.pcCounts, scratch.pcCounts);
+        fold(prof.opSteps, scratch.opSteps);
+        fold(prof.opMisses, scratch.opMisses);
     }
     ++prof.launches;
 }
 
 void
-Session::setDisasm(const std::vector<std::string> &disasm)
+Session::setDisasm(const std::vector<std::string> &disasm,
+                   const std::vector<std::string> &op_names)
 {
     if (!cfg_.profile || !haveTrack_)
         return;
     KernelProfile &prof = profiles_[trackNames_[curTrack_]];
     if (prof.disasm.empty())
         prof.disasm = disasm;
+    if (prof.opNames.empty())
+        prof.opNames = op_names;
 }
 
 const KernelProfile *

@@ -153,6 +153,18 @@ struct SessionConfig
     bool profile = false;
 };
 
+/** One SM's profile scratch for one launch. */
+struct StepProfile
+{
+    /** Executed-instruction count per PC (index = pc / 4). */
+    std::vector<uint64_t> pcCounts;
+
+    /** Per op (index = isa::Op): warp steps, and the steps among them
+     *  that retired off the accelerated engine's fast paths. */
+    std::vector<uint64_t> opSteps;
+    std::vector<uint64_t> opMisses;
+};
+
 /** Per-kernel profile accumulated for one track (one bench point). */
 struct KernelProfile
 {
@@ -160,8 +172,14 @@ struct KernelProfile
      *  SMs and launch attempts. */
     std::vector<uint64_t> pcCounts;
 
-    /** Disassembly per PC (index = pc / 4), set once per kernel. */
+    /** StepProfile's per-op counts, summed the same way. */
+    std::vector<uint64_t> opSteps;
+    std::vector<uint64_t> opMisses;
+
+    /** Disassembly per PC (index = pc / 4) and the name of each op
+     *  (index = isa::Op), set once per kernel. */
     std::vector<std::string> disasm;
+    std::vector<std::string> opNames;
 
     uint64_t launches = 0;
 };
@@ -213,18 +231,19 @@ class Session
 
     // --- profiler ----------------------------------------------------
 
-    /** Size the per-SM PC-count scratch for a launch of @p num_sms SMs
-     *  over a code image of @p code_words words; returns nullptr when
-     *  profiling is off. */
-    std::vector<uint64_t> *pcScratch(unsigned sm, size_t code_words);
+    /** Clear SM @p sm's profile scratch, its PC counts sized for a code
+     *  image of @p code_words words, for a launch; returns nullptr when
+     *  profiling is off. The SM sizes the per-op counts. */
+    StepProfile *stepScratch(unsigned sm, size_t code_words);
 
     /** Sum the scratch vectors (SM-index order) into the current
      *  track's profile and clear them. */
     void foldProfile();
 
-    /** Record the kernel disassembly for the current track (first
-     *  caller wins; the kernel of a track never changes). */
-    void setDisasm(const std::vector<std::string> &disasm);
+    /** Record the kernel disassembly and op names for the current track
+     *  (first caller wins; the kernel of a track never changes). */
+    void setDisasm(const std::vector<std::string> &disasm,
+                   const std::vector<std::string> &op_names);
 
     /** Profile for @p track, or nullptr if none was collected. */
     const KernelProfile *profileFor(const std::string &track) const;
@@ -271,8 +290,8 @@ class Session
     std::vector<Committed> committed_;
 
     /** Per-SM profile scratch. A deque so growing it for a later SM
-     *  never moves a vector already handed out via pcScratch(). */
-    std::deque<std::vector<uint64_t>> pcScratch_;
+     *  never moves a scratch already handed out via stepScratch(). */
+    std::deque<StepProfile> stepScratch_;
     std::map<std::string, KernelProfile> profiles_;
 };
 

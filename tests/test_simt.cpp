@@ -10,8 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <iterator>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "kc/asm.hpp"
@@ -93,13 +96,54 @@ struct RegFileTestAccess
     static int
     dataSlot(const RegFileSystem &rf, unsigned warp, unsigned reg)
     {
-        return rf.dataEntries_[rf.entryIndex(warp, reg)].slot;
+        const auto &e = rf.dataEntries_[rf.entryIndex(warp, reg)];
+        return e.kind == RegFileSystem::Kind::Vector ? e.index : -1;
     }
 
-    static LaneArray<uint64_t>
-    slotLanes(const RegFileSystem &rf, int slot)
+    static LaneArray<uint32_t>
+    dataSlotLanes(const RegFileSystem &rf, int slot)
     {
-        return rf.slots_.at(static_cast<size_t>(slot));
+        return rf.dataSlots_.at(static_cast<size_t>(slot));
+    }
+
+    /** "" when every entry's index follows its kind -- a Vector's VRF
+     *  slot is live and maps back to it, a Spilled entry's spill id is
+     *  live, every other kind holds -1 -- else what is wrong. */
+    static std::string
+    indexFault(const RegFileSystem &rf)
+    {
+        using K = RegFileSystem::Kind;
+        const auto listed = [](const std::vector<int> &ids, int id) {
+            return std::find(ids.begin(), ids.end(), id) != ids.end();
+        };
+        for (const bool meta : {false, true}) {
+            const auto &es = meta ? rf.metaEntries_ : rf.dataEntries_;
+            for (size_t i = 0; i < es.size(); ++i) {
+                const auto &e = es[i];
+                const std::string at =
+                    (meta ? "meta entry " : "data entry ") +
+                    std::to_string(i);
+                if (e.kind == K::Vector) {
+                    if (e.index < 0 ||
+                        static_cast<size_t>(e.index) >= rf.slotInfo_.size() ||
+                        listed(rf.freeSlots_, e.index))
+                        return at + ": slot not live";
+                    const auto &si = rf.slotInfo_[e.index];
+                    if (si.isMeta != meta ||
+                        rf.entryIndex(si.warp, si.reg) != i)
+                        return at + ": slot maps to another entry";
+                } else if (e.kind == K::Spilled) {
+                    if (e.index < 0 ||
+                        static_cast<size_t>(e.index) >=
+                            rf.spillStore_.size() ||
+                        listed(rf.freeSpillIds_, e.index))
+                        return at + ": spill id not live";
+                } else if (e.index != -1) {
+                    return at + ": an index on a kind without one";
+                }
+            }
+        }
+        return "";
     }
 };
 
@@ -752,9 +796,9 @@ TEST(RegFileProperty, WriteDataMatchesExpandMergeClassify)
             const LaneArray<uint32_t> old =
                 RegFileTestAccess::data(rf, 0, kTarget);
             const int old_slot = RegFileTestAccess::dataSlot(rf, 0, kTarget);
-            const LaneArray<uint64_t> old_slot_lanes =
-                old_slot >= 0 ? RegFileTestAccess::slotLanes(rf, old_slot)
-                              : LaneArray<uint64_t>{};
+            const LaneArray<uint32_t> old_slot_lanes =
+                old_slot >= 0 ? RegFileTestAccess::dataSlotLanes(rf, old_slot)
+                              : LaneArray<uint32_t>{};
             LaneArray<uint32_t> merged{};
             for (unsigned i = 0; i < n; ++i)
                 merged[i] = (mask >> i) & 1 ? vals[i] : old[i];
@@ -797,7 +841,7 @@ TEST(RegFileProperty, WriteDataMatchesExpandMergeClassify)
             // A vector that compresses frees its slot with the old lanes
             // still in it, as checkpoint images have always recorded.
             if (old_slot >= 0 && after == RfKind::Scalar) {
-                EXPECT_EQ(RegFileTestAccess::slotLanes(rf, old_slot),
+                EXPECT_EQ(RegFileTestAccess::dataSlotLanes(rf, old_slot),
                           old_slot_lanes);
             }
 
@@ -808,6 +852,80 @@ TEST(RegFileProperty, WriteDataMatchesExpandMergeClassify)
                 expectAccess(acc, twin_acc);
                 EXPECT_EQ(stats.all(), twin_stats.all());
             }
+        }
+    }
+}
+
+TEST(RegFileProperty, DataWritesKeepNarrowStridesAndIndicesByKind)
+{
+    // Random full and partial writes through every data write path
+    // (writeData and its merge, writeDataAffine) with strides at and
+    // past the 8-bit edges, reads that reload spilled registers, and
+    // metadata vectors competing for a shared VRF. After each step every
+    // register holds a host model's lanes -- a stride that does not fit
+    // 8 bits must leave a vector, never a wrapped Scalar -- and every
+    // index follows its kind.
+    std::mt19937 rng(2029);
+    const int32_t strides[] = {-129, -128, -127, -1, 0,   1,
+                               127,  128,  129,  256, -256, 0x12345};
+    constexpr unsigned kRegs = 8;
+    for (const unsigned n : {8u, 32u}) {
+        for (const bool purecap : {false, true}) {
+            const SmConfig cfg = propertyCfg(n, purecap, purecap);
+            support::StatSet stats;
+            RegFileSystem rf(cfg, stats);
+            LaneArray<uint32_t> model[2][kRegs] = {};
+            for (unsigned step = 0; step < 3000; ++step) {
+                const unsigned warp = rng() % 2;
+                const unsigned reg = 1 + rng() % (kRegs - 1);
+                const LaneMask mask = randomMask(rng, n);
+                const uint32_t base = static_cast<uint32_t>(rng());
+                const int32_t stride = strides[rng() % std::size(strides)];
+                LaneArray<uint32_t> vals{};
+                for (unsigned i = 0; i < kMaxLanes; ++i)
+                    vals[i] = base + static_cast<uint32_t>(stride) * i;
+                RfAccess acc;
+                const unsigned path = rng() % 4;
+                SCOPED_TRACE(testing::Message()
+                             << "lanes " << n << " purecap " << purecap
+                             << " step " << step << " path " << path
+                             << " stride " << stride);
+                if (path == 0) {
+                    rf.writeDataAffine(warp, reg, base, stride, mask, acc);
+                } else if (path == 1) {
+                    if (rng() % 2)
+                        vals[rng() % n] ^= 1 + rng() % 255;
+                    rf.writeData(warp, reg, vals, mask, acc);
+                } else if (path == 2) {
+                    LaneArray<uint32_t> out;
+                    rf.readData(warp, reg, out, acc);
+                    for (unsigned i = 0; i < n; ++i)
+                        ASSERT_EQ(out[i], model[warp][reg][i]) << i;
+                } else if (purecap) {
+                    LaneArray<CapMeta> m{};
+                    for (unsigned i = 0; i < n; ++i)
+                        m[i] = CapMeta{static_cast<uint32_t>(rng()), true};
+                    rf.writeMeta(warp, reg, m, lowLanes(n), acc);
+                }
+                if (path < 2) {
+                    for (unsigned i = 0; i < n; ++i)
+                        if ((mask >> i) & 1)
+                            model[warp][reg][i] = vals[i];
+                }
+                for (unsigned w = 0; w < 2; ++w) {
+                    for (unsigned r = 0; r < kRegs; ++r) {
+                        const LaneArray<uint32_t> got =
+                            RegFileTestAccess::data(rf, w, r);
+                        for (unsigned i = 0; i < n; ++i)
+                            ASSERT_EQ(got[i], model[w][r][i])
+                                << "warp " << w << " reg " << r << " lane "
+                                << i;
+                    }
+                }
+                ASSERT_EQ(RegFileTestAccess::indexFault(rf), "");
+            }
+            EXPECT_GT(stats.get("vrf_data_spills"), 0u);
+            EXPECT_GT(stats.get("vrf_data_reloads"), 0u);
         }
     }
 }

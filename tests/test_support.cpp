@@ -427,12 +427,12 @@ TEST(Trace, ProfileScratchPointersSurviveGrowth)
     session.beginTrack("t");
     // The scratch handed to SM 0 must stay valid while scratch for
     // later SMs is created (a launch attaches all SMs up front).
-    std::vector<uint64_t> *s0 = session.pcScratch(0, 4);
+    StepProfile *s0 = session.stepScratch(0, 4);
     ASSERT_NE(s0, nullptr);
-    (*s0)[1] = 7;
+    s0->pcCounts[1] = 7;
     for (unsigned k = 1; k < 8; ++k)
-        ASSERT_NE(session.pcScratch(k, 4), nullptr);
-    (*s0)[2] = 3;
+        ASSERT_NE(session.stepScratch(k, 4), nullptr);
+    s0->pcCounts[2] = 3;
     session.foldProfile();
     const KernelProfile *prof = session.profileFor("t");
     ASSERT_NE(prof, nullptr);
